@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 test suite, plus an ASan/UBSan build of
-# the observability tests (the registry, tracer and flight recorder are
-# the concurrent code in the tree — sanitize them every time).
+# Repo verification: the tier-1 test suite, a Release (-O3) build that
+# must compile warning-clean where -Werror applies, plus an ASan/UBSan
+# build of the observability tests (the registry, tracer and flight
+# recorder are the concurrent code in the tree — sanitize them every
+# time).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -103,6 +105,10 @@ echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "== release build: every target at -DCMAKE_BUILD_TYPE=Release =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j
 
 echo "== plan verifier: differential sweep over the random workload =="
 ./build/tests/verify_test --gtest_filter='*VerifySweepTest*' \

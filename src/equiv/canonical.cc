@@ -1,6 +1,8 @@
 #include "equiv/canonical.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <utility>
 
 namespace uniqopt {
@@ -26,6 +28,17 @@ void FlattenKind(const ExprPtr& e, ExprKind kind, std::vector<ExprPtr>* out) {
   }
 }
 
+/// prefix + text + suffix, appended into one buffer. GCC 12 at -O3
+/// misreports `"literal" + std::string&&` as an overlapping memcpy
+/// (-Wrestrict), which -Werror turns into a Release build failure.
+std::string Wrap(std::string_view prefix, std::string_view text,
+                 std::string_view suffix = {}) {
+  std::string out;
+  out.reserve(prefix.size() + text.size() + suffix.size());
+  out.append(prefix).append(text).append(suffix);
+  return out;
+}
+
 }  // namespace
 
 std::string CanonicalExprText(const ExprPtr& expr) {
@@ -33,9 +46,9 @@ std::string CanonicalExprText(const ExprPtr& expr) {
     case ExprKind::kLiteral:
       return expr->literal().ToString();
     case ExprKind::kColumnRef:
-      return "#" + std::to_string(expr->column_index());
+      return Wrap("#", std::to_string(expr->column_index()));
     case ExprKind::kHostVar:
-      return ":" + std::to_string(expr->host_var_index());
+      return Wrap(":", std::to_string(expr->host_var_index()));
     case ExprKind::kComparison: {
       std::string l = CanonicalExprText(expr->child(0));
       std::string r = CanonicalExprText(expr->child(1));
@@ -59,11 +72,11 @@ std::string CanonicalExprText(const ExprPtr& expr) {
       return out;
     }
     case ExprKind::kNot:
-      return "(NOT " + CanonicalExprText(expr->child(0)) + ")";
+      return Wrap("(NOT ", CanonicalExprText(expr->child(0)), ")");
     case ExprKind::kIsNull:
-      return "(" + CanonicalExprText(expr->child(0)) + " IS NULL)";
+      return Wrap("(", CanonicalExprText(expr->child(0)), " IS NULL)");
     case ExprKind::kIsNotNull:
-      return "(" + CanonicalExprText(expr->child(0)) + " IS NOT NULL)";
+      return Wrap("(", CanonicalExprText(expr->child(0)), " IS NOT NULL)");
   }
   return "?";
 }
@@ -145,7 +158,7 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
         if (i) out += ",";
         out += AggFuncToString(item.func);
         if (item.func != AggFunc::kCountStar) {
-          out += "#" + std::to_string(item.arg_column);
+          out += Wrap("#", std::to_string(item.arg_column));
         }
       }
       out += "]," + CanonicalPlanText(agg->input()) + ")";

@@ -24,6 +24,24 @@ struct ValueEq {
 
 double Log2(double x) { return x <= 2 ? 1.0 : std::log2(x); }
 
+/// A unique-index point lookup touches one hash bucket: constant cost
+/// regardless of table size. This is what makes keyed point queries —
+/// and keyed join inputs — prefer the probe over every scan-based
+/// alternative. None unless the planner would lower σ[conjuncts](input)
+/// to an IndexLookupOp.
+std::optional<PlanEstimate> KeyedInputEstimate(
+    const PlanPtr& input, std::vector<ExprPtr> conjuncts,
+    const PhysicalOptions& options) {
+  const GetNode* get = As<GetNode>(input);
+  if (!options.use_indexes || options.dop > 1 || get == nullptr ||
+      conjuncts.empty() ||
+      !MatchIndexLookup(get->table(), Expr::MakeAnd(std::move(conjuncts)))
+           .has_value()) {
+    return std::nullopt;
+  }
+  return PlanEstimate{1, 2};
+}
+
 }  // namespace
 
 double CostEstimator::DistinctCount(const std::string& table,
@@ -174,53 +192,39 @@ PlanEstimate CostEstimator::EstimateNode(
         double sel = Selectivity(node->predicate(), node->input());
         PlanEstimate e;
         e.rows = std::max(1.0, left.rows * right.rows * sel);
-        bool has_equi = false;
-        size_t left_width = product->left()->schema().num_columns();
-        std::vector<size_t> left_keys;
-        std::vector<size_t> right_keys;
-        for (const ExprPtr& conj : FlattenAnd(node->predicate())) {
-          EqualityAtom a = ClassifyAtom(conj);
-          if (a.type == AtomType::kType2ColumnColumn &&
-              ((a.column < left_width) != (a.other_column < left_width))) {
-            has_equi = true;
-            size_t lc = a.column < left_width ? a.column : a.other_column;
-            size_t rc = a.column < left_width ? a.other_column : a.column;
-            left_keys.push_back(lc);
-            right_keys.push_back(rc - left_width);
-          }
+        JoinSplit split = SplitJoinPredicate(
+            node->predicate(), product->left()->schema().num_columns(),
+            options);
+        // Mirror the planner: a keyed input whose pushed-down conjuncts
+        // cover a declared key is one index probe.
+        const PlanEstimate left_in =
+            KeyedInputEstimate(product->left(), split.left_only, options)
+                .value_or(left);
+        // A bare keyed Get on the build side is probed through its
+        // unique index — the build phase (and the build-side scan)
+        // disappears. Parallel lowerings (dop > 1) keep the shared hash
+        // build.
+        const GetNode* right_get = As<GetNode>(product->right());
+        if (!split.left_keys.empty() && options.use_indexes &&
+            options.dop <= 1 && right_get != nullptr &&
+            MatchUniqueIndexJoin(right_get->table(), split.left_keys,
+                                 split.right_keys)
+                .has_value()) {
+          e.cost = left_in.cost + left_in.rows + e.rows;
+          return e;
         }
-        if (options.join == PhysicalOptions::JoinStrategy::kHash &&
-            has_equi) {
-          // Mirror the planner: a bare keyed Get on the build side is
-          // probed through its unique index — the build phase (and the
-          // build-side scan) disappears. Parallel lowerings (dop > 1)
-          // keep the shared hash build.
-          const GetNode* right_get = As<GetNode>(product->right());
-          if (options.use_indexes && options.dop <= 1 &&
-              right_get != nullptr &&
-              MatchUniqueIndexJoin(right_get->table(), left_keys,
-                                   right_keys)
-                  .has_value()) {
-            e.cost = left.cost + left.rows + e.rows;
-          } else {
-            e.cost =
-                left.cost + right.cost + left.rows + right.rows + e.rows;
-          }
-        } else {
-          e.cost = left.cost + right.cost + left.rows * right.rows;
-        }
+        const PlanEstimate right_in =
+            KeyedInputEstimate(product->right(), split.right_only, options)
+                .value_or(right);
+        e.cost = left_in.cost + right_in.cost;
+        e.cost += split.left_keys.empty()
+                      ? left_in.rows * right_in.rows
+                      : left_in.rows + right_in.rows + e.rows;
         return e;
       }
-      // A unique-index point lookup touches one hash bucket: constant
-      // cost regardless of table size. This is what makes keyed point
-      // queries prefer the probe over every scan-based alternative.
-      if (options.use_indexes && options.dop <= 1) {
-        const GetNode* get = As<GetNode>(node->input());
-        if (get != nullptr &&
-            MatchIndexLookup(get->table(), node->predicate())
-                .has_value()) {
-          return PlanEstimate{1, 2};
-        }
+      if (std::optional<PlanEstimate> probe = KeyedInputEstimate(
+              node->input(), FlattenAnd(node->predicate()), options)) {
+        return *probe;
       }
       PlanEstimate in = EstimateNode(node->input(), options);
       PlanEstimate e;

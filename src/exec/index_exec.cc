@@ -6,7 +6,6 @@
 
 #include "expr/equality.h"
 #include "expr/normalize.h"
-#include "index/unique_index.h"
 
 namespace uniqopt {
 
@@ -32,7 +31,84 @@ std::optional<Value> CoerceProbe(const Value& v, TypeId want) {
   return std::nullopt;
 }
 
+/// Which side of a left|right column split a conjunct reads.
+enum class Side { kLeft, kRight, kBoth, kNone };
+
+Side ClassifySide(const ExprPtr& conjunct, size_t left_width) {
+  std::vector<size_t> cols;
+  conjunct->CollectColumns(&cols);
+  if (cols.empty()) return Side::kNone;
+  bool any_left = false;
+  bool any_right = false;
+  for (size_t c : cols) {
+    if (c < left_width) {
+      any_left = true;
+    } else {
+      any_right = true;
+    }
+  }
+  if (any_left && any_right) return Side::kBoth;
+  return any_left ? Side::kLeft : Side::kRight;
+}
+
+/// An equi-join conjunct col_l = col_r crossing the split, if any.
+bool ExtractEquiPair(const ExprPtr& conjunct, size_t left_width,
+                     size_t* left_col, size_t* right_col) {
+  EqualityAtom atom = ClassifyAtom(conjunct);
+  if (atom.type != AtomType::kType2ColumnColumn) return false;
+  size_t a = atom.column;
+  size_t b = atom.other_column;
+  if (a < left_width && b >= left_width) {
+    *left_col = a;
+    *right_col = b - left_width;
+    return true;
+  }
+  if (b < left_width && a >= left_width) {
+    *left_col = b;
+    *right_col = a - left_width;
+    return true;
+  }
+  return false;
+}
+
+/// Rebases a right-side-only conjunct from product coordinates into the
+/// right input's own coordinates.
+ExprPtr ShiftColumnsDown(const ExprPtr& expr, size_t left_width) {
+  size_t max_col = expr->MaxColumnIndexPlusOne();
+  std::vector<size_t> mapping(max_col, 0);
+  for (size_t i = left_width; i < max_col; ++i) mapping[i] = i - left_width;
+  return RemapColumns(expr, mapping);
+}
+
 }  // namespace
+
+JoinSplit SplitJoinPredicate(const ExprPtr& predicate, size_t left_width,
+                             const PhysicalOptions& options) {
+  JoinSplit split;
+  for (const ExprPtr& conj : FlattenAnd(predicate)) {
+    size_t lc = 0;
+    size_t rc = 0;
+    if (options.join == PhysicalOptions::JoinStrategy::kHash &&
+        ExtractEquiPair(conj, left_width, &lc, &rc)) {
+      split.left_keys.push_back(lc);
+      split.right_keys.push_back(rc);
+      continue;
+    }
+    if (options.predicate_pushdown) {
+      Side side = ClassifySide(conj, left_width);
+      if (side == Side::kLeft) {
+        split.left_only.push_back(conj);
+        continue;
+      }
+      if (side == Side::kRight) {
+        split.right_only.push_back(ShiftColumnsDown(conj, left_width));
+        continue;
+      }
+    }
+    split.residual.push_back(conj);
+  }
+  return split;
+}
 
 std::optional<IndexLookupMatch> MatchIndexLookup(const TableDef& def,
                                                  const ExprPtr& predicate) {
@@ -73,6 +149,19 @@ std::optional<IndexLookupMatch> MatchIndexLookup(const TableDef& def,
     return match;
   }
   return std::nullopt;
+}
+
+std::optional<Row> ProbeKey(const TableDef& def, size_t key_index,
+                            std::vector<Value> values) {
+  const std::vector<size_t>& columns = def.keys().at(key_index).columns;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i].is_null()) return std::nullopt;
+    std::optional<Value> coerced =
+        CoerceProbe(values[i], def.schema().column(columns[i]).type);
+    if (!coerced.has_value()) return std::nullopt;
+    values[i] = std::move(*coerced);
+  }
+  return Row(std::move(values));
 }
 
 std::optional<IndexJoinMatch> MatchUniqueIndexJoin(
@@ -132,24 +221,17 @@ IndexLookupOp::IndexLookupOp(const Table* table, Schema schema,
 Status IndexLookupOp::Open(ExecContext* ctx) {
   match_.reset();
   snapshot_ = table_->Snapshot();
-  const UniqueIndex& index = snapshot_->indexes.at(key_index_);
-  std::vector<Value> key_values;
-  key_values.reserve(probes_.size());
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    Value v = probes_[i].Resolve(ctx->params);
-    // SQL `=` never matches a NULL probe, even though the index files
-    // NULL keys as ordinary values under `=!`.
-    if (v.is_null()) return Status::OK();
-    TypeId want =
-        table_->def().schema().column(index.key_columns()[i]).type;
-    std::optional<Value> coerced = CoerceProbe(v, want);
-    if (!coerced.has_value()) return Status::OK();
-    key_values.push_back(std::move(*coerced));
+  std::vector<Value> values;
+  for (const IndexProbe& probe : probes_) {
+    values.push_back(probe.Resolve(ctx->params));
   }
+  std::optional<Row> key =
+      ProbeKey(table_->def(), key_index_, std::move(values));
+  if (!key.has_value()) return Status::OK();
   ctx->stats.index_probes++;
-  std::optional<size_t> ordinal = index.Lookup(Row(std::move(key_values)));
+  std::optional<size_t> ordinal = snapshot_->Lookup(key_index_, *key);
   if (!ordinal.has_value()) return Status::OK();
-  const Row& row = snapshot_->rows.at(*ordinal);
+  const Row& row = snapshot_->rows[*ordinal];
   if (residual_ != nullptr &&
       residual_->EvaluatePredicate(row, ctx->params) != Tribool::kTrue) {
     return Status::OK();
@@ -189,41 +271,24 @@ UniqueIndexJoinOp::UniqueIndexJoinOp(OperatorPtr left,
 
 Status UniqueIndexJoinOp::Open(ExecContext* ctx) {
   snapshot_ = right_table_->Snapshot();
-  const UniqueIndex& index = snapshot_->indexes.at(key_index_);
-  key_types_.clear();
-  for (size_t col : index.key_columns()) {
-    key_types_.push_back(right_table_->def().schema().column(col).type);
-  }
   return left_->Open(ctx);
 }
 
 Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
-  const UniqueIndex& index = snapshot_->indexes.at(key_index_);
   Row left_row;
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row));
     if (!more) return false;
-    std::vector<Value> key_values;
-    key_values.reserve(left_keys_.size());
-    bool probeable = true;
-    for (size_t i = 0; i < left_keys_.size(); ++i) {
-      const Value& v = left_row[left_keys_[i]];
-      if (v.is_null()) {
-        probeable = false;  // SQL `=` join keys never match on NULL
-        break;
-      }
-      std::optional<Value> coerced = CoerceProbe(v, key_types_[i]);
-      if (!coerced.has_value()) {
-        probeable = false;
-        break;
-      }
-      key_values.push_back(std::move(*coerced));
-    }
-    if (!probeable) continue;
+    std::vector<Value> values;
+    values.reserve(left_keys_.size());
+    for (size_t col : left_keys_) values.push_back(left_row[col]);
+    std::optional<Row> key =
+        ProbeKey(right_table_->def(), key_index_, std::move(values));
+    if (!key.has_value()) continue;
     ctx->stats.index_probes++;
-    std::optional<size_t> ordinal = index.Lookup(Row(std::move(key_values)));
+    std::optional<size_t> ordinal = snapshot_->Lookup(key_index_, *key);
     if (!ordinal.has_value()) continue;
-    const Row& right_row = snapshot_->rows.at(*ordinal);
+    const Row& right_row = snapshot_->rows[*ordinal];
     if (right_filter_ != nullptr &&
         right_filter_->EvaluatePredicate(right_row, ctx->params) !=
             Tribool::kTrue) {

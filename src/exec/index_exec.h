@@ -7,6 +7,7 @@
 
 #include "catalog/table_def.h"
 #include "exec/operator.h"
+#include "exec/planner.h"
 #include "expr/expr.h"
 #include "storage/table.h"
 
@@ -49,6 +50,34 @@ struct IndexLookupMatch {
 /// when no key is fully covered.
 std::optional<IndexLookupMatch> MatchIndexLookup(const TableDef& def,
                                                  const ExprPtr& predicate);
+
+/// A probe key for key `key_index` of `def`: `values`, in the key's
+/// column order, coerced to the key columns' types. None when a value
+/// is NULL (SQL `=` never matches NULL, even though the index files
+/// NULL keys under `=!`) or cannot equal any value of its column (7.5
+/// against an INTEGER key): the probe then matches nothing.
+std::optional<Row> ProbeKey(const TableDef& def, size_t key_index,
+                            std::vector<Value> values);
+
+/// A join predicate σ[pred](L × R) split the way lowering splits it.
+struct JoinSplit {
+  /// Crossing equi-conjuncts L.a = R.b, as paired column positions
+  /// (right ones in right coordinates).
+  std::vector<size_t> left_keys;
+  std::vector<size_t> right_keys;
+  /// Single-side conjuncts pushed below the join; `right_only` is
+  /// rebased to right coordinates.
+  std::vector<ExprPtr> left_only;
+  std::vector<ExprPtr> right_only;
+  /// Everything else, in product coordinates.
+  std::vector<ExprPtr> residual;
+};
+
+/// Equi-pairs become keys only under `options.join == kHash`, and
+/// single-side conjuncts are pushed only under
+/// `options.predicate_pushdown`; the rest is residual.
+JoinSplit SplitJoinPredicate(const ExprPtr& predicate, size_t left_width,
+                             const PhysicalOptions& options);
 
 /// A hash join whose right (build) side can be replaced by unique-index
 /// probes: the right-side equi-columns are exactly a declared key.
@@ -127,8 +156,6 @@ class UniqueIndexJoinOp final : public Operator {
   ExprPtr right_filter_;
   ExprPtr residual_;
   std::string key_name_;
-  /// Key-column types of the build side, for probe-value coercion.
-  std::vector<TypeId> key_types_;
   TableSnapshot snapshot_;
 };
 

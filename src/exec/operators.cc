@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace uniqopt {
@@ -95,10 +96,10 @@ Result<bool> TableScanOp::Next(ExecContext* ctx, Row* row) {
 
 Result<bool> TableScanOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->Reset();
-  const std::vector<Row>& rows = snapshot_->rows;
-  if (pos_ >= rows.size()) return false;
-  size_t n = std::min(out->capacity(), rows.size() - pos_);
-  out->Borrow(rows.data() + pos_, n);
+  if (pos_ >= snapshot_->rows.size()) return false;
+  std::span<const Row> run = snapshot_->rows.RunFrom(pos_);
+  size_t n = std::min(out->capacity(), run.size());
+  out->Borrow(run.data(), n);
   pos_ += n;
   ctx->stats.rows_scanned += n;
   return true;

@@ -22,7 +22,8 @@ class TableScanOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
-  /// Borrows a contiguous slice of the table's storage — zero copies.
+  /// Borrows a contiguous slice of the table's storage (at most one
+  /// chunk) — zero copies.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "TableScan"; }

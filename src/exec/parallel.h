@@ -1,11 +1,13 @@
 #ifndef UNIQOPT_EXEC_PARALLEL_H_
 #define UNIQOPT_EXEC_PARALLEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -86,8 +88,9 @@ class MorselScanOp final : public Operator {
       if (!cursor_->Claim(&begin_, &end_)) return false;
       ++ctx->stats.morsels_claimed;
     }
-    size_t n = std::min(out->capacity(), end_ - begin_);
-    out->Borrow(snapshot_->rows.data() + begin_, n);
+    std::span<const Row> run = snapshot_->rows.RunFrom(begin_);
+    size_t n = std::min({out->capacity(), end_ - begin_, run.size()});
+    out->Borrow(run.data(), n);
     begin_ += n;
     ctx->stats.rows_scanned += n;
     return true;

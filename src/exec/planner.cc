@@ -1,56 +1,15 @@
 #include "exec/planner.h"
 
 #include <memory>
+#include <optional>
 
 #include "exec/index_exec.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
-#include "expr/equality.h"
-#include "expr/normalize.h"
 
 namespace uniqopt {
 
 namespace {
-
-/// Classification of a conjunct relative to a left|right column split.
-enum class Side { kLeft, kRight, kBoth, kNone };
-
-Side ClassifySide(const ExprPtr& conjunct, size_t left_width) {
-  std::vector<size_t> cols;
-  conjunct->CollectColumns(&cols);
-  if (cols.empty()) return Side::kNone;
-  bool any_left = false;
-  bool any_right = false;
-  for (size_t c : cols) {
-    if (c < left_width) {
-      any_left = true;
-    } else {
-      any_right = true;
-    }
-  }
-  if (any_left && any_right) return Side::kBoth;
-  return any_left ? Side::kLeft : Side::kRight;
-}
-
-/// An equi-join conjunct col_l = col_r crossing the split, if any.
-bool ExtractEquiPair(const ExprPtr& conjunct, size_t left_width,
-                     size_t* left_col, size_t* right_col) {
-  EqualityAtom atom = ClassifyAtom(conjunct);
-  if (atom.type != AtomType::kType2ColumnColumn) return false;
-  size_t a = atom.column;
-  size_t b = atom.other_column;
-  if (a < left_width && b >= left_width) {
-    *left_col = a;
-    *right_col = b - left_width;
-    return true;
-  }
-  if (b < left_width && a >= left_width) {
-    *left_col = b;
-    *right_col = a - left_width;
-    return true;
-  }
-  return false;
-}
 
 class Lowering {
  public:
@@ -63,17 +22,65 @@ class Lowering {
   /// filters) is wrapped in a metering ProfileOp. Slots register before
   /// children are lowered, so the profile lists operators in preorder.
   Result<OperatorPtr> Lower(const PlanPtr& plan) {
-    if (profile_ == nullptr) return LowerNode(plan);
+    return Profiled([&] { return LowerNode(plan); });
+  }
+
+ private:
+  /// Runs `lower` as one profiled operator slot (see Lower).
+  template <typename LowerFn>
+  Result<OperatorPtr> Profiled(const LowerFn& lower) {
+    if (profile_ == nullptr) return lower();
     size_t slot = profile_->Reserve(depth_);
     ++depth_;
-    Result<OperatorPtr> lowered = LowerNode(plan);
+    Result<OperatorPtr> lowered = lower();
     --depth_;
     if (!lowered.ok()) return lowered;
     profile_->SetName(slot, (*lowered)->name());
     return OperatorPtr(new ProfileOp(std::move(*lowered), profile_, slot));
   }
 
- private:
+  /// σ[predicate] over a bare keyed Get whose equality conjuncts cover a
+  /// declared key is at most one row, so it can probe the unique index
+  /// instead of scanning. Parallel lowerings keep the scan — a single
+  /// probe has nothing to parallelize.
+  std::optional<IndexLookupMatch> MatchKeyedInput(const PlanPtr& input,
+                                                  const ExprPtr& predicate) {
+    const GetNode* get = As<GetNode>(input);
+    if (!options_.use_indexes || hooks_ != nullptr || get == nullptr) {
+      return std::nullopt;
+    }
+    return MatchIndexLookup(get->table(), predicate);
+  }
+
+  Result<OperatorPtr> LowerIndexLookup(const GetNode& get,
+                                       IndexLookupMatch match) {
+    UNIQOPT_ASSIGN_OR_RETURN(const Table* table,
+                             db_.GetTable(get.table().name()));
+    ExprPtr residual = match.residual.empty()
+                           ? nullptr
+                           : Expr::MakeAnd(std::move(match.residual));
+    return OperatorPtr(new IndexLookupOp(
+        table, get.schema(), match.key_index, std::move(match.probes),
+        std::move(residual), KeyDisplayName(get.table(), match.key_index)));
+  }
+
+  /// A join input under its pushed-down single-side conjuncts. A keyed
+  /// input probes its index and shows as its own operator, like
+  /// σ-over-Get; otherwise the conjuncts filter the lowered input.
+  Result<OperatorPtr> LowerJoinInput(const PlanPtr& input,
+                                     std::vector<ExprPtr> conjuncts) {
+    if (conjuncts.empty()) return Lower(input);
+    ExprPtr predicate = Expr::MakeAnd(std::move(conjuncts));
+    if (std::optional<IndexLookupMatch> match =
+            MatchKeyedInput(input, predicate)) {
+      return Profiled([&] {
+        return LowerIndexLookup(*As<GetNode>(input), std::move(*match));
+      });
+    }
+    UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr lowered, Lower(input));
+    return OperatorPtr(new FilterOp(std::move(lowered), predicate));
+  }
+
   Result<OperatorPtr> LowerNode(const PlanPtr& plan) {
     switch (plan->kind()) {
       case PlanKind::kGet:
@@ -136,83 +143,38 @@ class Lowering {
     }
     const ProductNode* product = As<ProductNode>(node.input());
     if (product == nullptr) {
-      // σ over a bare keyed Get whose equality conjuncts cover a
-      // declared key is at most one row: probe the unique index instead
-      // of scanning. Parallel lowerings keep the scan — a single probe
-      // has nothing to parallelize.
-      if (options_.use_indexes && hooks_ == nullptr) {
-        const GetNode* get = As<GetNode>(node.input());
-        if (get != nullptr) {
-          std::optional<IndexLookupMatch> match =
-              MatchIndexLookup(get->table(), node.predicate());
-          if (match.has_value()) {
-            UNIQOPT_ASSIGN_OR_RETURN(const Table* table,
-                                     db_.GetTable(get->table().name()));
-            ExprPtr residual =
-                match->residual.empty()
-                    ? nullptr
-                    : Expr::MakeAnd(std::move(match->residual));
-            return OperatorPtr(new IndexLookupOp(
-                table, node.schema(), match->key_index,
-                std::move(match->probes), std::move(residual),
-                KeyDisplayName(get->table(), match->key_index)));
-          }
-        }
+      if (std::optional<IndexLookupMatch> match =
+              MatchKeyedInput(node.input(), node.predicate())) {
+        return LowerIndexLookup(*As<GetNode>(node.input()),
+                                std::move(*match));
       }
       UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr child, Lower(node.input()));
       return OperatorPtr(new FilterOp(std::move(child), node.predicate()));
     }
-    size_t left_width = product->left()->schema().num_columns();
-    std::vector<ExprPtr> left_only;
-    std::vector<ExprPtr> right_only;
-    std::vector<ExprPtr> residual;
-    std::vector<size_t> left_keys;
-    std::vector<size_t> right_keys;
-    for (const ExprPtr& conj : FlattenAnd(node.predicate())) {
-      size_t lc = 0;
-      size_t rc = 0;
-      if (options_.join == PhysicalOptions::JoinStrategy::kHash &&
-          ExtractEquiPair(conj, left_width, &lc, &rc)) {
-        left_keys.push_back(lc);
-        right_keys.push_back(rc);
-        continue;
-      }
-      if (options_.predicate_pushdown) {
-        Side side = ClassifySide(conj, left_width);
-        if (side == Side::kLeft) {
-          left_only.push_back(conj);
-          continue;
-        }
-        if (side == Side::kRight) {
-          right_only.push_back(ShiftColumnsDown(conj, left_width));
-          continue;
-        }
-      }
-      residual.push_back(conj);
-    }
+    JoinSplit split = SplitJoinPredicate(
+        node.predicate(), product->left()->schema().num_columns(), options_);
     // When the build side is a bare Get and the build-side equi-columns
     // are exactly a declared key, the committed unique index already IS
     // the hash table: probe it and skip the build phase entirely.
-    if (!left_keys.empty() && options_.use_indexes && hooks_ == nullptr) {
+    if (!split.left_keys.empty() && options_.use_indexes &&
+        hooks_ == nullptr) {
       const GetNode* right_get = As<GetNode>(product->right());
       if (right_get != nullptr) {
         std::optional<IndexJoinMatch> match = MatchUniqueIndexJoin(
-            right_get->table(), left_keys, right_keys);
+            right_get->table(), split.left_keys, split.right_keys);
         if (match.has_value()) {
           UNIQOPT_ASSIGN_OR_RETURN(const Table* right_table,
                                    db_.GetTable(right_get->table().name()));
-          UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr left,
-                                   Lower(product->left()));
-          if (!left_only.empty()) {
-            left = OperatorPtr(new FilterOp(
-                std::move(left), Expr::MakeAnd(std::move(left_only))));
-          }
+          UNIQOPT_ASSIGN_OR_RETURN(
+              OperatorPtr left,
+              LowerJoinInput(product->left(), std::move(split.left_only)));
           ExprPtr right_filter =
-              right_only.empty() ? nullptr
-                                 : Expr::MakeAnd(std::move(right_only));
-          ExprPtr res = residual.empty()
+              split.right_only.empty()
+                  ? nullptr
+                  : Expr::MakeAnd(std::move(split.right_only));
+          ExprPtr res = split.residual.empty()
                             ? nullptr
-                            : Expr::MakeAnd(std::move(residual));
+                            : Expr::MakeAnd(std::move(split.residual));
           return OperatorPtr(new UniqueIndexJoinOp(
               std::move(left), right_table, right_get->schema(),
               match->key_index, std::move(match->left_keys),
@@ -221,19 +183,16 @@ class Lowering {
         }
       }
     }
-    UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr left, Lower(product->left()));
-    UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr right, Lower(product->right()));
-    if (!left_only.empty()) {
-      left = OperatorPtr(
-          new FilterOp(std::move(left), Expr::MakeAnd(std::move(left_only))));
-    }
-    if (!right_only.empty()) {
-      right = OperatorPtr(new FilterOp(std::move(right),
-                                       Expr::MakeAnd(std::move(right_only))));
-    }
-    if (!left_keys.empty()) {
-      ExprPtr res = residual.empty() ? nullptr
-                                     : Expr::MakeAnd(std::move(residual));
+    UNIQOPT_ASSIGN_OR_RETURN(
+        OperatorPtr left,
+        LowerJoinInput(product->left(), std::move(split.left_only)));
+    UNIQOPT_ASSIGN_OR_RETURN(
+        OperatorPtr right,
+        LowerJoinInput(product->right(), std::move(split.right_only)));
+    ExprPtr res = split.residual.empty()
+                      ? nullptr
+                      : Expr::MakeAnd(std::move(split.residual));
+    if (!split.left_keys.empty()) {
       if (hooks_ != nullptr) {
         // All worker lowerings hit this node (pointer identity — plan
         // nodes are shared, not copied, across lowerings), so the first
@@ -244,19 +203,18 @@ class Lowering {
           build = std::make_shared<SharedJoinBuild>(hooks_->build_partitions);
         }
         return OperatorPtr(new SharedHashJoinProbeOp(
-            std::move(left), std::move(right), std::move(left_keys),
-            std::move(right_keys), std::move(res), build));
+            std::move(left), std::move(right), std::move(split.left_keys),
+            std::move(split.right_keys), std::move(res), build));
       }
       return OperatorPtr(new HashJoinOp(std::move(left), std::move(right),
-                                        std::move(left_keys),
-                                        std::move(right_keys),
+                                        std::move(split.left_keys),
+                                        std::move(split.right_keys),
                                         std::move(res)));
     }
     OperatorPtr join(
         new NestedLoopProductOp(std::move(left), std::move(right)));
-    if (residual.empty()) return join;
-    return OperatorPtr(
-        new FilterOp(std::move(join), Expr::MakeAnd(std::move(residual))));
+    if (res == nullptr) return join;
+    return OperatorPtr(new FilterOp(std::move(join), std::move(res)));
   }
 
   Result<OperatorPtr> LowerExists(const ExistsNode& node) {
@@ -264,25 +222,19 @@ class Lowering {
     UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr inner, Lower(node.sub()));
     size_t outer_width = node.outer()->schema().num_columns();
     if (options_.join == PhysicalOptions::JoinStrategy::kHash) {
-      std::vector<size_t> outer_keys;
-      std::vector<size_t> inner_keys;
-      std::vector<ExprPtr> residual;
-      for (const ExprPtr& conj : FlattenAnd(node.correlation())) {
-        size_t oc = 0;
-        size_t ic = 0;
-        if (ExtractEquiPair(conj, outer_width, &oc, &ic)) {
-          outer_keys.push_back(oc);
-          inner_keys.push_back(ic);
-        } else {
-          residual.push_back(conj);
-        }
-      }
-      if (!outer_keys.empty()) {
-        ExprPtr res = residual.empty() ? nullptr
-                                       : Expr::MakeAnd(std::move(residual));
+      // Every correlation conjunct that is not an equi-pair stays in the
+      // semi-join's residual.
+      PhysicalOptions no_pushdown = options_;
+      no_pushdown.predicate_pushdown = false;
+      JoinSplit split =
+          SplitJoinPredicate(node.correlation(), outer_width, no_pushdown);
+      if (!split.left_keys.empty()) {
+        ExprPtr res = split.residual.empty()
+                          ? nullptr
+                          : Expr::MakeAnd(std::move(split.residual));
         return OperatorPtr(new HashSemiJoinOp(
-            std::move(outer), std::move(inner), std::move(outer_keys),
-            std::move(inner_keys), std::move(res), node.negated()));
+            std::move(outer), std::move(inner), std::move(split.left_keys),
+            std::move(split.right_keys), std::move(res), node.negated()));
       }
     }
     return OperatorPtr(new NestedLoopSemiJoinOp(std::move(outer),
@@ -303,15 +255,6 @@ class Lowering {
     return OperatorPtr(
         new SetOpOp(node.op(), node.mode(), std::move(left),
                     std::move(right)));
-  }
-
-  /// Rebases a right-side-only conjunct from product coordinates into the
-  /// right child's own coordinates.
-  static ExprPtr ShiftColumnsDown(const ExprPtr& expr, size_t left_width) {
-    size_t max_col = expr->MaxColumnIndexPlusOne();
-    std::vector<size_t> mapping(max_col, 0);
-    for (size_t i = left_width; i < max_col; ++i) mapping[i] = i - left_width;
-    return RemapColumns(expr, mapping);
   }
 
   const Database& db_;

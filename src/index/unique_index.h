@@ -1,69 +1,92 @@
 #ifndef UNIQOPT_INDEX_UNIQUE_INDEX_H_
 #define UNIQOPT_INDEX_UNIQUE_INDEX_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/result.h"
 #include "types/row.h"
 
 namespace uniqopt {
 
-/// A unique hash index over one declared key of a table version.
+/// The hash index behind one declared key of a table version: it files
+/// each row's ordinal under the hash of the row's key projection.
 ///
-/// Keys are projected key rows compared under the paper's null-equality
-/// operator `=!` (§2.1): NULL is one special value, so at most one row
-/// may carry NULL in any key column position. This matches the SQL2
-/// UNIQUE semantics Table enforcement has always used, which is what
-/// lets the optimizer treat a declared key as a key dependency
-/// (Theorem 1) — and what lets the executor treat the index itself as a
-/// pre-built hash-join table.
+/// The index holds no key values. Whoever probes it passes a predicate
+/// that compares a candidate row's key with the probe (Find), so the
+/// index serves the paper's null-equality operator `=!` (§2.1) exactly
+/// as the row storage spells the key: NULL is one special value, and
+/// Value::Hash hashes `=!`-equal values alike. The table version that
+/// owns the index enforces uniqueness by probing before it files a key.
 ///
-/// The index is a value type owned by an immutable TableVersion: DML
-/// builds a fresh index for the next version and publishes both
-/// together, so readers never observe an index out of sync with rows.
+/// Entries live in hash shards (linear hashing: the shard count grows
+/// and shrinks one shard at a time, staying between size/kShardEntries
+/// and 2 * size/kShardEntries + 1), each a hash-sorted vector held by
+/// shared_ptr. Copying an index copies only its shard directory; a
+/// write clones just the shards its keys fall in, the first time it
+/// changes one that another index still holds. Mutators return how many
+/// entries they copied out of such shared shards.
 class UniqueIndex {
  public:
-  UniqueIndex() = default;
-  explicit UniqueIndex(std::vector<size_t> key_columns)
-      : key_columns_(std::move(key_columns)) {}
+  /// Average entries per shard: a clone copies ~2 KB of POD entries, and
+  /// the directory a statement copies is size/128 pointers.
+  static constexpr size_t kShardEntries = 128;
+
+  explicit UniqueIndex(std::vector<size_t> key_columns);
 
   const std::vector<size_t>& key_columns() const { return key_columns_; }
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
+  size_t num_shards() const { return shards_.size(); }
 
-  /// Inserts the key projection of `row` (stored at position `ordinal`).
-  /// A `=!`-duplicate key yields ConstraintViolation naming `key_name`.
-  Status Insert(const Row& row, size_t ordinal, const std::string& key_name,
-                const std::string& table_name);
+  /// Hash of `row`'s key projection (`row` is a full table row).
+  uint64_t HashOfRow(const Row& row) const;
+  /// Hash of a key already projected in key_columns() order; equal to
+  /// HashOfRow of any row with that key.
+  static uint64_t HashOfKey(const Row& key);
 
-  /// Position of the row whose key is `=!`-equal to `key`, if any. The
-  /// key must be projected in key_columns() order. Callers implementing
-  /// SQL `=` probes (WHERE col = :v, join keys) must short-circuit NULL
-  /// probe values to "no match" before calling — the index itself files
-  /// NULL as an ordinary value.
-  std::optional<size_t> Lookup(const Row& key) const {
-    auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+  /// The ordinal filed under `hash` for which `is_match(ordinal)` holds.
+  template <typename IsMatch>
+  std::optional<size_t> Find(uint64_t hash, const IsMatch& is_match) const {
+    const Shard& shard = *shards_[ShardOf(hash)];
+    auto it = std::lower_bound(shard.begin(), shard.end(), hash,
+                               [](const Entry& e, uint64_t h) {
+                                 return e.hash < h;
+                               });
+    for (; it != shard.end() && it->hash == hash; ++it) {
+      if (is_match(it->ordinal)) return it->ordinal;
+    }
+    return std::nullopt;
   }
 
-  bool Contains(const Row& key) const { return Lookup(key).has_value(); }
-
-  /// Builds an index over `rows` for the given key columns; the first
-  /// `=!`-duplicate pair aborts the build with ConstraintViolation.
-  /// Used both to maintain indexes across DML versions and to validate
-  /// existing rows when CREATE UNIQUE INDEX declares a key after the
-  /// fact.
-  static Result<UniqueIndex> Build(const std::vector<Row>& rows,
-                                   std::vector<size_t> key_columns,
-                                   const std::string& key_name,
-                                   const std::string& table_name);
+  /// Files `ordinal` under `hash`; the caller has checked that no other
+  /// row holds the key.
+  size_t Insert(uint64_t hash, size_t ordinal);
+  /// Unfiles `ordinal` from `hash`.
+  size_t Erase(uint64_t hash, size_t ordinal);
+  /// Re-files the entry (`hash`, `from`) as (`hash`, `to`).
+  size_t Repoint(uint64_t hash, size_t from, size_t to);
 
  private:
+  struct Entry {
+    uint64_t hash;
+    size_t ordinal;
+  };
+  using Shard = std::vector<Entry>;  // sorted by hash
+
+  size_t ShardOf(uint64_t hash) const;
+  /// Shard `s` for writing, cloned first when another index holds it.
+  Shard& Mutable(size_t s, size_t* copied);
+  /// The entry (`hash`, `ordinal`), which must be filed in `shard`.
+  static Shard::iterator Locate(Shard& shard, uint64_t hash, size_t ordinal);
+  /// Linear hashing: add one shard / fold the last one back.
+  size_t Split();
+  size_t Merge();
+
   std::vector<size_t> key_columns_;
-  std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> map_;
+  std::vector<std::shared_ptr<Shard>> shards_;
+  size_t size_ = 0;
 };
 
 }  // namespace uniqopt

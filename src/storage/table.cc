@@ -1,16 +1,160 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
 #include "common/string_util.h"
 #include "obs/advisor.h"
+#include "obs/metrics.h"
 #include "parser/ast.h"
 #include "parser/parser.h"
 #include "plan/binder.h"
 
 namespace uniqopt {
+
+namespace {
+
+/// True when `a` and `b` agree on every column of `columns` under `=!`.
+bool SameKey(const Row& a, const Row& b, const std::vector<size_t>& columns) {
+  for (size_t c : columns) {
+    if (!a[c].NullSafeEquals(b[c])) return false;
+  }
+  return true;
+}
+
+Status DuplicateKey(const Row& row, const std::vector<size_t>& columns,
+                    const std::string& key_name,
+                    const std::string& table_name) {
+  return Status::ConstraintViolation("duplicate key " +
+                                     row.Project(columns).ToString() +
+                                     " for " + key_name + " on " + table_name);
+}
+
+/// Position of the row of `version` that holds `row`'s value of key `k`.
+std::optional<size_t> KeyHolder(const TableVersion& version, size_t k,
+                                const Row& row) {
+  const UniqueIndex& index = version.indexes[k];
+  return index.Find(index.HashOfRow(row), [&](size_t ordinal) {
+    return SameKey(version.rows[ordinal], row, index.key_columns());
+  });
+}
+
+}  // namespace
+
+void PublishWriteCounts(const WriteCounts& counts) {
+  static obs::Counter& rows_copied =
+      obs::MetricsRegistry::Global().GetCounter("txn.rows_copied");
+  static obs::Counter& entries_copied =
+      obs::MetricsRegistry::Global().GetCounter("txn.index_entries_copied");
+  rows_copied.Increment(counts.rows_copied);
+  entries_copied.Increment(counts.index_entries_copied);
+}
+
+std::optional<size_t> TableVersion::Lookup(size_t key_index,
+                                           const Row& key) const {
+  const UniqueIndex& index = indexes.at(key_index);
+  const std::vector<size_t>& columns = index.key_columns();
+  return index.Find(UniqueIndex::HashOfKey(key), [&](size_t ordinal) {
+    const Row& row = rows[ordinal];
+    for (size_t j = 0; j < columns.size(); ++j) {
+      if (!row[columns[j]].NullSafeEquals(key[j])) return false;
+    }
+    return true;
+  });
+}
+
+Status TableVersion::CheckKeys(const TableDef& def, const Row& row) const {
+  for (size_t k = 0; k < indexes.size(); ++k) {
+    if (KeyHolder(*this, k, row).has_value()) {
+      return DuplicateKey(row, indexes[k].key_columns(), def.keys()[k].name,
+                          def.name());
+    }
+  }
+  return Status::OK();
+}
+
+void TableVersion::Append(Row row, WriteCounts* counts) {
+  const size_t ordinal = rows.size();
+  for (UniqueIndex& index : indexes) {
+    counts->index_entries_copied +=
+        index.Insert(index.HashOfRow(row), ordinal);
+  }
+  counts->rows_copied += rows.Append(std::move(row));
+}
+
+Status TableVersion::Update(const TableDef& def,
+                            std::vector<std::pair<size_t, Row>> changes,
+                            WriteCounts* counts) {
+  // moves[c * keys + k]: change c gives key k a new value.
+  const size_t keys = indexes.size();
+  std::vector<bool> moves(changes.size() * keys, false);
+  for (size_t c = 0; c < changes.size(); ++c) {
+    const auto& [ordinal, row] = changes[c];
+    for (size_t k = 0; k < keys; ++k) {
+      UniqueIndex& index = indexes[k];
+      if (SameKey(rows[ordinal], row, index.key_columns())) continue;
+      moves[c * keys + k] = true;
+      counts->index_entries_copied +=
+          index.Erase(index.HashOfRow(rows[ordinal]), ordinal);
+    }
+  }
+  for (auto& [ordinal, row] : changes) {
+    counts->rows_copied += rows.Set(ordinal, std::move(row));
+  }
+  for (size_t c = 0; c < changes.size(); ++c) {
+    const size_t ordinal = changes[c].first;
+    const Row& row = rows[ordinal];
+    for (size_t k = 0; k < keys; ++k) {
+      if (!moves[c * keys + k]) continue;
+      if (KeyHolder(*this, k, row).has_value()) {
+        return DuplicateKey(row, indexes[k].key_columns(),
+                            def.keys()[k].name, def.name());
+      }
+      counts->index_entries_copied +=
+          indexes[k].Insert(indexes[k].HashOfRow(row), ordinal);
+    }
+  }
+  return Status::OK();
+}
+
+void TableVersion::Remove(std::vector<size_t> ordinals, WriteCounts* counts) {
+  // Highest first: the row that moves into a hole is then never one
+  // that is still to be deleted.
+  std::sort(ordinals.begin(), ordinals.end(), std::greater<size_t>());
+  for (size_t ordinal : ordinals) {
+    const size_t last = rows.size() - 1;
+    for (UniqueIndex& index : indexes) {
+      counts->index_entries_copied +=
+          index.Erase(index.HashOfRow(rows[ordinal]), ordinal);
+      if (ordinal != last) {
+        counts->index_entries_copied +=
+            index.Repoint(index.HashOfRow(rows[last]), last, ordinal);
+      }
+    }
+    counts->rows_copied += rows.SwapRemove(ordinal);
+  }
+}
+
+Result<UniqueIndex> TableVersion::BuildIndex(
+    std::vector<size_t> key_columns, const std::string& key_name,
+    const std::string& table_name) const {
+  UniqueIndex index(std::move(key_columns));
+  const std::vector<size_t>& columns = index.key_columns();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    const uint64_t hash = index.HashOfRow(row);
+    auto holder = index.Find(hash, [&](size_t ordinal) {
+      return SameKey(rows[ordinal], row, columns);
+    });
+    if (holder.has_value()) {
+      return DuplicateKey(row, columns, key_name, table_name);
+    }
+    index.Insert(hash, i);
+  }
+  return index;
+}
 
 std::shared_ptr<TableVersion> Table::NewVersion(const TableDef* def) {
   auto version = std::make_shared<TableVersion>();
@@ -72,7 +216,7 @@ Status Table::Validate(const Row& row) const {
 bool Table::ContainsKeyValue(size_t key_index, const Row& key_row) const {
   TableSnapshot snap = Snapshot();
   if (key_index >= snap->indexes.size()) return false;
-  return snap->indexes[key_index].Contains(key_row);
+  return snap->Lookup(key_index, key_row).has_value();
 }
 
 Status Table::ValidateForeignKeys(const Row& row) const {
@@ -128,30 +272,17 @@ Status Table::Insert(Row row) {
   UNIQOPT_RETURN_NOT_OK(Validate(row));
   UNIQOPT_RETURN_NOT_OK(ValidateForeignKeys(row));
   std::lock_guard<std::mutex> vlock(version_mu_);
-  // Probe every index before touching any — a multi-key violation must
-  // leave the version untouched.
-  for (size_t k = 0; k < version_->indexes.size(); ++k) {
-    Row key_row = row.Project(version_->indexes[k].key_columns());
-    if (version_->indexes[k].Contains(key_row)) {
-      return Status::ConstraintViolation(
-          "duplicate key " + key_row.ToString() + " for " +
-          def_->keys()[k].name + " on " + def_->name());
-    }
-  }
+  UNIQOPT_RETURN_NOT_OK(version_->CheckKeys(*def_, row));
   // use_count()==1 means nobody holds a pinned snapshot (new pins are
   // blocked while we hold version_mu_), so bulk loads append in place;
-  // otherwise copy-on-write keeps every pinned reader consistent.
-  std::shared_ptr<TableVersion> target = version_;
-  if (version_.use_count() > 2) {  // version_ + target
-    target = std::make_shared<TableVersion>(*version_);
+  // otherwise the successor shares every chunk and shard the append
+  // does not touch, and pinned readers keep their version.
+  if (version_.use_count() > 1) {
+    version_ = std::make_shared<TableVersion>(*version_);
   }
-  const size_t ordinal = target->rows.size();
-  for (size_t k = 0; k < target->indexes.size(); ++k) {
-    UNIQOPT_RETURN_NOT_OK(target->indexes[k].Insert(
-        row, ordinal, def_->keys()[k].name, def_->name()));
-  }
-  target->rows.push_back(std::move(row));
-  version_ = std::move(target);
+  WriteCounts counts;
+  version_->Append(std::move(row), &counts);
+  PublishWriteCounts(counts);
   return Status::OK();
 }
 
@@ -213,7 +344,7 @@ Result<size_t> Database::CreateUniqueIndex(
   TableSnapshot snap = table->Snapshot();
   UNIQOPT_ASSIGN_OR_RETURN(
       UniqueIndex index,
-      UniqueIndex::Build(snap->rows, ordinals, index_name, def->name()));
+      snap->BuildIndex(std::move(ordinals), index_name, def->name()));
   UNIQOPT_RETURN_NOT_OK(def->AddNamedUniqueKey(index_name, columns));
   auto next = std::make_shared<TableVersion>(*snap);
   next->indexes.push_back(std::move(index));

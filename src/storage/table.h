@@ -3,26 +3,80 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/table_def.h"
 #include "common/result.h"
 #include "index/unique_index.h"
+#include "storage/row_store.h"
 #include "types/row.h"
 
 namespace uniqopt {
 
-/// One immutable, committed state of a table: the rows plus one unique
-/// hash index per declared key (`indexes[k]` serves `def().keys()[k]`).
-/// Versions are published whole — rows and indexes always agree — and
-/// shared out as `shared_ptr<const TableVersion>`, so a reader that
-/// pins a snapshot keeps reading exactly the state it opened against
-/// no matter how many statements commit after it.
+/// Rows and index entries one write cloned out of storage it shared
+/// with the version it was built from. Mirrored into the registry as
+/// txn.rows_copied / txn.index_entries_copied by PublishWriteCounts.
+struct WriteCounts {
+  size_t rows_copied = 0;
+  size_t index_entries_copied = 0;
+};
+
+void PublishWriteCounts(const WriteCounts& counts);
+
+/// One committed state of a table: the rows plus one unique hash index
+/// per declared key (`indexes[k]` serves `def().keys()[k]`, and an
+/// index entry's ordinal is the row's position in `rows`). Published
+/// versions are immutable and shared out as
+/// `shared_ptr<const TableVersion>`, so a reader that pins a snapshot
+/// keeps reading exactly the state it opened against no matter how many
+/// statements commit after it.
+///
+/// A writer copies the committed version — which copies only the chunk
+/// and shard directories, since rows and index shards are shared
+/// structurally — and changes the copy through the mutators below,
+/// which clone just the chunks and shards they touch. Rows and indexes
+/// always change together; a mutator that fails leaves the copy
+/// half-written, and the writer discards it.
 struct TableVersion {
-  std::vector<Row> rows;
+  RowStore rows;
   std::vector<UniqueIndex> indexes;
+
+  /// Position of the row whose key `key_index` is `=!`-equal to `key`
+  /// (projected in the key's column order). Callers implementing SQL `=`
+  /// probes must short-circuit NULL probe values to "no match" first —
+  /// `=!` files NULL as an ordinary value.
+  std::optional<size_t> Lookup(size_t key_index, const Row& key) const;
+
+  /// OK, or a ConstraintViolation naming the first key of `def` whose
+  /// value `row` shares with a row of this version. Changes nothing.
+  Status CheckKeys(const TableDef& def, const Row& row) const;
+
+  /// Appends `row`, which CheckKeys accepted, and files its keys. The
+  /// one append path of bulk load (Table::Insert) and INSERT.
+  void Append(Row row, WriteCounts* counts);
+
+  /// Replaces row `ordinal` by `row` for every change. All moving keys
+  /// are unfiled before any new key is filed, so rows may trade key
+  /// values (SET A = B, B = A); a new key that another row holds fails
+  /// with ConstraintViolation.
+  Status Update(const TableDef& def,
+                std::vector<std::pair<size_t, Row>> changes,
+                WriteCounts* counts);
+
+  /// Deletes the rows at `ordinals` (distinct). Rows from the end move
+  /// into the holes, so positions stay dense and storage shrinks with
+  /// the live row count; the order of the remaining rows may change.
+  void Remove(std::vector<size_t> ordinals, WriteCounts* counts);
+
+  /// A new index over `key_columns`, filled from these rows; the first
+  /// `=!`-duplicate fails with ConstraintViolation naming `key_name`.
+  Result<UniqueIndex> BuildIndex(std::vector<size_t> key_columns,
+                                 const std::string& key_name,
+                                 const std::string& table_name) const;
 };
 
 using TableSnapshot = std::shared_ptr<const TableVersion>;
@@ -62,7 +116,7 @@ class Table {
 
   /// Rows of the current version. Single-threaded use only; the
   /// reference is invalidated by the next committed write.
-  const std::vector<Row>& rows() const { return version_->rows; }
+  const RowStore& rows() const { return version_->rows; }
 
   /// Row count of the current version (safe to call concurrently with
   /// writers — reads through a pinned snapshot).
@@ -80,6 +134,9 @@ class Table {
   /// publication is the commit point.
   void CommitVersion(std::shared_ptr<TableVersion> next);
 
+  /// Bulk-load insert: appends in place when no snapshot pins the
+  /// current version (amortized O(1) per row), and otherwise publishes
+  /// a copy-on-write successor like INSERT does.
   Status Insert(Row row);
 
   /// Convenience for fixtures: insert from values; aborts on arity

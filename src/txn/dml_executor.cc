@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/string_util.h"
+#include "exec/index_exec.h"
 #include "parser/parser.h"
 
 namespace uniqopt {
@@ -80,7 +81,7 @@ Status CheckNoChildReferences(
       }
       const bool self_reference = child_name == parent_name;
       TableSnapshot child_snap;
-      const std::vector<Row>* child_rows;
+      const RowStore* child_rows;
       if (self_reference) {
         child_rows = &pending.rows;
       } else {
@@ -104,19 +105,36 @@ Status CheckNoChildReferences(
   return Status::OK();
 }
 
-/// Rebuilds every unique index of `def` over `rows`; the first
-/// `=!`-duplicate aborts (which is how UPDATE enforces key uniqueness).
-Status RebuildIndexes(const TableDef& def, TableVersion* version) {
-  version->indexes.clear();
-  version->indexes.reserve(def.keys().size());
-  for (const KeyConstraint& key : def.keys()) {
-    UNIQOPT_ASSIGN_OR_RETURN(
-        UniqueIndex index,
-        UniqueIndex::Build(version->rows, key.columns, key.name,
-                           def.name()));
-    version->indexes.push_back(std::move(index));
+/// Positions of the rows `where` selects in `version`. A WHERE whose
+/// equalities bind every column of a declared key selects at most one
+/// row (the paper's uniqueness condition): it is found with one probe of
+/// that key's index, the way the read planner lowers it
+/// (MatchIndexLookup). Any other WHERE scans.
+std::vector<size_t> MatchingRows(const TableVersion& version,
+                                 const TableDef& def, const ExprPtr& where,
+                                 const std::vector<Value>& params) {
+  auto selects = [&](size_t i) {
+    return where == nullptr ||
+           where->EvaluatePredicate(version.rows[i], params) ==
+               Tribool::kTrue;
+  };
+  std::vector<size_t> out;
+  if (std::optional<IndexLookupMatch> match = MatchIndexLookup(def, where)) {
+    std::vector<Value> values;
+    for (const IndexProbe& probe : match->probes) {
+      values.push_back(probe.Resolve(params));
+    }
+    std::optional<Row> key =
+        ProbeKey(def, match->key_index, std::move(values));
+    std::optional<size_t> ordinal;
+    if (key.has_value()) ordinal = version.Lookup(match->key_index, *key);
+    if (ordinal.has_value() && selects(*ordinal)) out.push_back(*ordinal);
+    return out;
   }
-  return Status::OK();
+  for (size_t i = 0; i < version.rows.size(); ++i) {
+    if (selects(i)) out.push_back(i);
+  }
+  return out;
 }
 
 Result<std::vector<Value>> MapNamedParams(
@@ -217,25 +235,25 @@ Result<DmlResult> DmlExecutor::ExecuteInsert(const BoundInsert& stmt,
     new_rows.emplace_back(std::move(values));
   }
 
-  // Single-writer commit path: validate everything against the pending
-  // version, publish only on full success.
+  // Single-writer commit path: validate everything before copying the
+  // committed version, so a rejected row (a duplicate key costs one probe
+  // per key) copies nothing; publish only on full success.
   std::lock_guard<std::mutex> writer(table->writer_mutex());
   TableSnapshot snap = table->Snapshot();
-  auto next = std::make_shared<TableVersion>(*snap);
-  for (Row& row : new_rows) {
+  for (const Row& row : new_rows) {
     UNIQOPT_RETURN_NOT_OK(table->Validate(row));
     UNIQOPT_RETURN_NOT_OK(table->ValidateForeignKeys(row));
-    const size_t ordinal = next->rows.size();
-    for (size_t k = 0; k < next->indexes.size(); ++k) {
-      // Incremental maintenance doubles as uniqueness enforcement: a
-      // duplicate against committed rows OR an earlier row of this same
-      // statement aborts before anything is published.
-      UNIQOPT_RETURN_NOT_OK(next->indexes[k].Insert(
-          row, ordinal, def.keys()[k].name, def.name()));
-    }
-    next->rows.push_back(std::move(row));
+    UNIQOPT_RETURN_NOT_OK(snap->CheckKeys(def, row));
+  }
+  auto next = std::make_shared<TableVersion>(*snap);
+  WriteCounts counts;
+  for (size_t i = 0; i < new_rows.size(); ++i) {
+    // Later rows of this statement must not collide with earlier ones.
+    if (i > 0) UNIQOPT_RETURN_NOT_OK(next->CheckKeys(def, new_rows[i]));
+    next->Append(std::move(new_rows[i]), &counts);
   }
   table->CommitVersion(std::move(next));
+  PublishWriteCounts(counts);
   db_->catalog().BumpVersion();
 
   DmlResult result;
@@ -253,20 +271,9 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
 
   std::lock_guard<std::mutex> writer(table->writer_mutex());
   TableSnapshot snap = table->Snapshot();
-  auto next = std::make_shared<TableVersion>();
-  next->rows.reserve(snap->rows.size());
-
-  size_t updated = 0;
-  std::vector<bool> changed(snap->rows.size(), false);
-  for (size_t i = 0; i < snap->rows.size(); ++i) {
+  std::vector<std::pair<size_t, Row>> changes;
+  for (size_t i : MatchingRows(*snap, def, stmt.where, params)) {
     const Row& old_row = snap->rows[i];
-    bool matches = stmt.where == nullptr ||
-                   stmt.where->EvaluatePredicate(old_row, params) ==
-                       Tribool::kTrue;
-    if (!matches) {
-      next->rows.push_back(old_row);
-      continue;
-    }
     // All sources evaluate against the OLD row before any assignment
     // lands (SQL read-before-write: SET A = B, B = A swaps).
     std::vector<Value> values = old_row.values();
@@ -277,28 +284,31 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
     Row new_row(std::move(values));
     UNIQOPT_RETURN_NOT_OK(table->Validate(new_row));
     UNIQOPT_RETURN_NOT_OK(table->ValidateForeignKeys(new_row));
-    next->rows.push_back(std::move(new_row));
-    changed[i] = true;
-    ++updated;
+    changes.emplace_back(i, std::move(new_row));
   }
-  if (updated == 0) {
-    DmlResult result;
-    result.kind = DmlKind::kUpdate;
+  DmlResult result;
+  result.kind = DmlKind::kUpdate;
+  if (changes.empty()) {
     result.catalog_version = db_->catalog().version();
     return result;  // no-op: nothing published, no version bump
   }
+  result.rows_affected = changes.size();
+  std::vector<size_t> changed;
+  changed.reserve(changes.size());
+  for (const auto& change : changes) changed.push_back(change.first);
 
   // Key uniqueness over the whole pending state.
-  UNIQOPT_RETURN_NOT_OK(RebuildIndexes(def, next.get()));
+  auto next = std::make_shared<TableVersion>(*snap);
+  WriteCounts counts;
+  UNIQOPT_RETURN_NOT_OK(next->Update(def, std::move(changes), &counts));
 
   // RESTRICT: key values this update removes must not be referenced.
   std::vector<KeyRowSet> removed_per_key(def.keys().size());
   for (size_t k = 0; k < def.keys().size(); ++k) {
     const std::vector<size_t>& key_cols = def.keys()[k].columns;
-    for (size_t i = 0; i < snap->rows.size(); ++i) {
-      if (!changed[i]) continue;
+    for (size_t i : changed) {
       Row old_key = snap->rows[i].Project(key_cols);
-      if (!next->indexes[k].Contains(old_key)) {
+      if (!next->Lookup(k, old_key).has_value()) {
         removed_per_key[k].insert(std::move(old_key));
       }
     }
@@ -307,11 +317,8 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
       CheckNoChildReferences(db_, table, removed_per_key, *next));
 
   table->CommitVersion(std::move(next));
+  PublishWriteCounts(counts);
   db_->catalog().BumpVersion();
-
-  DmlResult result;
-  result.kind = DmlKind::kUpdate;
-  result.rows_affected = updated;
   result.catalog_version = db_->catalog().version();
   return result;
 }
@@ -323,43 +330,32 @@ Result<DmlResult> DmlExecutor::ExecuteDelete(const BoundDelete& stmt,
 
   std::lock_guard<std::mutex> writer(table->writer_mutex());
   TableSnapshot snap = table->Snapshot();
-  auto next = std::make_shared<TableVersion>();
-  next->rows.reserve(snap->rows.size());
-
-  std::vector<KeyRowSet> removed_per_key(def.keys().size());
-  size_t deleted = 0;
-  for (const Row& row : snap->rows) {
-    bool matches = stmt.where == nullptr ||
-                   stmt.where->EvaluatePredicate(row, params) ==
-                       Tribool::kTrue;
-    if (!matches) {
-      next->rows.push_back(row);
-      continue;
-    }
-    // A deleted key row cannot survive elsewhere (keys are unique), so
-    // every projection of a deleted row leaves the table.
-    for (size_t k = 0; k < def.keys().size(); ++k) {
-      removed_per_key[k].insert(row.Project(def.keys()[k].columns));
-    }
-    ++deleted;
-  }
-  if (deleted == 0) {
-    DmlResult result;
-    result.kind = DmlKind::kDelete;
+  std::vector<size_t> deleted = MatchingRows(*snap, def, stmt.where, params);
+  DmlResult result;
+  result.kind = DmlKind::kDelete;
+  if (deleted.empty()) {
     result.catalog_version = db_->catalog().version();
     return result;
   }
+  result.rows_affected = deleted.size();
 
-  UNIQOPT_RETURN_NOT_OK(RebuildIndexes(def, next.get()));
+  // A deleted key row cannot survive elsewhere (keys are unique), so
+  // every projection of a deleted row leaves the table.
+  std::vector<KeyRowSet> removed_per_key(def.keys().size());
+  for (size_t i : deleted) {
+    for (size_t k = 0; k < def.keys().size(); ++k) {
+      removed_per_key[k].insert(snap->rows[i].Project(def.keys()[k].columns));
+    }
+  }
+  auto next = std::make_shared<TableVersion>(*snap);
+  WriteCounts counts;
+  next->Remove(std::move(deleted), &counts);
   UNIQOPT_RETURN_NOT_OK(
       CheckNoChildReferences(db_, table, removed_per_key, *next));
 
   table->CommitVersion(std::move(next));
+  PublishWriteCounts(counts);
   db_->catalog().BumpVersion();
-
-  DmlResult result;
-  result.kind = DmlKind::kDelete;
-  result.rows_affected = deleted;
   result.catalog_version = db_->catalog().version();
   return result;
 }

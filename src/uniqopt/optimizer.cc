@@ -70,6 +70,34 @@ class Phase {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The registry counters that accumulate ExecStats across executions,
+/// interned once like PhaseDef so the record path pays only atomics.
+struct ExecCounters {
+  obs::Counter& rows_scanned = Intern("exec.rows_scanned");
+  obs::Counter& rows_sorted = Intern("exec.rows_sorted");
+  obs::Counter& sort_comparisons = Intern("exec.sort_comparisons");
+  obs::Counter& hash_probes = Intern("exec.hash_probes");
+  obs::Counter& hash_build_rows = Intern("exec.hash_build_rows");
+  obs::Counter& inner_loop_rows = Intern("exec.inner_loop_rows");
+  obs::Counter& index_probes = Intern("exec.index_probes");
+  obs::Counter& rows_output = Intern("exec.rows_output");
+
+  static obs::Counter& Intern(const char* name) {
+    return obs::MetricsRegistry::Global().GetCounter(name);
+  }
+
+  void Add(const ExecStats& stats) const {
+    rows_scanned.Increment(stats.rows_scanned);
+    rows_sorted.Increment(stats.rows_sorted);
+    sort_comparisons.Increment(stats.sort_comparisons);
+    hash_probes.Increment(stats.hash_probes);
+    hash_build_rows.Increment(stats.hash_build_rows);
+    inner_loop_rows.Increment(stats.inner_loop_rows);
+    index_probes.Increment(stats.index_probes);
+    rows_output.Increment(stats.rows_output);
+  }
+};
+
 /// One-line verdict of the uniqueness analysis for the recorder.
 std::string AnalysisSummary(const UniquenessVerdict& v) {
   if (!v.has_distinct) return "no DISTINCT at plan top";
@@ -528,17 +556,8 @@ Result<std::vector<Row>> Optimizer::Execute(
   }
   // Mirror the per-execution work counters into the registry so they
   // accumulate across queries (\metrics, bench --metrics-json).
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("exec.rows_scanned").Increment(ctx.stats.rows_scanned);
-  reg.GetCounter("exec.rows_sorted").Increment(ctx.stats.rows_sorted);
-  reg.GetCounter("exec.sort_comparisons")
-      .Increment(ctx.stats.sort_comparisons);
-  reg.GetCounter("exec.hash_probes").Increment(ctx.stats.hash_probes);
-  reg.GetCounter("exec.hash_build_rows")
-      .Increment(ctx.stats.hash_build_rows);
-  reg.GetCounter("exec.inner_loop_rows")
-      .Increment(ctx.stats.inner_loop_rows);
-  reg.GetCounter("exec.rows_output").Increment(ctx.stats.rows_output);
+  static const ExecCounters kExecCounters;
+  kExecCounters.Add(ctx.stats);
   return rows;
 }
 

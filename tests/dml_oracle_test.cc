@@ -1,7 +1,8 @@
 // Differential DML oracle: a randomized INSERT/UPDATE/DELETE workload
 // runs against the transactional plane while a shadow model (plain
 // vectors mutated by the same logical operations) tracks the expected
-// contents. Afterwards the two must agree row-for-row, every declared
+// contents. Its WHERE clauses bind a whole key (one index probe), part
+// of a key, or no key (both scans). Afterwards the two must agree row-for-row, every declared
 // key must hold by exhaustive scan, every committed index must agree
 // with its rows, and the verify sweep + equivalence prover must stay
 // clean over 100+ corpus/random queries — DML that keeps the proofs
@@ -33,7 +34,8 @@ namespace {
 std::vector<Row> TableRows(const Database& db, const std::string& table) {
   auto t = db.GetTable(table);
   EXPECT_TRUE(t.ok()) << t.status().ToString();
-  return (*t)->Snapshot()->rows;
+  TableSnapshot snap = (*t)->Snapshot();
+  return {snap->rows.begin(), snap->rows.end()};
 }
 
 /// Every declared key of every table holds by exhaustive scan, and
@@ -56,7 +58,7 @@ void CheckAllKeysExhaustively(const Database& db) {
           << name << " key " << key.name << " violated";
       EXPECT_EQ(snap->indexes[k].size(), snap->rows.size()) << name;
       for (size_t i = 0; i < snap->rows.size(); ++i) {
-        auto ordinal = snap->indexes[k].Lookup(projected[i]);
+        auto ordinal = snap->Lookup(k, projected[i]);
         ASSERT_TRUE(ordinal.has_value()) << name << " key " << key.name;
         EXPECT_EQ(*ordinal, i) << name << " key " << key.name;
       }
@@ -102,6 +104,7 @@ class DmlOracleTest : public ::testing::Test {
 TEST_F(DmlOracleTest, RandomizedWorkloadMatchesShadowModel) {
   std::mt19937_64 rng(20260809);
   const char* kCities[] = {"Chicago", "New York", "Toronto"};
+  const char* kColors[] = {"RED", "GREEN", "BLUE"};
   std::set<int64_t> live_sno;
   for (const Row& r : supplier_) live_sno.insert(r[0].AsInteger());
   std::set<int64_t> inserted_only;  // ours, guaranteed child-free
@@ -110,7 +113,7 @@ TEST_F(DmlOracleTest, RandomizedWorkloadMatchesShadowModel) {
   size_t commits = 0;
 
   for (int step = 0; step < 300; ++step) {
-    switch (rng() % 6) {
+    switch (rng() % 9) {
       case 0: {  // insert a fresh supplier
         if (next_sno > 490) break;
         int64_t sno = next_sno++;
@@ -209,6 +212,72 @@ TEST_F(DmlOracleTest, RandomizedWorkloadMatchesShadowModel) {
         supplier_.erase(supplier_.begin() + static_cast<ptrdiff_t>(idx));
         inserted_only.erase(sno);
         live_sno.erase(sno);
+        break;
+      }
+      case 6: {  // partial-key UPDATE: SNO alone does not bind (SNO, PNO)
+        if (live_sno.empty()) break;
+        auto it = live_sno.begin();
+        std::advance(it, rng() % live_sno.size());
+        int64_t sno = *it;
+        const char* color = kColors[rng() % 3];
+        char sql[160];
+        std::snprintf(sql, sizeof sql,
+                      "UPDATE PARTS SET COLOR = '%s' WHERE SNO = %lld", color,
+                      static_cast<long long>(sno));
+        ASSERT_OK_AND_ASSIGN(txn::DmlResult r, Dml(sql));
+        size_t expected = 0;
+        for (Row& row : parts_) {
+          if (row[0].AsInteger() != sno) continue;
+          row[4] = Value::String(color);
+          ++expected;
+        }
+        ASSERT_EQ(r.rows_affected, expected) << sql;
+        if (expected > 0) ++commits;
+        break;
+      }
+      case 7: {  // non-key UPDATE: a range over a non-key column
+        const char* city = kCities[rng() % 3];
+        double below = static_cast<double>(10 + rng() % 5000);
+        double budget = static_cast<double>(1 + rng() % 50) + 0.5;
+        char sql[192];
+        std::snprintf(sql, sizeof sql,
+                      "UPDATE SUPPLIER SET BUDGET = %.1f WHERE SCITY = '%s' "
+                      "AND BUDGET < %.1f",
+                      budget, city, below);
+        ASSERT_OK_AND_ASSIGN(txn::DmlResult r, Dml(sql));
+        size_t expected = 0;
+        for (Row& row : supplier_) {
+          if (row[2].is_null() || row[2].AsString() != city ||
+              row[3].is_null() || !(row[3].AsDouble() < below)) {
+            continue;
+          }
+          row[3] = Value::Double(budget);
+          ++expected;
+        }
+        ASSERT_EQ(r.rows_affected, expected) << sql;
+        if (expected > 0) ++commits;
+        break;
+      }
+      case 8: {  // DELETE by the second key (OEM_PNO) or by PNO alone
+        if (parts_.empty()) break;
+        const Row picked = parts_[rng() % parts_.size()];
+        const bool by_oem = rng() % 2 == 0 && !picked[3].is_null();
+        const size_t column = by_oem ? 3 : 1;
+        char sql[128];
+        std::snprintf(sql, sizeof sql, "DELETE FROM PARTS WHERE %s = %lld",
+                      by_oem ? "OEM_PNO" : "PNO",
+                      static_cast<long long>(picked[column].AsInteger()));
+        ASSERT_OK_AND_ASSIGN(txn::DmlResult r, Dml(sql));
+        const size_t before = parts_.size();
+        std::erase_if(parts_, [&](const Row& row) {
+          return !row[column].is_null() &&
+                 row[column].AsInteger() == picked[column].AsInteger();
+        });
+        ASSERT_EQ(r.rows_affected, before - parts_.size()) << sql;
+        if (by_oem) {
+          ASSERT_EQ(r.rows_affected, 1u) << sql;
+        }
+        ++commits;
         break;
       }
       default: {  // violating insert: must roll back and change nothing

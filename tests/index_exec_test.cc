@@ -227,6 +227,47 @@ TEST(IndexExecTest, ExplainAnalyzeNamesTheIndexOperators) {
       << join_report;
 }
 
+TEST(IndexExecTest, KeyedJoinInputProbesItsIndex) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  // A.ANO = :A covers AGENTS' key: the probe side of the unique-index
+  // join is itself one lookup, so nothing is scanned.
+  const std::string sql =
+      "SELECT A.ANAME, S.SNAME FROM AGENTS A, SUPPLIER S "
+      "WHERE A.ANO = :A AND S.SNO = A.SNO";
+  const ParamBindings params = {{"A", Value::Integer(17)}};
+  ExecStats with_index;
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> fast,
+                       RunSql(db, sql, params, {}, &with_index));
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> slow,
+                       RunSql(db, sql, params, NoIndexes()));
+  ASSERT_EQ(fast.size(), 1u);
+  EXPECT_TRUE(MultisetEquals(fast, slow));
+  EXPECT_EQ(with_index.rows_scanned, 0u);
+  EXPECT_EQ(with_index.index_probes, 2u);
+
+  // The hash-join path: AGENTS is the build side (A.SNO is no key of
+  // AGENTS), and its keyed filter turns the build into one probe.
+  const std::string hash_sql =
+      "SELECT A.ANAME, S.SNAME FROM SUPPLIER S, AGENTS A "
+      "WHERE S.SNO = A.SNO AND A.ANO = :A";
+  ExecStats hash_stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> hashed,
+                       RunSql(db, hash_sql, params, {}, &hash_stats));
+  EXPECT_TRUE(MultisetEquals(hashed, slow));
+  EXPECT_EQ(hash_stats.index_probes, 1u);
+  EXPECT_EQ(hash_stats.hash_build_rows, 1u);
+
+  // EXPLAIN ANALYZE lists the lookup as its own operator.
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(PreparedQuery join, optimizer.Prepare(sql));
+  ASSERT_OK_AND_ASSIGN(std::string report,
+                       optimizer.ExplainAnalyze(join, params));
+  EXPECT_NE(report.find("IndexLookup(pk_AGENTS_ano)"), std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("TableScan"), std::string::npos) << report;
+}
+
 TEST(IndexExecTest, CacheSaltSeparatesIndexModes) {
   PhysicalOptions on;
   PhysicalOptions off;

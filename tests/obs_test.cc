@@ -362,6 +362,27 @@ TEST(ExplainAnalyzeTest, ReportsProfileStatsAndMetricsDelta) {
   EXPECT_NE(report.find("row(s) in"), std::string::npos);
 }
 
+TEST(ExplainAnalyzeTest, IndexProbesReachTheRegistry) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery prepared,
+      optimizer.Prepare("SELECT SNAME FROM SUPPLIER WHERE SNO = :n"));
+  obs::Counter& probes =
+      obs::MetricsRegistry::Global().GetCounter("exec.index_probes");
+  const uint64_t before = probes.value();
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                       optimizer.Execute(prepared, {{"n", Value::Integer(3)}}));
+  EXPECT_EQ(rows.size(), 1u);
+  EXPECT_EQ(probes.value() - before, 1u);
+  ASSERT_OK_AND_ASSIGN(
+      std::string report,
+      optimizer.ExplainAnalyze(prepared, {{"n", Value::Integer(4)}}));
+  EXPECT_NE(report.find("exec.index_probes: +1"), std::string::npos)
+      << report;
+}
+
 /// The Example 10 acceptance claim: EXPLAIN ANALYZE over the gateway
 /// shows ims.dli.gnp_calls from the metrics registry, and the
 /// join→subquery rewrite halves it versus the un-rewritten program.

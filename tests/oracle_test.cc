@@ -46,10 +46,19 @@ std::vector<std::vector<Row>> EnumerateInstances() {
 }
 
 struct OracleCase {
+  const char* name;
   const char* sql;
   /// Ground truth: is DISTINCT redundant over *all* valid instances?
   bool redundant;
 };
+
+// The printed parameter becomes part of the registered test name; print
+// the case's name so test names stay the same from run to run (by
+// default gtest prints the struct's raw bytes, including the address of
+// `sql`).
+void PrintTo(const OracleCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class OracleTest : public ::testing::TestWithParam<OracleCase> {};
 
@@ -122,32 +131,40 @@ INSTANTIATE_TEST_SUITE_P(
     Queries, OracleTest,
     ::testing::Values(
         // Key projected: never duplicates.
-        OracleCase{"SELECT DISTINCT A FROM R", true},
-        OracleCase{"SELECT DISTINCT A, B FROM R", true},
+        OracleCase{"KeyProjected", "SELECT DISTINCT A FROM R", true},
+        OracleCase{"KeyAndNonKeyProjected", "SELECT DISTINCT A, B FROM R",
+                   true},
         // Non-key projected: duplicates possible (two keys, same B —
         // including both NULL, which DISTINCT treats as equal).
-        OracleCase{"SELECT DISTINCT B FROM R", false},
+        OracleCase{"NonKeyProjected", "SELECT DISTINCT B FROM R", false},
         // Constant-bound key.
-        OracleCase{"SELECT DISTINCT B FROM R WHERE A = 1", true},
+        OracleCase{"ConstantBoundKey",
+                   "SELECT DISTINCT B FROM R WHERE A = 1", true},
         // Join with both keys covered.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S "
+        OracleCase{"JoinBothKeysProjected",
+                   "SELECT DISTINCT R.A, S.C FROM R, S "
                    "WHERE R.B = S.C",
                    true},
         // Join on non-key B = D: same (A, C) pair can only appear once
         // (keys of both sides projected) — still unique.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S WHERE R.B = S.D",
+        OracleCase{"NonKeyJoinBothKeysProjected",
+                   "SELECT DISTINCT R.A, S.C FROM R, S WHERE R.B = S.D",
                    true},
         // Join projecting only one side's key: the other side may
         // match twice.
-        OracleCase{"SELECT DISTINCT R.A FROM R, S WHERE R.B = S.D",
+        OracleCase{"NonKeyJoinOneKeyProjected",
+                   "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.D",
                    false},
         // Equality closure binds the S key through the join.
-        OracleCase{"SELECT DISTINCT R.A, R.B FROM R, S WHERE R.B = S.C",
+        OracleCase{"EqualityClosureBindsKey",
+                   "SELECT DISTINCT R.A, R.B FROM R, S WHERE R.B = S.C",
                    true},
         // Cross product without predicate: key ⊕ key is projected.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S", true},
+        OracleCase{"CrossProductKeysProjected",
+                   "SELECT DISTINCT R.A, S.C FROM R, S", true},
         // Non-key columns only, joined: duplicates possible.
-        OracleCase{"SELECT DISTINCT R.B, S.D FROM R, S WHERE R.A = S.C",
+        OracleCase{"JoinNonKeysProjected",
+                   "SELECT DISTINCT R.B, S.D FROM R, S WHERE R.A = S.C",
                    false}));
 
 }  // namespace
