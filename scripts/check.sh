@@ -3,7 +3,9 @@
 # must compile warning-clean where -Werror applies, plus an ASan/UBSan
 # build of the observability tests (the registry, tracer and flight
 # recorder are the concurrent code in the tree — sanitize them every
-# time).
+# time) and of the executor tests (operators_test builds the join
+# operators by hand over every kind of build input, including borrowed
+# rows that their producer frees at Close).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -21,8 +23,11 @@
 #                 racing snapshot readers over the COW table versions)
 #   --bench-gate  run the gated benchmarks with --metrics-json, compare
 #                 against bench/baselines/*.json via
-#                 scripts/bench_compare.py, and write BENCH_pr10.json
-#                 (including the plan-cache warm/cold p50 speedup, which
+#                 scripts/bench_compare.py, and write the summary to
+#                 build/bench-gate/summary.json, never over a checked-in
+#                 BENCH_pr*.json record (copy it to BENCH_pr<N>.json to
+#                 record a PR's run). The summary includes the
+#                 plan-cache warm/cold p50 speedup, which
 #                 must be >= 10x, the ticker-on vs ticker-off
 #                 cold-prepare p50 ratio, which must stay <= 1.5x — live
 #                 monitoring must not tax the prepare path — the
@@ -35,7 +40,7 @@
 #                 gates: unique-index point lookup p50 >= 10x over the
 #                 full scan and the build-free unique-index join no
 #                 slower than the classic hash join, via
-#                 bench_compare.py --index-exec)
+#                 bench_compare.py --index-exec
 #   --equiv-sweep run only the symbolic-equivalence sweep: the random
 #                 workload at the pinned seeds must yield zero
 #                 EQUIV_REFUTED certificates and an UNPROVEN share under
@@ -167,7 +172,7 @@ run_equiv_sweep
 
 run_tidy
 
-echo "== sanitizers: ASan/UBSan build of obs + analysis tests =="
+echo "== sanitizers: ASan/UBSan build of obs, analysis and executor tests =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -175,7 +180,8 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j --target obs_test analysis_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
-  parallel_exec_test dml_test index_exec_test dml_oracle_test
+  parallel_exec_test dml_test index_exec_test dml_oracle_test \
+  operators_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
 ./build-asan/tests/export_test
@@ -190,6 +196,7 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/dml_test
 ./build-asan/tests/index_exec_test
 ./build-asan/tests/dml_oracle_test
+./build-asan/tests/operators_test
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: ThreadSanitizer build of concurrent obs tests =="
@@ -252,7 +259,7 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
       --summary build/bench-gate/index_exec.summary.json; then
     gate_ok=0
   fi
-  python3 - "${summaries[@]}" <<'EOF' > BENCH_pr10.json
+  python3 - "${summaries[@]}" <<'EOF' > build/bench-gate/summary.json
 import json, sys
 benches = {}
 ok = True
@@ -355,8 +362,8 @@ json.dump({"gate": "bench_compare", "ok": ok, "benches": benches,
           sys.stdout, indent=2)
 sys.stdout.write("\n")
 EOF
-  echo "bench gate summary written to BENCH_pr10.json"
-  if ! python3 -c "import json,sys; sys.exit(0 if json.load(open('BENCH_pr10.json'))['ok'] else 1)"; then
+  echo "bench gate summary written to build/bench-gate/summary.json"
+  if ! python3 -c "import json,sys; sys.exit(0 if json.load(open('build/bench-gate/summary.json'))['ok'] else 1)"; then
     gate_ok=0
   fi
   if [[ "$gate_ok" != 1 ]]; then

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "types/row.h"
@@ -24,6 +25,15 @@ namespace uniqopt {
 /// `Reset()` returns the batch to empty; the two modes must not be
 /// mixed within one fill.
 ///
+/// A borrowed span is valid only until the producer's next fill — unless
+/// the batch carries a *pin*: a reference that keeps the span's storage
+/// alive and unchanged for as long as the pin is held. TableScanOp pins
+/// its snapshot (an immutable table version), and filters pass the pin
+/// on with the batch, so a consumer that keeps the pin may keep pointers
+/// to the rows (a join build does). Pipeline breakers (SortDistinct,
+/// HashAggregate, SortMergeIntersect) borrow from storage they free at
+/// Close and hand out no pin.
+///
 /// The selection vector holds indexes into the underlying row span, in
 /// output order. `row(i)` resolves the i-th *selected* row. Operators
 /// that drop rows (filters) compact `selection()` in place and never
@@ -36,6 +46,9 @@ class RowBatch {
  public:
   static constexpr size_t kDefaultBatchSize = 1024;
 
+  /// Keeps borrowed rows alive and unchanged while held (see above).
+  using Pin = std::shared_ptr<const void>;
+
   explicit RowBatch(size_t capacity = kDefaultBatchSize)
       : capacity_(capacity == 0 ? kDefaultBatchSize : capacity) {}
 
@@ -47,19 +60,25 @@ class RowBatch {
   void Reset() {
     data_ = nullptr;
     data_size_ = 0;
+    pin_.reset();
     owned_.clear();
     selection_.clear();
   }
 
   /// Points the batch at `n` externally-owned rows (which must outlive
-  /// the batch fill) and selects all of them.
-  void Borrow(const Row* rows, size_t n) {
+  /// the batch fill, or as long as `pin` is held when one is given) and
+  /// selects all of them.
+  void Borrow(const Row* rows, size_t n, Pin pin = nullptr) {
     data_ = rows;
     data_size_ = n;
+    pin_ = std::move(pin);
     owned_.clear();
     selection_.resize(n);
     for (size_t i = 0; i < n; ++i) selection_[i] = static_cast<uint32_t>(i);
   }
+
+  /// The pin of a borrowed span; null for owned rows and unpinned spans.
+  const Pin& pin() const { return pin_; }
 
   /// Appends a row into owned storage and selects it.
   void Append(Row row) {
@@ -71,6 +90,14 @@ class RowBatch {
 
   /// The i-th selected row.
   const Row& row(size_t i) const { return data_[selection_[i]]; }
+
+  /// The i-th selected row as a value of its own: moved out of owned
+  /// storage (which then holds a moved-from row until Reset), copied
+  /// from a borrowed span.
+  Row TakeRow(size_t i) {
+    if (owned_.empty()) return data_[selection_[i]];
+    return std::move(owned_[selection_[i]]);
+  }
 
   /// Underlying row span (selected or not); filters index it through
   /// the selection vector they are compacting.
@@ -85,6 +112,7 @@ class RowBatch {
   size_t capacity_;
   const Row* data_ = nullptr;  ///< borrowed span, or owned_.data()
   size_t data_size_ = 0;
+  Pin pin_;
   std::vector<Row> owned_;
   std::vector<uint32_t> selection_;
 };

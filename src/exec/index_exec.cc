@@ -253,25 +253,66 @@ void IndexLookupOp::Close() { match_.reset(); }
 // ---------------------------------------------------------------------------
 // UniqueIndexJoinOp
 
-UniqueIndexJoinOp::UniqueIndexJoinOp(OperatorPtr left,
-                                     const Table* right_table,
-                                     const Schema& right_schema,
-                                     size_t key_index,
-                                     std::vector<size_t> left_keys,
-                                     ExprPtr right_filter, ExprPtr residual,
-                                     std::string key_name)
-    : Operator(Schema::Concat(left->schema(), right_schema)),
+UniqueIndexJoinOp::UniqueIndexJoinOp(
+    OperatorPtr left, const Table* right_table, const Schema& right_schema,
+    size_t key_index, std::vector<size_t> left_keys, ExprPtr right_filter,
+    ExprPtr residual, std::string key_name,
+    std::vector<size_t> output_columns)
+    : Operator(JoinProjection::OutputSchema(left->schema(), right_schema,
+                                            output_columns)),
       left_(std::move(left)),
       right_table_(right_table),
       key_index_(key_index),
       left_keys_(std::move(left_keys)),
       right_filter_(std::move(right_filter)),
       residual_(std::move(residual)),
-      key_name_(std::move(key_name)) {}
+      key_name_(std::move(key_name)),
+      output_(left_->schema().num_columns(), right_schema.num_columns(),
+              std::move(output_columns)) {
+  const TableDef& def = right_table_->def();
+  for (size_t col : def.keys().at(key_index_).columns) {
+    key_types_.push_back(def.schema().column(col).type);
+  }
+}
 
 Status UniqueIndexJoinOp::Open(ExecContext* ctx) {
   snapshot_ = right_table_->Snapshot();
+  probe_batch_ = RowBatch(ctx->batch_size > 0 ? ctx->batch_size
+                                              : RowBatch::kDefaultBatchSize);
   return left_->Open(ctx);
+}
+
+const Row* UniqueIndexJoinOp::Match(const Row& left_row,
+                                    ExecContext* ctx) const {
+  bool coerce = false;
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    const Value& v = left_row[left_keys_[i]];
+    if (v.is_null()) return nullptr;  // SQL `=` never matches NULL
+    coerce |= v.type() != key_types_[i];
+  }
+  std::optional<size_t> ordinal;
+  if (coerce) {
+    std::vector<Value> values;
+    values.reserve(left_keys_.size());
+    for (size_t col : left_keys_) values.push_back(left_row[col]);
+    std::optional<Row> key =
+        ProbeKey(right_table_->def(), key_index_, std::move(values));
+    if (!key.has_value()) return nullptr;
+    ctx->stats.index_probes++;
+    ordinal = snapshot_->Lookup(key_index_, *key);
+  } else {
+    ctx->stats.index_probes++;
+    ordinal = snapshot_->LookupColumns(key_index_, left_row, left_keys_);
+  }
+  if (!ordinal.has_value()) return nullptr;
+  const Row& right_row = snapshot_->rows[*ordinal];
+  if (right_filter_ != nullptr &&
+      right_filter_->EvaluatePredicate(right_row, ctx->params) !=
+          Tribool::kTrue) {
+    return nullptr;
+  }
+  if (!ResidualHolds(residual_, left_row, right_row, *ctx)) return nullptr;
+  return &right_row;
 }
 
 Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
@@ -279,28 +320,31 @@ Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row));
     if (!more) return false;
-    std::vector<Value> values;
-    values.reserve(left_keys_.size());
-    for (size_t col : left_keys_) values.push_back(left_row[col]);
-    std::optional<Row> key =
-        ProbeKey(right_table_->def(), key_index_, std::move(values));
-    if (!key.has_value()) continue;
-    ctx->stats.index_probes++;
-    std::optional<size_t> ordinal = snapshot_->Lookup(key_index_, *key);
-    if (!ordinal.has_value()) continue;
-    const Row& right_row = snapshot_->rows[*ordinal];
-    if (right_filter_ != nullptr &&
-        right_filter_->EvaluatePredicate(right_row, ctx->params) !=
-            Tribool::kTrue) {
-      continue;
+    if (const Row* right_row = Match(left_row, ctx)) {
+      *row = output_.Make(left_row, *right_row);
+      return true;
     }
-    Row out = Row::Concat(left_row, right_row);
-    if (residual_ != nullptr &&
-        residual_->EvaluatePredicate(out, ctx->params) != Tribool::kTrue) {
-      continue;
+  }
+}
+
+Result<bool> UniqueIndexJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
+  out->Reset();
+  while (true) {
+    UNIQOPT_ASSIGN_OR_RETURN(bool more,
+                             left_->NextBatch(ctx, &probe_batch_));
+    if (!more) return !out->empty();
+    // Probe the whole batch before building any output row: the probes
+    // are independent, so their cache misses overlap.
+    matches_.resize(probe_batch_.size());
+    for (size_t i = 0; i < probe_batch_.size(); ++i) {
+      matches_[i] = Match(probe_batch_.row(i), ctx);
     }
-    *row = std::move(out);
-    return true;
+    for (size_t i = 0; i < probe_batch_.size(); ++i) {
+      if (matches_[i] != nullptr) {
+        out->Append(output_.Make(probe_batch_.row(i), *matches_[i]));
+      }
+    }
+    if (!out->empty()) return true;  // else probe the next batch
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "catalog/table_def.h"
+#include "exec/join_hash_table.h"
 #include "exec/operator.h"
 #include "exec/planner.h"
 #include "expr/expr.h"
@@ -129,34 +130,48 @@ class IndexLookupOp final : public Operator {
 };
 
 /// Join probing the build side's unique index instead of building a hash
-/// table: for each left row, project the key columns, probe, and emit
-/// the concatenated row. Output is identical to HashJoinOp when the
-/// right equi-columns are a declared key (at most one match per probe).
+/// table: for each left row, probe the index with the row's key columns
+/// read in place (coerced through ProbeKey only when a value's type
+/// differs from its key column's) and emit `output_columns` of left ⊕
+/// right (empty: the whole concatenation — the π above the join, fused
+/// into it). Output is identical to HashJoinOp when the right
+/// equi-columns are a declared key (at most one match per probe).
 /// `right_filter` holds pushed-down right-side conjuncts in right
-/// coordinates; `residual` is evaluated over the concatenated row.
+/// coordinates; `residual` is evaluated over left ⊕ right.
 class UniqueIndexJoinOp final : public Operator {
  public:
   UniqueIndexJoinOp(OperatorPtr left, const Table* right_table,
                     const Schema& right_schema, size_t key_index,
                     std::vector<size_t> left_keys, ExprPtr right_filter,
-                    ExprPtr residual, std::string key_name);
+                    ExprPtr residual, std::string key_name,
+                    std::vector<size_t> output_columns = {});
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
+  /// Probes a whole input batch per call.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return "UniqueIndexJoin(" + key_name_ + ")";
   }
 
  private:
+  /// The right row joining `left_row` (filter and residual applied), or
+  /// null.
+  const Row* Match(const Row& left_row, ExecContext* ctx) const;
+
   OperatorPtr left_;
   const Table* right_table_;
   size_t key_index_;
   std::vector<size_t> left_keys_;
+  std::vector<TypeId> key_types_;  ///< the key columns' types
   ExprPtr right_filter_;
   ExprPtr residual_;
   std::string key_name_;
+  JoinProjection output_;
   TableSnapshot snapshot_;
+  RowBatch probe_batch_;
+  std::vector<const Row*> matches_;  ///< per probe-batch row
 };
 
 }  // namespace uniqopt

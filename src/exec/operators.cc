@@ -20,37 +20,15 @@ std::string ExecStats::ToString() const {
   return out;
 }
 
-Result<std::vector<Row>> ExecuteToVector(Operator* op, ExecContext* ctx) {
-  UNIQOPT_RETURN_NOT_OK(op->Open(ctx));
-  std::vector<Row> out;
-  if (ctx->batch_size > 0) {
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(ctx, &batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.size(); ++i) out.push_back(batch.row(i));
-    }
-  } else {
-    Row row;
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->Next(ctx, &row));
-      if (!more) break;
-      out.push_back(row);
-    }
-  }
-  op->Close();
-  ctx->stats.rows_output += out.size();
-  return out;
-}
-
 namespace {
 
 size_t BatchCapacity(const ExecContext* ctx) {
   return ctx->batch_size > 0 ? ctx->batch_size : RowBatch::kDefaultBatchSize;
 }
 
-/// Drains a child operator into a vector, via the batch path when the
-/// context enables it.
+/// Drains an operator (Open, pull until exhausted, Close) into a vector,
+/// via the batch path when the context enables it. Rows of owned batches
+/// are moved out, borrowed ones copied.
 Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx) {
   UNIQOPT_RETURN_NOT_OK(op->Open(ctx));
   std::vector<Row> rows;
@@ -59,14 +37,16 @@ Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx) {
     while (true) {
       UNIQOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(ctx, &batch));
       if (!more) break;
-      for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
+      for (size_t i = 0; i < batch.size(); ++i) {
+        rows.push_back(batch.TakeRow(i));
+      }
     }
   } else {
     Row row;
     while (true) {
       UNIQOPT_ASSIGN_OR_RETURN(bool more, op->Next(ctx, &row));
       if (!more) break;
-      rows.push_back(row);
+      rows.push_back(std::move(row));
     }
   }
   op->Close();
@@ -74,6 +54,12 @@ Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx) {
 }
 
 }  // namespace
+
+Result<std::vector<Row>> ExecuteToVector(Operator* op, ExecContext* ctx) {
+  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> out, Drain(op, ctx));
+  ctx->stats.rows_output += out.size();
+  return out;
+}
 
 // ---------------------------------------------------------------- TableScan
 Status TableScanOp::Open(ExecContext*) {
@@ -99,7 +85,7 @@ Result<bool> TableScanOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   if (pos_ >= snapshot_->rows.size()) return false;
   std::span<const Row> run = snapshot_->rows.RunFrom(pos_);
   size_t n = std::min(out->capacity(), run.size());
-  out->Borrow(run.data(), n);
+  out->Borrow(run.data(), n, snapshot_);
   pos_ += n;
   ctx->stats.rows_scanned += n;
   return true;
@@ -267,70 +253,63 @@ void NestedLoopProductOp::Close() {
 }
 
 // ----------------------------------------------------------------- HashJoin
+HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
+                       std::vector<size_t> left_keys,
+                       std::vector<size_t> right_keys, ExprPtr residual,
+                       std::vector<size_t> output_columns,
+                       std::shared_ptr<SharedJoinBuild> shared)
+    : Operator(JoinProjection::OutputSchema(left->schema(), right->schema(),
+                                            output_columns)),
+      left_(std::move(left)),
+      right_(std::move(right)),
+      left_keys_(std::move(left_keys)),
+      residual_(std::move(residual)),
+      output_(left_->schema().num_columns(), right_->schema().num_columns(),
+              std::move(output_columns)),
+      own_(std::move(right_keys)),
+      shared_(std::move(shared)) {}
+
 Status HashJoinOp::Open(ExecContext* ctx) {
-  build_.clear();
-  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(right_.get(), ctx));
-  for (Row& r : rows) {
-    Row key = r.Project(right_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    if (has_null) continue;  // NULL join keys never match under 3VL `=`.
-    ++ctx->stats.hash_build_rows;
-    build_.emplace(std::move(key), std::move(r));
-  }
+  // A shared build is drained by one worker only; its right_ is opened
+  // and closed inside EnsureBuilt, like an own build's inside Build.
+  UNIQOPT_RETURN_NOT_OK(shared_ != nullptr
+                            ? shared_->EnsureBuilt(right_.get(), ctx)
+                            : own_.Build(right_.get(), ctx));
   UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
-  have_left_ = false;
+  matches_ = JoinHashTable::Matches();
   probe_batch_ = RowBatch(BatchCapacity(ctx));
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::Next(ExecContext* ctx, Row* row) {
   while (true) {
-    if (!have_left_) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
-      if (!more) return false;
-      Row key = left_row_.Project(left_keys_);
-      bool has_null = false;
-      for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-      ++ctx->stats.hash_probes;
-      matches_ = has_null ? std::make_pair(build_.end(), build_.end())
-                          : build_.equal_range(key);
-      have_left_ = true;
-    }
-    while (matches_.first != matches_.second) {
-      Row candidate = Row::Concat(left_row_, matches_.first->second);
-      ++matches_.first;
-      if (residual_ == nullptr ||
-          residual_->EvaluatePredicate(candidate, ctx->params) ==
-              Tribool::kTrue) {
-        *row = std::move(candidate);
+    for (; !matches_.done(); matches_.Next()) {
+      if (ResidualHolds(residual_, left_row_, matches_.row(), *ctx)) {
+        *row = output_.Make(left_row_, matches_.row());
+        matches_.Next();
         return true;
       }
     }
-    have_left_ = false;
+    UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
+    if (!more) return false;
+    ++ctx->stats.hash_probes;
+    matches_ = table().Find(left_row_, left_keys_);
   }
 }
 
 Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->Reset();
+  const JoinHashTable& build = table();
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more,
                              left_->NextBatch(ctx, &probe_batch_));
     if (!more) return !out->empty();
+    ctx->stats.hash_probes += probe_batch_.size();
     for (size_t i = 0; i < probe_batch_.size(); ++i) {
       const Row& probe = probe_batch_.row(i);
-      Row key = probe.Project(left_keys_);
-      bool has_null = false;
-      for (size_t k = 0; k < key.size(); ++k) has_null |= key[k].is_null();
-      ++ctx->stats.hash_probes;
-      if (has_null) continue;
-      auto [it, end] = build_.equal_range(key);
-      for (; it != end; ++it) {
-        Row candidate = Row::Concat(probe, it->second);
-        if (residual_ == nullptr ||
-            residual_->EvaluatePredicate(candidate, ctx->params) ==
-                Tribool::kTrue) {
-          out->Append(std::move(candidate));
+      for (auto m = build.Find(probe, left_keys_); !m.done(); m.Next()) {
+        if (ResidualHolds(residual_, probe, m.row(), *ctx)) {
+          out->Append(output_.Make(probe, m.row()));
         }
       }
     }
@@ -340,7 +319,7 @@ Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 
 void HashJoinOp::Close() {
   left_->Close();
-  build_.clear();
+  own_.Clear();
 }
 
 // ------------------------------------------------------ NestedLoopSemiJoin
@@ -374,50 +353,47 @@ void NestedLoopSemiJoinOp::Close() {
 
 // ---------------------------------------------------------- HashSemiJoin
 Status HashSemiJoinOp::Open(ExecContext* ctx) {
-  build_.clear();
-  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(inner_.get(), ctx));
-  for (Row& r : rows) {
-    Row key = r.Project(inner_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    if (has_null) continue;
-    ++ctx->stats.hash_build_rows;
-    build_.emplace(std::move(key), std::move(r));
-  }
+  UNIQOPT_RETURN_NOT_OK(build_.Build(inner_.get(), ctx));
   return outer_->Open(ctx);
+}
+
+bool HashSemiJoinOp::Passes(const Row& row, ExecContext* ctx) const {
+  bool found = false;
+  if (!HasNullKey(row, outer_keys_)) {
+    ++ctx->stats.hash_probes;
+    for (auto m = build_.Find(row, outer_keys_); !m.done() && !found;
+         m.Next()) {
+      found = ResidualHolds(residual_, row, m.row(), *ctx);
+    }
+  }
+  return found != negated_;
 }
 
 Result<bool> HashSemiJoinOp::Next(ExecContext* ctx, Row* row) {
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, outer_->Next(ctx, row));
     if (!more) return false;
-    Row key = row->Project(outer_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    bool found = false;
-    if (!has_null) {
-      ++ctx->stats.hash_probes;
-      auto [it, end] = build_.equal_range(key);
-      for (; it != end; ++it) {
-        if (residual_ == nullptr) {
-          found = true;
-          break;
-        }
-        Row combined = Row::Concat(*row, it->second);
-        if (residual_->EvaluatePredicate(combined, ctx->params) ==
-            Tribool::kTrue) {
-          found = true;
-          break;
-        }
-      }
+    if (Passes(*row, ctx)) return true;
+  }
+}
+
+Result<bool> HashSemiJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
+  while (true) {
+    UNIQOPT_ASSIGN_OR_RETURN(bool more, outer_->NextBatch(ctx, out));
+    if (!more) return false;
+    std::vector<uint32_t>& selection = out->selection();
+    size_t kept = 0;
+    for (uint32_t index : selection) {
+      if (Passes(out->data()[index], ctx)) selection[kept++] = index;
     }
-    if (found != negated_) return true;
+    selection.resize(kept);
+    if (!selection.empty()) return true;  // else pull the next batch
   }
 }
 
 void HashSemiJoinOp::Close() {
   outer_->Close();
-  build_.clear();
+  build_.Clear();
 }
 
 // -------------------------------------------------------------------- SetOp

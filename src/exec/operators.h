@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "exec/join_hash_table.h"
 #include "exec/operator.h"
 #include "expr/expr.h"
 #include "expr/predicate_program.h"
@@ -152,40 +153,46 @@ class NestedLoopProductOp final : public Operator {
   size_t right_pos_ = 0;
 };
 
-/// Hash equi-join (inner). Build side is the right input; rows with a
-/// NULL key never match (3VL `=`). A residual predicate is applied to
-/// each candidate pair.
+/// Hash equi-join (inner). Build side is the right input, filed in a
+/// JoinHashTable; rows with a NULL key never match (3VL `=`). A residual
+/// predicate (over left ⊕ right) is applied to each candidate pair, and
+/// each surviving pair is emitted as `output_columns` of left ⊕ right —
+/// the π above the join, fused into it (empty: the whole concatenation).
+///
+/// With `shared` set, the operator is one worker's probe side of a
+/// parallel join: the build comes from the SharedJoinBuild that all
+/// workers share, built once from whichever worker's `right` arrives
+/// first.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual)
-      : Operator(Schema::Concat(left->schema(), right->schema())),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {}
+             ExprPtr residual, std::vector<size_t> output_columns = {},
+             std::shared_ptr<SharedJoinBuild> shared = nullptr);
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
   /// Probes a whole input batch per call, emitting all matches.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
-  std::string name() const override { return "HashJoin"; }
+  std::string name() const override {
+    return shared_ != nullptr ? "SharedHashJoinProbe" : "HashJoin";
+  }
 
  private:
+  const JoinHashTable& table() const {
+    return shared_ != nullptr ? shared_->table() : own_;
+  }
+
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
   ExprPtr residual_;
-  std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual> build_;
+  JoinProjection output_;
+  JoinHashTable own_;
+  std::shared_ptr<SharedJoinBuild> shared_;
   Row left_row_;
-  bool have_left_ = false;
-  std::pair<decltype(build_)::const_iterator,
-            decltype(build_)::const_iterator>
-      matches_;
+  JoinHashTable::Matches matches_;
   RowBatch probe_batch_;
 };
 
@@ -218,7 +225,8 @@ class NestedLoopSemiJoinOp final : public Operator {
   std::vector<Row> inner_rows_;
 };
 
-/// Hash semi/anti join on extracted equi-keys with residual predicate.
+/// Hash semi/anti join on extracted equi-keys with residual predicate
+/// (over outer ⊕ inner). The inner side is filed in a JoinHashTable.
 class HashSemiJoinOp final : public Operator {
  public:
   HashSemiJoinOp(OperatorPtr outer, OperatorPtr inner,
@@ -229,25 +237,29 @@ class HashSemiJoinOp final : public Operator {
         outer_(std::move(outer)),
         inner_(std::move(inner)),
         outer_keys_(std::move(outer_keys)),
-        inner_keys_(std::move(inner_keys)),
         residual_(std::move(residual)),
-        negated_(negated) {}
+        negated_(negated),
+        build_(std::move(inner_keys)) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
+  /// Compacts the outer batch's selection vector in place, like FilterOp.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return negated_ ? "HashAntiJoin" : "HashSemiJoin";
   }
 
  private:
+  /// Whether `row` passes: some inner row matches (none, when negated).
+  bool Passes(const Row& row, ExecContext* ctx) const;
+
   OperatorPtr outer_;
   OperatorPtr inner_;
   std::vector<size_t> outer_keys_;
-  std::vector<size_t> inner_keys_;
   ExprPtr residual_;
   bool negated_;
-  std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual> build_;
+  JoinHashTable build_;
 };
 
 /// INTERSECT [ALL] / EXCEPT [ALL] with the paper's `=!` tuple

@@ -11,169 +11,6 @@
 
 namespace uniqopt {
 
-// ------------------------------------------------------ SharedJoinBuild
-Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx,
-                                    const std::vector<size_t>& keys) {
-  bool drainer = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_ == State::kIdle) {
-      state_ = State::kDraining;
-      drainer = true;
-    }
-  }
-  if (drainer) {
-    // Drain the build side once (this worker's operator instance; the
-    // other workers' build subtrees are never opened) and partition the
-    // keyed rows by hash. NULL join keys never match under 3VL `=`, so
-    // they are dropped here, exactly like the serial HashJoinOp build.
-    Status drain_status = [&]() -> Status {
-      UNIQOPT_RETURN_NOT_OK(build_side->Open(ctx));
-      size_t partitions = rows_.size();
-      auto add = [&](const Row& r) {
-        Row key = r.Project(keys);
-        bool has_null = false;
-        for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-        if (has_null) return;
-        size_t p = key.Hash() % partitions;
-        rows_[p].emplace_back(std::move(key), r);
-      };
-      if (ctx->batch_size > 0) {
-        RowBatch batch(ctx->batch_size);
-        while (true) {
-          UNIQOPT_ASSIGN_OR_RETURN(bool more,
-                                   build_side->NextBatch(ctx, &batch));
-          if (!more) break;
-          for (size_t i = 0; i < batch.size(); ++i) add(batch.row(i));
-        }
-      } else {
-        Row row;
-        while (true) {
-          UNIQOPT_ASSIGN_OR_RETURN(bool more, build_side->Next(ctx, &row));
-          if (!more) break;
-          add(row);
-        }
-      }
-      build_side->Close();
-      return Status::OK();
-    }();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!drain_status.ok()) {
-      state_ = State::kFailed;
-      failure_ = drain_status;
-      cv_.notify_all();
-      return drain_status;
-    }
-    state_ = State::kBuilding;
-    cv_.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      return state_ != State::kIdle && state_ != State::kDraining;
-    });
-    if (state_ == State::kFailed) return failure_;
-    if (state_ == State::kPublished) return Status::OK();
-  }
-  // kBuilding: claim partitions and build their hash tables. The atomic
-  // counter gives each partition exactly one builder, so the per-table
-  // writes are unsynchronized; publication below transfers them via the
-  // mutex.
-  while (true) {
-    size_t p = next_partition_.fetch_add(1, std::memory_order_relaxed);
-    if (p >= tables_.size()) break;
-    BuildTable& table = tables_[p];
-    for (std::pair<Row, Row>& kv : rows_[p]) {
-      ++ctx->stats.hash_build_rows;
-      table.emplace(std::move(kv.first), std::move(kv.second));
-    }
-    rows_[p].clear();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (++partitions_built_ == tables_.size()) {
-      state_ = State::kPublished;
-      cv_.notify_all();
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock,
-           [&] { return state_ == State::kPublished ||
-                        state_ == State::kFailed; });
-  return state_ == State::kFailed ? failure_ : Status::OK();
-}
-
-// ------------------------------------------------ SharedHashJoinProbeOp
-Status SharedHashJoinProbeOp::Open(ExecContext* ctx) {
-  UNIQOPT_RETURN_NOT_OK(build_->EnsureBuilt(right_.get(), ctx, right_keys_));
-  UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
-  have_left_ = false;
-  probe_batch_ = RowBatch(ctx->batch_size > 0 ? ctx->batch_size
-                                              : RowBatch::kDefaultBatchSize);
-  return Status::OK();
-}
-
-Result<bool> SharedHashJoinProbeOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    if (!have_left_) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
-      if (!more) return false;
-      Row key = left_row_.Project(left_keys_);
-      bool has_null = false;
-      for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-      ++ctx->stats.hash_probes;
-      matches_ = has_null
-                     ? std::pair<SharedJoinBuild::BuildTable::const_iterator,
-                                 SharedJoinBuild::BuildTable::const_iterator>{}
-                     : build_->Probe(key);
-      have_left_ = true;
-    }
-    while (matches_.first != matches_.second) {
-      Row candidate = Row::Concat(left_row_, matches_.first->second);
-      ++matches_.first;
-      if (residual_ == nullptr ||
-          residual_->EvaluatePredicate(candidate, ctx->params) ==
-              Tribool::kTrue) {
-        *row = std::move(candidate);
-        return true;
-      }
-    }
-    have_left_ = false;
-  }
-}
-
-Result<bool> SharedHashJoinProbeOp::NextBatch(ExecContext* ctx,
-                                              RowBatch* out) {
-  out->Reset();
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more,
-                             left_->NextBatch(ctx, &probe_batch_));
-    if (!more) return !out->empty();
-    for (size_t i = 0; i < probe_batch_.size(); ++i) {
-      const Row& probe = probe_batch_.row(i);
-      Row key = probe.Project(left_keys_);
-      bool has_null = false;
-      for (size_t k = 0; k < key.size(); ++k) has_null |= key[k].is_null();
-      ++ctx->stats.hash_probes;
-      if (has_null) continue;
-      auto [it, end] = build_->Probe(key);
-      for (; it != end; ++it) {
-        Row candidate = Row::Concat(probe, it->second);
-        if (residual_ == nullptr ||
-            residual_->EvaluatePredicate(candidate, ctx->params) ==
-                Tribool::kTrue) {
-          out->Append(std::move(candidate));
-        }
-      }
-    }
-    if (!out->empty()) return true;
-  }
-}
-
-void SharedHashJoinProbeOp::Close() {
-  // right_ is opened/closed inside SharedJoinBuild by the draining
-  // worker only; closing it here would double-close.
-  left_->Close();
-}
-
 // ----------------------------------------------------- parallel executor
 namespace {
 
@@ -303,7 +140,6 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
   hooks.driver = driver;
   hooks.driver_snapshot = std::move(driver_snapshot);
   hooks.cursor = &cursor;
-  hooks.build_partitions = dop;
 
   // Lower all worker trees serially before any thread starts — the
   // shared-build map and profile need no locking, and plan-shape errors

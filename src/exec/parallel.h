@@ -3,14 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "exec/join_hash_table.h"
 #include "exec/operator.h"
 #include "exec/planner.h"
 #include "exec/profile.h"
@@ -90,6 +89,9 @@ class MorselScanOp final : public Operator {
     }
     std::span<const Row> run = snapshot_->rows.RunFrom(begin_);
     size_t n = std::min({out->capacity(), end_ - begin_, run.size()});
+    // No pin: the driving scan feeds only the probe side, never a join
+    // build, and a pin per batch would bounce the shared snapshot's
+    // reference count between the workers' cores.
     out->Borrow(run.data(), n);
     begin_ += n;
     ctx->stats.rows_scanned += n;
@@ -104,91 +106,6 @@ class MorselScanOp final : public Operator {
   MorselCursor* cursor_;
   size_t begin_ = 0;
   size_t end_ = 0;
-};
-
-/// A hash-join build shared across workers: the first worker to arrive
-/// drains the build side once and partitions its rows by key hash; all
-/// present workers then claim partitions and build the per-partition
-/// hash tables; once every partition is built the table is published
-/// read-only and probing proceeds in parallel with no further
-/// synchronization.
-class SharedJoinBuild {
- public:
-  using BuildTable =
-      std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual>;
-
-  explicit SharedJoinBuild(size_t partitions)
-      : rows_(partitions == 0 ? 1 : partitions),
-        tables_(partitions == 0 ? 1 : partitions) {}
-
-  /// Blocks until the shared table is published (participating in the
-  /// drain/partition-build work as needed). `build_side` is the calling
-  /// worker's own build-side operator; only the first caller's instance
-  /// is ever opened. Build rows are counted into the caller's stats for
-  /// the partitions this caller built.
-  Status EnsureBuilt(Operator* build_side, ExecContext* ctx,
-                     const std::vector<size_t>& keys);
-
-  /// Matches for a non-NULL probe key; only valid after EnsureBuilt
-  /// succeeded.
-  std::pair<BuildTable::const_iterator, BuildTable::const_iterator>
-  Probe(const Row& key) const {
-    const BuildTable& t = tables_[key.Hash() % tables_.size()];
-    return t.equal_range(key);
-  }
-
- private:
-  enum class State { kIdle, kDraining, kBuilding, kPublished, kFailed };
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  State state_ = State::kIdle;
-  Status failure_;
-  /// Partitioned build rows (keyed rows, NULL keys already dropped),
-  /// written by the draining worker, consumed by partition builders.
-  std::vector<std::vector<std::pair<Row, Row>>> rows_;
-  std::vector<BuildTable> tables_;
-  std::atomic<size_t> next_partition_{0};
-  size_t partitions_built_ = 0;
-};
-
-/// Hash equi-join probing a SharedJoinBuild. Mirrors HashJoinOp's probe
-/// semantics (NULL keys never match, residual applied per candidate);
-/// the build side is drained/partitioned once per query, not per
-/// worker.
-class SharedHashJoinProbeOp final : public Operator {
- public:
-  SharedHashJoinProbeOp(OperatorPtr left, OperatorPtr right,
-                        std::vector<size_t> left_keys,
-                        std::vector<size_t> right_keys, ExprPtr residual,
-                        std::shared_ptr<SharedJoinBuild> build)
-      : Operator(Schema::Concat(left->schema(), right->schema())),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)),
-        build_(std::move(build)) {}
-
-  Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
-  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
-  void Close() override;
-  std::string name() const override { return "SharedHashJoinProbe"; }
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
-  ExprPtr residual_;
-  std::shared_ptr<SharedJoinBuild> build_;
-  Row left_row_;
-  bool have_left_ = false;
-  std::pair<SharedJoinBuild::BuildTable::const_iterator,
-            SharedJoinBuild::BuildTable::const_iterator>
-      matches_;
-  RowBatch probe_batch_;
 };
 
 /// Hooks handed to the Lowering by the parallel executor. All worker
@@ -208,8 +125,6 @@ struct ParallelLoweringHooks {
   /// rest.
   std::unordered_map<const PlanNode*, std::shared_ptr<SharedJoinBuild>>
       shared_builds;
-  /// Partition count for new shared builds (usually = dop).
-  size_t build_partitions = 1;
 };
 
 /// Attempts morsel-driven parallel execution of `plan` at

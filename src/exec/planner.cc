@@ -64,21 +64,21 @@ class Lowering {
         std::move(residual), KeyDisplayName(get.table(), match.key_index)));
   }
 
-  /// A join input under its pushed-down single-side conjuncts. A keyed
-  /// input probes its index and shows as its own operator, like
-  /// σ-over-Get; otherwise the conjuncts filter the lowered input.
+  /// A join input under its pushed-down single-side conjuncts, shown as
+  /// its own operator like σ-over-Get: a keyed input probes its index,
+  /// any other is filtered by the conjuncts.
   Result<OperatorPtr> LowerJoinInput(const PlanPtr& input,
                                      std::vector<ExprPtr> conjuncts) {
     if (conjuncts.empty()) return Lower(input);
     ExprPtr predicate = Expr::MakeAnd(std::move(conjuncts));
-    if (std::optional<IndexLookupMatch> match =
-            MatchKeyedInput(input, predicate)) {
-      return Profiled([&] {
+    return Profiled([&]() -> Result<OperatorPtr> {
+      if (std::optional<IndexLookupMatch> match =
+              MatchKeyedInput(input, predicate)) {
         return LowerIndexLookup(*As<GetNode>(input), std::move(*match));
-      });
-    }
-    UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr lowered, Lower(input));
-    return OperatorPtr(new FilterOp(std::move(lowered), predicate));
+      }
+      UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr lowered, Lower(input));
+      return OperatorPtr(new FilterOp(std::move(lowered), predicate));
+    });
   }
 
   Result<OperatorPtr> LowerNode(const PlanPtr& plan) {
@@ -86,6 +86,9 @@ class Lowering {
       case PlanKind::kGet:
         return LowerGet(*As<GetNode>(plan));
       case PlanKind::kSelect:
+        if (std::optional<EquiJoin> join = MatchEquiJoin(plan)) {
+          return LowerEquiJoin(std::move(*join), {});
+        }
         return LowerSelect(*As<SelectNode>(plan));
       case PlanKind::kProject:
         return LowerProject(*As<ProjectNode>(plan));
@@ -122,20 +125,66 @@ class Lowering {
     return OperatorPtr(new TableScanOp(table, node.schema()));
   }
 
-  Result<OperatorPtr> LowerProject(const ProjectNode& node) {
-    UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr child, Lower(node.input()));
-    OperatorPtr project(
-        new ProjectOp(std::move(child), node.columns()));
-    if (node.mode() == DuplicateMode::kAll) return project;
-    if (options_.distinct == PhysicalOptions::DistinctStrategy::kSort) {
-      return OperatorPtr(new SortDistinctOp(std::move(project)));
+  /// σ over × whose predicate holds at least one crossing equi-pair
+  /// (hash joins enabled): the shape that lowers to an equi-join, with
+  /// its predicate split the way the join consumes it.
+  struct EquiJoin {
+    const SelectNode* select;
+    const ProductNode* product;
+    JoinSplit split;
+  };
+
+  std::optional<EquiJoin> MatchEquiJoin(const PlanPtr& plan) const {
+    const SelectNode* select = As<SelectNode>(plan);
+    if (select == nullptr || select->predicate()->IsFalseLiteral()) {
+      return std::nullopt;
     }
-    return OperatorPtr(new HashDistinctOp(std::move(project)));
+    const ProductNode* product = As<ProductNode>(select->input());
+    if (product == nullptr) return std::nullopt;
+    JoinSplit split =
+        SplitJoinPredicate(select->predicate(),
+                           product->left()->schema().num_columns(), options_);
+    if (split.left_keys.empty()) return std::nullopt;
+    return EquiJoin{select, product, std::move(split)};
   }
 
-  /// Select over a Product becomes a join: single-side conjuncts are
-  /// pushed below (when enabled), crossing equi-conjuncts become hash
-  /// join keys (when enabled), the rest stays as a residual/filter.
+  /// π onto `node`'s columns. Stacked π_All compose into one column
+  /// list; over an equi-join the join emits those columns itself, so
+  /// π_All-over-join is one operator (in the π's profile slot) and
+  /// π DISTINCT-over-join a duplicate elimination over it.
+  Result<OperatorPtr> LowerProject(const ProjectNode& node) {
+    std::vector<size_t> columns = node.columns();
+    PlanPtr input = node.input();
+    for (const ProjectNode* inner = As<ProjectNode>(input);
+         inner != nullptr && inner->mode() == DuplicateMode::kAll;
+         inner = As<ProjectNode>(input)) {
+      for (size_t& c : columns) c = inner->columns()[c];
+      input = inner->input();
+    }
+    std::optional<EquiJoin> join;
+    if (!columns.empty()) join = MatchEquiJoin(input);
+    if (join.has_value() && node.mode() == DuplicateMode::kAll) {
+      return LowerEquiJoin(std::move(*join), std::move(columns));
+    }
+    OperatorPtr projected;
+    if (join.has_value()) {
+      UNIQOPT_ASSIGN_OR_RETURN(projected, Profiled([&] {
+        return LowerEquiJoin(std::move(*join), std::move(columns));
+      }));
+    } else {
+      UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr child, Lower(input));
+      projected.reset(new ProjectOp(std::move(child), std::move(columns)));
+    }
+    if (node.mode() == DuplicateMode::kAll) return projected;
+    if (options_.distinct == PhysicalOptions::DistinctStrategy::kSort) {
+      return OperatorPtr(new SortDistinctOp(std::move(projected)));
+    }
+    return OperatorPtr(new HashDistinctOp(std::move(projected)));
+  }
+
+  /// A selection that is no equi-join (see MatchEquiJoin). Over a
+  /// Product it becomes a nested-loop join: single-side conjuncts are
+  /// pushed below (when enabled), the rest filters the product.
   Result<OperatorPtr> LowerSelect(const SelectNode& node) {
     // A constant-FALSE selection produces nothing; skip the input.
     if (node.predicate()->IsFalseLiteral()) {
@@ -153,68 +202,74 @@ class Lowering {
     }
     JoinSplit split = SplitJoinPredicate(
         node.predicate(), product->left()->schema().num_columns(), options_);
-    // When the build side is a bare Get and the build-side equi-columns
-    // are exactly a declared key, the committed unique index already IS
-    // the hash table: probe it and skip the build phase entirely.
-    if (!split.left_keys.empty() && options_.use_indexes &&
-        hooks_ == nullptr) {
-      const GetNode* right_get = As<GetNode>(product->right());
-      if (right_get != nullptr) {
-        std::optional<IndexJoinMatch> match = MatchUniqueIndexJoin(
-            right_get->table(), split.left_keys, split.right_keys);
-        if (match.has_value()) {
-          UNIQOPT_ASSIGN_OR_RETURN(const Table* right_table,
-                                   db_.GetTable(right_get->table().name()));
-          UNIQOPT_ASSIGN_OR_RETURN(
-              OperatorPtr left,
-              LowerJoinInput(product->left(), std::move(split.left_only)));
-          ExprPtr right_filter =
-              split.right_only.empty()
-                  ? nullptr
-                  : Expr::MakeAnd(std::move(split.right_only));
-          ExprPtr res = split.residual.empty()
-                            ? nullptr
-                            : Expr::MakeAnd(std::move(split.residual));
-          return OperatorPtr(new UniqueIndexJoinOp(
-              std::move(left), right_table, right_get->schema(),
-              match->key_index, std::move(match->left_keys),
-              std::move(right_filter), std::move(res),
-              KeyDisplayName(right_get->table(), match->key_index)));
-        }
-      }
-    }
     UNIQOPT_ASSIGN_OR_RETURN(
         OperatorPtr left,
         LowerJoinInput(product->left(), std::move(split.left_only)));
     UNIQOPT_ASSIGN_OR_RETURN(
         OperatorPtr right,
         LowerJoinInput(product->right(), std::move(split.right_only)));
+    OperatorPtr join(
+        new NestedLoopProductOp(std::move(left), std::move(right)));
+    if (split.residual.empty()) return join;
+    return OperatorPtr(new FilterOp(std::move(join),
+                                    Expr::MakeAnd(std::move(split.residual))));
+  }
+
+  /// An equi-join emitting `columns` of left ⊕ right (empty: all).
+  Result<OperatorPtr> LowerEquiJoin(EquiJoin join,
+                                    std::vector<size_t> columns) {
+    const ProductNode& product = *join.product;
+    JoinSplit& split = join.split;
     ExprPtr res = split.residual.empty()
                       ? nullptr
                       : Expr::MakeAnd(std::move(split.residual));
-    if (!split.left_keys.empty()) {
-      if (hooks_ != nullptr) {
-        // All worker lowerings hit this node (pointer identity — plan
-        // nodes are shared, not copied, across lowerings), so the first
-        // one creates the shared build and the rest reuse it.
-        std::shared_ptr<SharedJoinBuild>& build =
-            hooks_->shared_builds[&node];
-        if (build == nullptr) {
-          build = std::make_shared<SharedJoinBuild>(hooks_->build_partitions);
-        }
-        return OperatorPtr(new SharedHashJoinProbeOp(
-            std::move(left), std::move(right), std::move(split.left_keys),
-            std::move(split.right_keys), std::move(res), build));
+    // When the build side is a bare Get and the build-side equi-columns
+    // are exactly a declared key, the committed unique index already IS
+    // the hash table: probe it and skip the build phase entirely.
+    const GetNode* right_get = As<GetNode>(product.right());
+    if (options_.use_indexes && hooks_ == nullptr && right_get != nullptr) {
+      std::optional<IndexJoinMatch> match = MatchUniqueIndexJoin(
+          right_get->table(), split.left_keys, split.right_keys);
+      if (match.has_value()) {
+        UNIQOPT_ASSIGN_OR_RETURN(const Table* right_table,
+                                 db_.GetTable(right_get->table().name()));
+        UNIQOPT_ASSIGN_OR_RETURN(
+            OperatorPtr left,
+            LowerJoinInput(product.left(), std::move(split.left_only)));
+        ExprPtr right_filter =
+            split.right_only.empty()
+                ? nullptr
+                : Expr::MakeAnd(std::move(split.right_only));
+        return OperatorPtr(new UniqueIndexJoinOp(
+            std::move(left), right_table, right_get->schema(),
+            match->key_index, std::move(match->left_keys),
+            std::move(right_filter), std::move(res),
+            KeyDisplayName(right_get->table(), match->key_index),
+            std::move(columns)));
       }
-      return OperatorPtr(new HashJoinOp(std::move(left), std::move(right),
-                                        std::move(split.left_keys),
-                                        std::move(split.right_keys),
-                                        std::move(res)));
     }
-    OperatorPtr join(
-        new NestedLoopProductOp(std::move(left), std::move(right)));
-    if (res == nullptr) return join;
-    return OperatorPtr(new FilterOp(std::move(join), std::move(res)));
+    UNIQOPT_ASSIGN_OR_RETURN(
+        OperatorPtr left,
+        LowerJoinInput(product.left(), std::move(split.left_only)));
+    UNIQOPT_ASSIGN_OR_RETURN(
+        OperatorPtr right,
+        LowerJoinInput(product.right(), std::move(split.right_only)));
+    std::shared_ptr<SharedJoinBuild> shared;
+    if (hooks_ != nullptr) {
+      // All worker lowerings hit this node (pointer identity — plan
+      // nodes are shared, not copied, across lowerings), so the first
+      // one creates the shared build and the rest reuse it.
+      std::shared_ptr<SharedJoinBuild>& build =
+          hooks_->shared_builds[join.select];
+      if (build == nullptr) {
+        build = std::make_shared<SharedJoinBuild>(split.right_keys);
+      }
+      shared = build;
+    }
+    return OperatorPtr(new HashJoinOp(
+        std::move(left), std::move(right), std::move(split.left_keys),
+        std::move(split.right_keys), std::move(res), std::move(columns),
+        std::move(shared)));
   }
 
   Result<OperatorPtr> LowerExists(const ExistsNode& node) {

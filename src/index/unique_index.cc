@@ -13,8 +13,9 @@ namespace {
 
 constexpr size_t kKeySeed = 0x345678;
 
-/// Spreads the combined value hashes over all 64 bits: shards are
-/// chosen by the low bits, and Value::Hash of an integer is the integer.
+/// Spreads the combined value hashes over all 64 bits: shards (and join
+/// hash-table buckets) are chosen by the low bits, and Value::Hash of an
+/// integer is the integer.
 uint64_t Finish(uint64_t h) {
   h ^= h >> 33;
   h *= UINT64_C(0xff51afd7ed558ccd);
@@ -38,9 +39,10 @@ UniqueIndex::UniqueIndex(std::vector<size_t> key_columns)
   shards_.push_back(std::make_shared<Shard>());
 }
 
-uint64_t UniqueIndex::HashOfRow(const Row& row) const {
+uint64_t UniqueIndex::HashOfColumns(const Row& row,
+                                    const std::vector<size_t>& columns) {
   size_t seed = kKeySeed;
-  for (size_t c : key_columns_) HashCombine(&seed, row[c].Hash());
+  for (size_t c : columns) HashCombine(&seed, row[c].Hash());
   return Finish(seed);
 }
 

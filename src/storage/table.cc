@@ -65,6 +65,23 @@ std::optional<size_t> TableVersion::Lookup(size_t key_index,
   });
 }
 
+std::optional<size_t> TableVersion::LookupColumns(
+    size_t key_index, const Row& row,
+    const std::vector<size_t>& columns) const {
+  const UniqueIndex& index = indexes.at(key_index);
+  const std::vector<size_t>& key_columns = index.key_columns();
+  return index.Find(
+      UniqueIndex::HashOfColumns(row, columns), [&](size_t ordinal) {
+        const Row& candidate = rows[ordinal];
+        for (size_t j = 0; j < key_columns.size(); ++j) {
+          if (!candidate[key_columns[j]].NullSafeEquals(row[columns[j]])) {
+            return false;
+          }
+        }
+        return true;
+      });
+}
+
 Status TableVersion::CheckKeys(const TableDef& def, const Row& row) const {
   for (size_t k = 0; k < indexes.size(); ++k) {
     if (KeyHolder(*this, k, row).has_value()) {

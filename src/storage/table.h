@@ -50,6 +50,11 @@ struct TableVersion {
   /// probes must short-circuit NULL probe values to "no match" first —
   /// `=!` files NULL as an ordinary value.
   std::optional<size_t> Lookup(size_t key_index, const Row& key) const;
+  /// Lookup of the key that `row`'s `columns` spell (in the key's column
+  /// order), read in place: no projected key row is built. Same NULL
+  /// caveat as Lookup.
+  std::optional<size_t> LookupColumns(size_t key_index, const Row& row,
+                                      const std::vector<size_t>& columns) const;
 
   /// OK, or a ConstraintViolation naming the first key of `def` whose
   /// value `row` shares with a row of this version. Changes nothing.

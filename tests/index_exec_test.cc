@@ -268,6 +268,89 @@ TEST(IndexExecTest, KeyedJoinInputProbesItsIndex) {
   EXPECT_EQ(report.find("TableScan"), std::string::npos) << report;
 }
 
+TEST(IndexExecTest, UniqueIndexJoinMatchesNumericKeysAcrossTypes) {
+  // The probe value's type may differ from the key column's: INTEGER 1
+  // joins DOUBLE 1.0, and DOUBLE 1.5 joins no INTEGER key — through the
+  // index join (ProbeKey's coercion) exactly as through the hash join.
+  Database db;
+  ASSERT_OK(db.ExecuteDdl(
+      "CREATE TABLE D (X DOUBLE, N INTEGER NOT NULL, PRIMARY KEY (N))"));
+  ASSERT_OK(db.ExecuteDdl(
+      "CREATE TABLE I (K INTEGER NOT NULL, W INTEGER, PRIMARY KEY (K))"));
+  ASSERT_OK(db.ExecuteDdl(
+      "CREATE TABLE F (F DOUBLE NOT NULL, W INTEGER, PRIMARY KEY (F))"));
+  txn::DmlExecutor executor(&db);
+  ASSERT_OK(executor
+                .ExecuteSql("INSERT INTO D VALUES (1.0, 1), (1.5, 2), "
+                            "(2.0, 3)")
+                .status());
+  ASSERT_OK(executor.ExecuteSql("INSERT INTO D (N) VALUES (4)").status());
+  ASSERT_OK(
+      executor.ExecuteSql("INSERT INTO I VALUES (1, 10), (3, 30)").status());
+  ASSERT_OK(executor.ExecuteSql("INSERT INTO F VALUES (1.0, 100), (2.5, 250)")
+                .status());
+  for (size_t batch_size : {size_t{0}, size_t{1024}}) {
+    PhysicalOptions physical;
+    physical.batch_size = batch_size;
+    PhysicalOptions hashed = NoIndexes();
+    hashed.batch_size = batch_size;
+    // DOUBLE probes an INTEGER key: only 1.0 finds a row.
+    const std::string to_int =
+        "SELECT D.X, I.W FROM D, I WHERE D.X = I.K";
+    ExecStats stats;
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                         RunSql(db, to_int, {}, physical, &stats));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][1].AsInteger(), 10);
+    EXPECT_EQ(stats.index_probes, 2u);  // 1.0 and 2.0; not 1.5, not NULL
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> baseline,
+                         RunSql(db, to_int, {}, hashed));
+    EXPECT_TRUE(MultisetEquals(rows, baseline));
+    // INTEGER probes a DOUBLE key: 1 finds 1.0, 3 finds nothing.
+    const std::string to_double =
+        "SELECT I.K, F.W FROM I, F WHERE I.K = F.F";
+    ASSERT_OK_AND_ASSIGN(rows, RunSql(db, to_double, {}, physical, &stats));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][1].AsInteger(), 100);
+    EXPECT_GT(stats.index_probes, 0u);
+    ASSERT_OK_AND_ASSIGN(baseline, RunSql(db, to_double, {}, hashed));
+    EXPECT_TRUE(MultisetEquals(rows, baseline));
+  }
+}
+
+TEST(IndexExecTest, UniqueIndexJoinEmitsTheProjectionItself) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  // Columns interleaved from both sides plus a crossing non-equi
+  // residual: the join builds each output row from the probe and the
+  // indexed row directly, in either execution mode.
+  const std::string sql =
+      "SELECT S.SNAME, P.PNO, S.SNO, P.PNAME FROM PARTS P, SUPPLIER S "
+      "WHERE P.SNO = S.SNO AND P.PNO < S.SNO";
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> baseline,
+                       RunSql(db, sql, {}, NoIndexes()));
+  EXPECT_FALSE(baseline.empty());
+  for (size_t batch_size : {size_t{0}, size_t{1024}}) {
+    PhysicalOptions physical;
+    physical.batch_size = batch_size;
+    ExecStats stats;
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                         RunSql(db, sql, {}, physical, &stats));
+    EXPECT_TRUE(MultisetEquals(rows, baseline));
+    EXPECT_GT(stats.index_probes, 0u);
+    ASSERT_FALSE(rows.empty());
+    EXPECT_EQ(rows[0].size(), 4u);
+  }
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(PreparedQuery join, optimizer.Prepare(sql));
+  ASSERT_OK_AND_ASSIGN(std::string report, optimizer.ExplainAnalyze(join));
+  const std::string profile = ProfileSection(report);
+  EXPECT_NE(profile.find("\n  UniqueIndexJoin(pk_SUPPLIER_sno)"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(profile.find("Project"), std::string::npos) << report;
+}
+
 TEST(IndexExecTest, CacheSaltSeparatesIndexModes) {
   PhysicalOptions on;
   PhysicalOptions off;

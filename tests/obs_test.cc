@@ -362,6 +362,35 @@ TEST(ExplainAnalyzeTest, ReportsProfileStatsAndMetricsDelta) {
   EXPECT_NE(report.find("row(s) in"), std::string::npos);
 }
 
+TEST(ExplainAnalyzeTest, PushedDownFilterHasItsOwnSlot) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> red,
+                       RunSql(db, "SELECT PNO FROM PARTS WHERE COLOR = 'RED'"));
+  Optimizer optimizer(&db);
+  // Example 1: the DISTINCT is removed, P.COLOR = 'RED' is pushed below
+  // the join onto its PARTS build side, and the π left above the join is
+  // emitted by the join itself.
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery prepared,
+      optimizer.Prepare("SELECT DISTINCT S.SNO, P.PNO, P.PNAME "
+                        "FROM SUPPLIER S, PARTS P "
+                        "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'"));
+  ASSERT_OK_AND_ASSIGN(std::string report,
+                       optimizer.ExplainAnalyze(prepared));
+  const std::string profile = ProfileSection(report);
+  EXPECT_NE(profile.find("\n  HashJoin  rows_in="), std::string::npos)
+      << report;
+  EXPECT_NE(profile.find("\n    Filter  rows_in=1000 rows_out=" +
+                         std::to_string(red.size()) + " "),
+            std::string::npos)
+      << report;
+  EXPECT_NE(profile.find("\n      TableScan  rows_in=0 rows_out=1000 "),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(profile.find("Project"), std::string::npos) << report;
+}
+
 TEST(ExplainAnalyzeTest, IndexProbesReachTheRegistry) {
   Database db;
   ASSERT_OK(MakeTestSupplierDatabase(&db));

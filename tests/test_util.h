@@ -88,6 +88,17 @@ inline std::string RowsToString(const std::vector<Row>& rows) {
   return out;
 }
 
+/// The operator lines of an EXPLAIN ANALYZE report (its execution
+/// profile section), without the logical plans printed above them.
+inline std::string ProfileSection(const std::string& report) {
+  size_t begin = report.find("-- execution profile --");
+  size_t end = report.find("-- executor stats --");
+  if (begin == std::string::npos || end == std::string::npos || end < begin) {
+    return "";
+  }
+  return report.substr(begin, end - begin);
+}
+
 }  // namespace uniqopt
 
 #endif  // UNIQOPT_TESTS_TEST_UTIL_H_
