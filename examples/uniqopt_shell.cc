@@ -33,10 +33,10 @@
 // second); `\inject <metric> <value> [count]` records synthetic
 // histogram samples (smoke tests provoke regressions with it);
 // `DROP TABLE <t>` drops a table (and the proofs leaning on its keys);
-// `\set dop <n>` / `\set batch <rows>` configure morsel-driven parallel
-// execution and the vectorized batch size for subsequent queries
-// (`\set` alone shows the current values); `\q` quits. Host variables
-// are not supported interactively (use the library API).
+// `\set batch <rows>` sets the vectorized batch size for subsequent
+// queries (0 = tuple-at-a-time; `\set` alone shows the current value);
+// `\q` quits. Host variables are not supported interactively (use the
+// library API).
 
 #include <cstdio>
 #include <cstdlib>
@@ -124,9 +124,8 @@ int Run() {
   Database db;
   if (!MakeTestSupplierDatabase(&db).ok()) return 1;
   Optimizer optimizer(&db);
-  // Session physical defaults (\set dop / \set batch); mirrored into
-  // the optimizer so plan-cache fingerprints and cost-based
-  // alternatives track the session settings.
+  // Session physical defaults (\set batch); mirrored into the
+  // optimizer so plan-cache fingerprints track the session settings.
   PhysicalOptions physical;
   ShellTraceSink trace_sink;
   obs::HttpEndpoint endpoint(trace_sink.buffer());
@@ -158,8 +157,8 @@ int Run() {
       "\\timeline [<filter>] renders windowed series; \\alerts lists "
       "sentinel alerts;\n\\sentinel on|off|reset controls the sentinel; "
       "\\tick closes a window by hand;\n\\inject <metric> <value> [n] "
-      "records synthetic samples;\n\\set dop <n> and \\set batch <rows> "
-      "configure parallel/vectorized execution; \\q quits.\n");
+      "records synthetic samples;\n\\set batch <rows> sets the "
+      "vectorized batch size (0 = tuple-at-a-time); \\q quits.\n");
 
   std::string line;
   while (true) {
@@ -301,26 +300,21 @@ int Run() {
         if (!piece.empty()) args.push_back(piece);
       }
       if (args.empty()) {
-        std::printf("dop=%u batch=%zu\n", physical.dop,
-                    physical.batch_size);
+        std::printf("batch=%zu\n", physical.batch_size);
         continue;
       }
       char* end = nullptr;
       unsigned long long value =
           args.size() == 2 ? std::strtoull(args[1].c_str(), &end, 10) : 0;
       bool value_ok = args.size() == 2 && end != nullptr && *end == '\0';
-      if (value_ok && args[0] == "dop" && value >= 1 && value <= 64) {
-        physical.dop = static_cast<unsigned>(value);
-      } else if (value_ok && args[0] == "batch" && value <= 1000000) {
-        physical.batch_size = static_cast<size_t>(value);
-      } else {
+      if (!value_ok || args[0] != "batch" || value > 1000000) {
         std::printf(
-            "usage: \\set dop <1..64> | \\set batch <0..1000000> "
-            "(batch 0 = tuple-at-a-time)\n");
+            "usage: \\set batch <0..1000000> (0 = tuple-at-a-time)\n");
         continue;
       }
+      physical.batch_size = static_cast<size_t>(value);
       optimizer.set_default_physical(physical);
-      std::printf("dop=%u batch=%zu\n", physical.dop, physical.batch_size);
+      std::printf("batch=%zu\n", physical.batch_size);
       continue;
     }
     if (trimmed == "\\timeline" || trimmed.rfind("\\timeline ", 0) == 0) {

@@ -38,15 +38,14 @@ look up in `\\history`). With --baseline pointing at an earlier timeline
 export, the gate compares per-series median window p50 under the same
 --latency-tolerance and fails on regressions (exit code 1).
 
-A third mode gates the parallel execution layer's scaling invariants
-rather than a baseline diff: --exec-scaling reads --current (a
-bench_parallel_exec --metrics-json dump) and checks the speedup ratios
-between the bench.exec.* histograms' p50s:
+A third mode gates the batch execution path's speedup invariant rather
+than a baseline diff: --exec-scaling reads --current (a bench_batch_exec
+--metrics-json dump) and checks the speedup ratio between the
+bench.exec.* histograms' p50s:
 
- * serial / parallel (dop 8)  >= --parallel-speedup-floor (default 3.0)
- * serial / batch    (dop 1)  >= --batch-speedup-floor    (default 1.5)
+ * serial (tuple-at-a-time) / batch  >= --batch-speedup-floor (default 1.5)
 
-These are ratios within one run, so they hold on any machine speed; a
+This is a ratio within one run, so it holds on any machine speed; a
 baseline diff alone would not catch the batch path silently degrading
 into the tuple path when both got faster. Combine with --baseline to
 also run the ordinary regression diff.
@@ -193,7 +192,7 @@ def compare(baseline, current, args):
 
 def exec_scaling(current, args):
     """--exec-scaling mode: check speedup-ratio invariants between the
-    bench.exec.* series of one bench_parallel_exec run."""
+    bench.exec.* series of one bench_batch_exec run."""
     failures = []
     ratios = {}
 
@@ -208,12 +207,8 @@ def exec_scaling(current, args):
         return {}, [f"exec-scaling: bench.exec.serial.ns missing from "
                     f"{args.current}"]
 
-    for name in ("bench.exec.batch.ns", "bench.exec.dop2.ns",
-                 "bench.exec.dop4.ns", "bench.exec.parallel.ns",
-                 "bench.exec.join_distinct.ns",
-                 "bench.exec.join_eliminated.ns",
-                 "bench.exec.join_distinct_dop8.ns",
-                 "bench.exec.join_eliminated_dop8.ns"):
+    for name in ("bench.exec.batch.ns", "bench.exec.join_distinct.ns",
+                 "bench.exec.join_eliminated.ns"):
         lat = p50(name)
         if lat is not None and lat > 0:
             ratios[name] = serial / lat
@@ -231,9 +226,7 @@ def exec_scaling(current, args):
                 f"{floor:.2f}x floor (serial p50 {serial:.0f}ns, "
                 f"{name} p50 {lat:.0f}ns)")
 
-    gate("bench.exec.parallel.ns", args.parallel_speedup_floor,
-         "parallel dop-8")
-    gate("bench.exec.batch.ns", args.batch_speedup_floor, "batch dop-1")
+    gate("bench.exec.batch.ns", args.batch_speedup_floor, "batch")
     return ratios, failures
 
 
@@ -415,8 +408,6 @@ def main():
     parser.add_argument("--exec-scaling", action="store_true",
                         help="gate the bench.exec.* speedup ratios of "
                              "--current instead of diffing a baseline")
-    parser.add_argument("--parallel-speedup-floor", type=float, default=3.0,
-                        help="min serial/parallel p50 ratio (default 3.0)")
     parser.add_argument("--batch-speedup-floor", type=float, default=1.5,
                         help="min serial/batch p50 ratio (default 1.5)")
     parser.add_argument("--index-exec", action="store_true",
@@ -453,8 +444,6 @@ def main():
                         "current": args.current,
                         "exec_scaling": {
                             "speedups_vs_serial": ratios,
-                            "parallel_speedup_floor":
-                                args.parallel_speedup_floor,
                             "batch_speedup_floor": args.batch_speedup_floor,
                         },
                         "regressions": failures,

@@ -13,12 +13,11 @@
 #                 (cache_test + concurrent_prepare_test + advisor_test +
 #                 sentinel_test, whose hammer drives the plane's Tick()
 #                 against an 8-thread PrepareBatch) under ThreadSanitizer,
-#                 plus the parallel-execution hammers: cost_model_test
+#                 plus the shared-estimator hammers: cost_model_test
 #                 (the formerly racy NDV cache under concurrent
-#                 DistinctCount) and parallel_exec_test (concurrent
-#                 PrepareBatch + morsel-parallel Execute, shared join
-#                 builds, the differential serial-vs-parallel sweep),
-#                 plus the DML plane hammers: dml_test and
+#                 DistinctCount) and batch_exec_test (concurrent costed
+#                 PrepareBatch + Execute, the differential tuple-vs-batch
+#                 sweep), plus the DML plane hammers: dml_test and
 #                 dml_oracle_test (8 threads of single-writer commits
 #                 racing snapshot readers over the COW table versions)
 #   --bench-gate  run the gated benchmarks with --metrics-json, compare
@@ -33,9 +32,8 @@
 #                 monitoring must not tax the prepare path — the
 #                 equiv-prover-on vs prover-off cold-prepare p50 ratio,
 #                 which must stay <= 1.3x: certifying every rewrite must
-#                 remain a small tax — the parallel-exec scaling
-#                 gates: batch dop-1 p50 >= 1.5x over tuple-at-a-time
-#                 serial and morsel-parallel dop-8 p50 >= 3x, via
+#                 remain a small tax — the batch-exec gate: batch p50
+#                 >= 1.5x over tuple-at-a-time, via
 #                 bench_compare.py --exec-scaling — and the index-exec
 #                 gates: unique-index point lookup p50 >= 10x over the
 #                 full scan and the build-free unique-index join no
@@ -141,10 +139,6 @@ if [[ "$slow_alerts" == 0 ]]; then
 fi
 echo "sentinel smoke ok: quiet=0 alerts, 5x slowdown=${slow_alerts} alert(s)"
 
-echo "== parallel exec smoke: paper Examples 1-11 at dop 8, merged stats non-zero =="
-./build/tests/parallel_exec_test \
-  --gtest_filter='*PaperExamplesDop8MergedStatsNonZero*' --gtest_brief=1
-
 echo "== dml smoke: unique-violation rollback leaves the table byte-identical =="
 # Two scripted shell sessions against the same seed database: one just
 # dumps SUPPLIER, the other first runs an INSERT that collides with a
@@ -180,7 +174,7 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j --target obs_test analysis_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
-  parallel_exec_test dml_test index_exec_test dml_oracle_test \
+  batch_exec_test dml_test index_exec_test dml_oracle_test \
   operators_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
@@ -192,7 +186,7 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/sentinel_test
 ./build-asan/tests/equiv_test
 ./build-asan/tests/cost_model_test
-./build-asan/tests/parallel_exec_test
+./build-asan/tests/batch_exec_test
 ./build-asan/tests/dml_test
 ./build-asan/tests/index_exec_test
 ./build-asan/tests/dml_oracle_test
@@ -207,7 +201,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j --target obs_test recorder_test \
     cache_test concurrent_prepare_test advisor_test \
     timeseries_test sentinel_test equiv_test cost_model_test \
-    parallel_exec_test dml_test dml_oracle_test
+    batch_exec_test dml_test dml_oracle_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/recorder_test
   ./build-tsan/tests/cache_test
@@ -217,7 +211,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/sentinel_test
   ./build-tsan/tests/equiv_test
   ./build-tsan/tests/cost_model_test
-  ./build-tsan/tests/parallel_exec_test
+  ./build-tsan/tests/batch_exec_test
   ./build-tsan/tests/dml_test
   ./build-tsan/tests/dml_oracle_test
 fi
@@ -226,12 +220,12 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
   echo "== bench gate: run benchmarks vs bench/baselines =="
   cmake --build build -j --target \
     bench_distinct_removal bench_ims_gateway bench_analyzer \
-    bench_plan_cache bench_parallel_exec bench_index_exec
+    bench_plan_cache bench_batch_exec bench_index_exec
   mkdir -p build/bench-gate
   gate_ok=1
   summaries=()
   for bench in bench_distinct_removal bench_ims_gateway bench_analyzer \
-               bench_plan_cache bench_parallel_exec bench_index_exec; do
+               bench_plan_cache bench_batch_exec bench_index_exec; do
     current="build/bench-gate/${bench}.json"
     summary="build/bench-gate/${bench}.summary.json"
     "./build/bench/${bench}" --benchmark_min_time=0.05 \
@@ -244,10 +238,10 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
     fi
     summaries+=("$summary")
   done
-  # Scaling invariants of the parallel execution layer: ratios within
-  # one run, so they gate on any machine speed.
+  # Batch-path speedup over tuple-at-a-time: a ratio within one run, so
+  # it gates on any machine speed.
   if ! python3 scripts/bench_compare.py --exec-scaling \
-      --current build/bench-gate/bench_parallel_exec.json \
+      --current build/bench-gate/bench_batch_exec.json \
       --summary build/bench-gate/exec_scaling.summary.json; then
     gate_ok=0
   fi
@@ -316,17 +310,14 @@ except (OSError, KeyError) as e:
     equiv = equiv or {"ok": False, "error": str(e)}
     ok = False
 
-# Parallel execution scaling: batch dop-1 >= 1.5x and morsel-parallel
-# dop-8 >= 3x over the tuple-at-a-time serial p50, as judged by
-# bench_compare.py --exec-scaling on the same metrics dump.
+# Batch execution: batch >= 1.5x over the tuple-at-a-time p50, as
+# judged by bench_compare.py --exec-scaling on the same metrics dump.
 try:
     with open("build/bench-gate/exec_scaling.summary.json") as f:
         s = json.load(f)
     exec_scaling = {
         "speedups_vs_serial": s["exec_scaling"]["speedups_vs_serial"],
         "batch_speedup_floor": s["exec_scaling"]["batch_speedup_floor"],
-        "parallel_speedup_floor":
-            s["exec_scaling"]["parallel_speedup_floor"],
         "regressions": s["regressions"],
         "ok": s["ok"],
     }

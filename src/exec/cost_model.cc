@@ -33,8 +33,7 @@ std::optional<PlanEstimate> KeyedInputEstimate(
     const PlanPtr& input, std::vector<ExprPtr> conjuncts,
     const PhysicalOptions& options) {
   const GetNode* get = As<GetNode>(input);
-  if (!options.use_indexes || options.dop > 1 || get == nullptr ||
-      conjuncts.empty() ||
+  if (!options.use_indexes || get == nullptr || conjuncts.empty() ||
       !MatchIndexLookup(get->table(), Expr::MakeAnd(std::move(conjuncts)))
            .has_value()) {
     return std::nullopt;
@@ -151,26 +150,11 @@ double CostEstimator::Selectivity(const ExprPtr& predicate,
 
 double CostEstimator::EstimateRows(const PlanPtr& plan) const {
   PhysicalOptions defaults;
-  return EstimateNode(plan, defaults).rows;
+  return Estimate(plan, defaults).rows;
 }
 
 PlanEstimate CostEstimator::Estimate(const PlanPtr& plan,
                                      const PhysicalOptions& options) const {
-  PlanEstimate e = EstimateNode(plan, options);
-  if (options.dop > 1) {
-    // Morsel-driven lowering: work divides across workers, but each
-    // worker pays a startup cost and the gather point pays one exchange
-    // unit per output row (concatenation / merge of thread-local
-    // pre-aggregation). Small plans therefore correctly prefer dop=1.
-    constexpr double kWorkerStartup = 250;
-    double dop = static_cast<double>(options.dop);
-    e.cost = e.cost / dop + kWorkerStartup * dop + e.rows;
-  }
-  return e;
-}
-
-PlanEstimate CostEstimator::EstimateNode(
-    const PlanPtr& plan, const PhysicalOptions& options) const {
   switch (plan->kind()) {
     case PlanKind::kGet: {
       PlanEstimate e;
@@ -187,8 +171,8 @@ PlanEstimate CostEstimator::EstimateNode(
       // Mirror the planner: a Select over a Product is a join.
       const ProductNode* product = As<ProductNode>(node->input());
       if (product != nullptr) {
-        PlanEstimate left = EstimateNode(product->left(), options);
-        PlanEstimate right = EstimateNode(product->right(), options);
+        PlanEstimate left = Estimate(product->left(), options);
+        PlanEstimate right = Estimate(product->right(), options);
         double sel = Selectivity(node->predicate(), node->input());
         PlanEstimate e;
         e.rows = std::max(1.0, left.rows * right.rows * sel);
@@ -202,11 +186,10 @@ PlanEstimate CostEstimator::EstimateNode(
                 .value_or(left);
         // A bare keyed Get on the build side is probed through its
         // unique index — the build phase (and the build-side scan)
-        // disappears. Parallel lowerings (dop > 1) keep the shared hash
-        // build.
+        // disappears.
         const GetNode* right_get = As<GetNode>(product->right());
         if (!split.left_keys.empty() && options.use_indexes &&
-            options.dop <= 1 && right_get != nullptr &&
+            right_get != nullptr &&
             MatchUniqueIndexJoin(right_get->table(), split.left_keys,
                                  split.right_keys)
                 .has_value()) {
@@ -226,7 +209,7 @@ PlanEstimate CostEstimator::EstimateNode(
               node->input(), FlattenAnd(node->predicate()), options)) {
         return *probe;
       }
-      PlanEstimate in = EstimateNode(node->input(), options);
+      PlanEstimate in = Estimate(node->input(), options);
       PlanEstimate e;
       e.rows = std::max(1.0, in.rows * Selectivity(node->predicate(),
                                                    node->input()));
@@ -239,7 +222,7 @@ PlanEstimate CostEstimator::EstimateNode(
     }
     case PlanKind::kProject: {
       const ProjectNode* node = As<ProjectNode>(plan);
-      PlanEstimate in = EstimateNode(node->input(), options);
+      PlanEstimate in = Estimate(node->input(), options);
       PlanEstimate e;
       if (node->mode() == DuplicateMode::kAll) {
         e.rows = in.rows;
@@ -262,8 +245,8 @@ PlanEstimate CostEstimator::EstimateNode(
     }
     case PlanKind::kProduct: {
       const ProductNode* node = As<ProductNode>(plan);
-      PlanEstimate left = EstimateNode(node->left(), options);
-      PlanEstimate right = EstimateNode(node->right(), options);
+      PlanEstimate left = Estimate(node->left(), options);
+      PlanEstimate right = Estimate(node->right(), options);
       PlanEstimate e;
       e.rows = left.rows * right.rows;
       e.cost = left.cost + right.cost + e.rows;
@@ -271,8 +254,8 @@ PlanEstimate CostEstimator::EstimateNode(
     }
     case PlanKind::kExists: {
       const ExistsNode* node = As<ExistsNode>(plan);
-      PlanEstimate outer = EstimateNode(node->outer(), options);
-      PlanEstimate inner = EstimateNode(node->sub(), options);
+      PlanEstimate outer = Estimate(node->outer(), options);
+      PlanEstimate inner = Estimate(node->sub(), options);
       PlanEstimate e;
       e.rows = std::max(1.0, outer.rows * (node->negated() ? 0.25 : 0.75));
       bool has_equi = false;
@@ -294,8 +277,8 @@ PlanEstimate CostEstimator::EstimateNode(
     }
     case PlanKind::kSetOp: {
       const SetOpNode* node = As<SetOpNode>(plan);
-      PlanEstimate left = EstimateNode(node->left(), options);
-      PlanEstimate right = EstimateNode(node->right(), options);
+      PlanEstimate left = Estimate(node->left(), options);
+      PlanEstimate right = Estimate(node->right(), options);
       PlanEstimate e;
       e.rows = node->op() == SetOpAlgebra::kIntersect
                    ? std::min(left.rows, right.rows) * 0.5
@@ -312,7 +295,7 @@ PlanEstimate CostEstimator::EstimateNode(
     }
     case PlanKind::kAggregate: {
       const AggregateNode* node = As<AggregateNode>(plan);
-      PlanEstimate in = EstimateNode(node->input(), options);
+      PlanEstimate in = Estimate(node->input(), options);
       PlanEstimate e;
       double groups = 1;
       for (size_t col : node->group_columns()) {
@@ -341,8 +324,7 @@ size_t ChooseBestAlternative(const CostEstimator& estimator,
 }
 
 std::vector<PlanAlternative> StandardAlternatives(const PlanPtr& original,
-                                                  const PlanPtr& rewritten,
-                                                  unsigned dop) {
+                                                  const PlanPtr& rewritten) {
   std::vector<PlanAlternative> out;
   auto add = [&](const PlanPtr& plan, const char* which) {
     PhysicalOptions hash;
@@ -360,14 +342,6 @@ std::vector<PlanAlternative> StandardAlternatives(const PlanPtr& original,
       PhysicalOptions merge = hash;
       merge.sort_merge_intersect = true;
       out.push_back({plan, merge, std::string(which) + "/sort-merge", {}});
-    }
-    if (dop > 1) {
-      PhysicalOptions parallel = hash;
-      parallel.dop = dop;
-      out.push_back({plan, parallel,
-                     std::string(which) + "/parallel-dop" +
-                         std::to_string(dop),
-                     {}});
     }
   };
   add(original, "original");

@@ -43,8 +43,6 @@ class CostEstimator {
   double DistinctCount(const std::string& table, size_t column) const;
 
  private:
-  PlanEstimate EstimateNode(const PlanPtr& plan,
-                            const PhysicalOptions& options) const;
   /// Selectivity of a predicate over `plan`'s output (heuristic:
   /// equality via distinct counts, ranges 1/3, conjunction multiplies,
   /// disjunction adds).
@@ -79,12 +77,9 @@ size_t ChooseBestAlternative(const CostEstimator& estimator,
 
 /// Builds the standard candidate set for a query: the original and the
 /// rewritten plan, each under hash and nested-loop/sort strategies
-/// (and, for set operations, the sort-merge variant). With dop > 1, a
-/// parallel-at-dop hash variant of each plan joins the pool and
-/// competes under the parallel lowering cost.
+/// (and, for set operations, the sort-merge variant).
 std::vector<PlanAlternative> StandardAlternatives(const PlanPtr& original,
-                                                  const PlanPtr& rewritten,
-                                                  unsigned dop = 1);
+                                                  const PlanPtr& rewritten);
 
 }  // namespace uniqopt
 

@@ -132,24 +132,6 @@ size_t JoinHashTable::LongestChain() const {
   return longest;
 }
 
-// ---------------------------------------------------------- SharedJoinBuild
-Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_ != State::kIdle) {
-      cv_.wait(lock, [&] { return state_ != State::kBuilding; });
-      return state_ == State::kFailed ? failure_ : Status::OK();
-    }
-    state_ = State::kBuilding;
-  }
-  Status status = table_.Build(build_side, ctx);
-  std::unique_lock<std::mutex> lock(mu_);
-  state_ = status.ok() ? State::kPublished : State::kFailed;
-  failure_ = status;
-  cv_.notify_all();
-  return status;
-}
-
 // ----------------------------------------------------------- JoinProjection
 JoinProjection::JoinProjection(size_t left_width, size_t right_width,
                                std::vector<size_t> columns)

@@ -1,11 +1,9 @@
 #ifndef UNIQOPT_EXEC_JOIN_HASH_TABLE_H_
 #define UNIQOPT_EXEC_JOIN_HASH_TABLE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "exec/operator.h"
@@ -17,10 +15,9 @@ namespace uniqopt {
 /// under SQL `=` (3VL), on either side of a join.
 bool HasNullKey(const Row& row, const std::vector<size_t>& columns);
 
-/// The build side of every hash equi-join (inner, semi, anti, and the
-/// parallel shared build): build rows referenced by ordinal, chained per
-/// bucket through uint32 links, with each row's 64-bit key hash stored
-/// beside it.
+/// The build side of every hash equi-join (inner, semi and anti): build
+/// rows referenced by ordinal, chained per bucket through uint32 links,
+/// with each row's 64-bit key hash stored beside it.
 ///
 /// Keys are hashed in place (UniqueIndex::HashOfColumns: Value::Hash per
 /// column, then the 64-bit finalizer, so keys that differ only in high
@@ -94,32 +91,6 @@ class JoinHashTable {
   std::vector<uint32_t> buckets_;  ///< chain heads; size a power of two
   std::deque<Row> owned_;          ///< rows moved or copied in
   std::vector<RowBatch::Pin> pins_;
-};
-
-/// One JoinHashTable shared by the workers of a parallel join: the first
-/// worker to arrive builds it from its own build-side operator (the
-/// other workers' build subtrees are never opened) while the rest wait;
-/// once published it is read-only, so probes need no synchronization.
-/// The mutex hand-off orders the build before every probe.
-class SharedJoinBuild {
- public:
-  explicit SharedJoinBuild(std::vector<size_t> keys) : table_(std::move(keys)) {}
-
-  /// Blocks until the table is published; build rows are counted into
-  /// the building worker's stats.
-  Status EnsureBuilt(Operator* build_side, ExecContext* ctx);
-
-  /// Valid after EnsureBuilt succeeded.
-  const JoinHashTable& table() const { return table_; }
-
- private:
-  enum class State { kIdle, kBuilding, kPublished, kFailed };
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  State state_ = State::kIdle;
-  Status failure_;
-  JoinHashTable table_;
 };
 
 /// The output row of a join: listed columns of the concatenation

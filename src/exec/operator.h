@@ -15,10 +15,7 @@ namespace uniqopt {
 
 /// Work counters accumulated across one execution. The §5/§6 claims are
 /// about work avoided (sort comparisons, inner scans, pointer chases), so
-/// operators account for it explicitly. Under parallel execution each
-/// worker accumulates into a thread-local ExecStats which the
-/// coordinator folds into the caller's via Merge() after joining, so
-/// the totals stay exact at any degree of parallelism.
+/// operators account for it explicitly.
 struct ExecStats {
   size_t rows_scanned = 0;      ///< base-table rows read
   size_t rows_sorted = 0;       ///< rows fed into a sort
@@ -27,11 +24,10 @@ struct ExecStats {
   size_t hash_build_rows = 0;   ///< rows inserted into hash tables
   size_t inner_loop_rows = 0;   ///< inner rows visited by nested loops
   size_t rows_output = 0;       ///< rows returned by the root operator
-  size_t morsels_claimed = 0;   ///< scan morsels claimed (parallel only)
   size_t index_probes = 0;      ///< unique-index point/join probes
 
   void Reset() { *this = ExecStats(); }
-  /// Folds another worker's counters into this one.
+  /// Adds another execution's counters to this one.
   void Merge(const ExecStats& other) {
     rows_scanned += other.rows_scanned;
     rows_sorted += other.rows_sorted;
@@ -40,7 +36,6 @@ struct ExecStats {
     hash_build_rows += other.hash_build_rows;
     inner_loop_rows += other.inner_loop_rows;
     rows_output += other.rows_output;
-    morsels_claimed += other.morsels_claimed;
     index_probes += other.index_probes;
   }
   std::string ToString() const;

@@ -15,7 +15,6 @@ std::string ExecStats::ToString() const {
   out += " hash_build_rows=" + std::to_string(hash_build_rows);
   out += " inner_loop_rows=" + std::to_string(inner_loop_rows);
   out += " rows_output=" + std::to_string(rows_output);
-  out += " morsels_claimed=" + std::to_string(morsels_claimed);
   out += " index_probes=" + std::to_string(index_probes);
   return out;
 }
@@ -256,8 +255,7 @@ void NestedLoopProductOp::Close() {
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
                        std::vector<size_t> left_keys,
                        std::vector<size_t> right_keys, ExprPtr residual,
-                       std::vector<size_t> output_columns,
-                       std::shared_ptr<SharedJoinBuild> shared)
+                       std::vector<size_t> output_columns)
     : Operator(JoinProjection::OutputSchema(left->schema(), right->schema(),
                                             output_columns)),
       left_(std::move(left)),
@@ -266,15 +264,10 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
       residual_(std::move(residual)),
       output_(left_->schema().num_columns(), right_->schema().num_columns(),
               std::move(output_columns)),
-      own_(std::move(right_keys)),
-      shared_(std::move(shared)) {}
+      build_(std::move(right_keys)) {}
 
 Status HashJoinOp::Open(ExecContext* ctx) {
-  // A shared build is drained by one worker only; its right_ is opened
-  // and closed inside EnsureBuilt, like an own build's inside Build.
-  UNIQOPT_RETURN_NOT_OK(shared_ != nullptr
-                            ? shared_->EnsureBuilt(right_.get(), ctx)
-                            : own_.Build(right_.get(), ctx));
+  UNIQOPT_RETURN_NOT_OK(build_.Build(right_.get(), ctx));
   UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
   matches_ = JoinHashTable::Matches();
   probe_batch_ = RowBatch(BatchCapacity(ctx));
@@ -293,13 +286,12 @@ Result<bool> HashJoinOp::Next(ExecContext* ctx, Row* row) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
     if (!more) return false;
     ++ctx->stats.hash_probes;
-    matches_ = table().Find(left_row_, left_keys_);
+    matches_ = build_.Find(left_row_, left_keys_);
   }
 }
 
 Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->Reset();
-  const JoinHashTable& build = table();
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more,
                              left_->NextBatch(ctx, &probe_batch_));
@@ -307,7 +299,7 @@ Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
     ctx->stats.hash_probes += probe_batch_.size();
     for (size_t i = 0; i < probe_batch_.size(); ++i) {
       const Row& probe = probe_batch_.row(i);
-      for (auto m = build.Find(probe, left_keys_); !m.done(); m.Next()) {
+      for (auto m = build_.Find(probe, left_keys_); !m.done(); m.Next()) {
         if (ResidualHolds(residual_, probe, m.row(), *ctx)) {
           out->Append(output_.Make(probe, m.row()));
         }
@@ -319,7 +311,7 @@ Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 
 void HashJoinOp::Close() {
   left_->Close();
-  own_.Clear();
+  build_.Clear();
 }
 
 // ------------------------------------------------------ NestedLoopSemiJoin
@@ -447,7 +439,46 @@ void SetOpOp::Close() {
   emitted_.clear();
 }
 
-// --------------------------------------------------- GroupedAggregator
+// ------------------------------------------------------- HashAggregate
+namespace {
+
+/// Grouping + aggregate folding under `=!` for HashAggregateOp.
+class GroupedAggregator {
+ public:
+  GroupedAggregator(const Schema& input_schema,
+                    std::vector<size_t> group_columns,
+                    std::vector<AggregateItem> aggregates);
+
+  /// Folds one input row into its group's states, counting one hash
+  /// probe into `stats`.
+  void Accumulate(const Row& row, ExecStats* stats);
+
+  /// Materializes the output rows (group key columns ⊕ aggregate
+  /// results). A scalar aggregate over empty input yields one row
+  /// (COUNT = 0, other aggregates NULL).
+  std::vector<Row> Finalize() const;
+
+ private:
+  struct AggState {
+    int64_t count = 0;        // non-NULL inputs (or rows for COUNT(*))
+    int64_t sum_int = 0;
+    double sum_double = 0;
+    Value min;
+    Value max;
+    bool any = false;         // saw a non-NULL input
+  };
+
+  void Fold(std::vector<AggState>* group, const Row& row) const;
+  size_t GroupSlot(const Row& key_source);
+
+  std::vector<size_t> group_columns_;
+  std::vector<AggregateItem> aggregates_;
+  std::vector<TypeId> arg_types_;  ///< result type per aggregate
+  std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> group_index_;
+  std::vector<Row> group_keys_;
+  std::vector<std::vector<AggState>> states_;
+};
+
 GroupedAggregator::GroupedAggregator(const Schema& input_schema,
                                      std::vector<size_t> group_columns,
                                      std::vector<AggregateItem> aggregates)
@@ -463,11 +494,9 @@ GroupedAggregator::GroupedAggregator(const Schema& input_schema,
 
 size_t GroupedAggregator::GroupSlot(const Row& key_source) {
   // Scalar aggregate: one global group, no per-row key projection or
-  // hashing. group_index_ still learns the (empty) key so MergeFrom
-  // finds the same slot.
+  // hashing.
   if (group_columns_.empty()) {
     if (states_.empty()) {
-      group_index_.emplace(Row(), 0);
       group_keys_.emplace_back();
       states_.emplace_back(aggregates_.size());
     }
@@ -536,32 +565,6 @@ void GroupedAggregator::Accumulate(const Row& row, ExecStats* stats) {
   Fold(&states_[GroupSlot(row)], row);
 }
 
-void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
-  for (size_t g = 0; g < other.group_keys_.size(); ++g) {
-    // other.group_keys_[g] is already projected onto the group columns.
-    auto [it, inserted] = group_index_.emplace(other.group_keys_[g],
-                                               group_keys_.size());
-    if (inserted) {
-      group_keys_.push_back(other.group_keys_[g]);
-      states_.emplace_back(aggregates_.size());
-    }
-    std::vector<AggState>& mine = states_[it->second];
-    const std::vector<AggState>& theirs = other.states_[g];
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      AggState& st = mine[a];
-      const AggState& o = theirs[a];
-      st.count += o.count;
-      st.sum_int += o.sum_int;
-      st.sum_double += o.sum_double;
-      if (o.any) {
-        if (!st.any || o.min.Compare(st.min) < 0) st.min = o.min;
-        if (!st.any || o.max.Compare(st.max) > 0) st.max = o.max;
-        st.any = true;
-      }
-    }
-  }
-}
-
 std::vector<Row> GroupedAggregator::Finalize() const {
   std::vector<Row> out_rows;
   // A scalar aggregate always yields one group, even over empty input.
@@ -608,7 +611,8 @@ std::vector<Row> GroupedAggregator::Finalize() const {
   return out_rows;
 }
 
-// ------------------------------------------------------- HashAggregate
+}  // namespace
+
 Status HashAggregateOp::Open(ExecContext* ctx) {
   output_.clear();
   pos_ = 0;

@@ -158,39 +158,26 @@ class NestedLoopProductOp final : public Operator {
 /// predicate (over left ⊕ right) is applied to each candidate pair, and
 /// each surviving pair is emitted as `output_columns` of left ⊕ right —
 /// the π above the join, fused into it (empty: the whole concatenation).
-///
-/// With `shared` set, the operator is one worker's probe side of a
-/// parallel join: the build comes from the SharedJoinBuild that all
-/// workers share, built once from whichever worker's `right` arrives
-/// first.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual, std::vector<size_t> output_columns = {},
-             std::shared_ptr<SharedJoinBuild> shared = nullptr);
+             ExprPtr residual, std::vector<size_t> output_columns = {});
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
   /// Probes a whole input batch per call, emitting all matches.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
-  std::string name() const override {
-    return shared_ != nullptr ? "SharedHashJoinProbe" : "HashJoin";
-  }
+  std::string name() const override { return "HashJoin"; }
 
  private:
-  const JoinHashTable& table() const {
-    return shared_ != nullptr ? shared_->table() : own_;
-  }
-
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<size_t> left_keys_;
   ExprPtr residual_;
   JoinProjection output_;
-  JoinHashTable own_;
-  std::shared_ptr<SharedJoinBuild> shared_;
+  JoinHashTable build_;
   Row left_row_;
   JoinHashTable::Matches matches_;
   RowBatch probe_batch_;
@@ -286,50 +273,6 @@ class SetOpOp final : public Operator {
   OperatorPtr right_;
   std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> right_counts_;
   std::unordered_set<Row, RowHash, RowNullSafeEqual> emitted_;
-};
-
-/// Grouping + aggregate folding under `=!`, factored out of
-/// HashAggregateOp so parallel workers can pre-aggregate thread-locally
-/// and merge partial states at the pipeline breaker (AVG merges as
-/// sum + count, MIN/MAX by comparison, COUNT/SUM by addition).
-class GroupedAggregator {
- public:
-  GroupedAggregator(const Schema& input_schema,
-                    std::vector<size_t> group_columns,
-                    std::vector<AggregateItem> aggregates);
-
-  /// Folds one input row into its group's states. Counts one hash probe
-  /// into `stats`, matching the serial HashAggregateOp accounting.
-  void Accumulate(const Row& row, ExecStats* stats);
-
-  /// Folds another aggregator's partial states into this one. Both must
-  /// have been built with the same grouping/aggregate spec.
-  void MergeFrom(const GroupedAggregator& other);
-
-  /// Materializes the output rows (group key columns ⊕ aggregate
-  /// results). A scalar aggregate over empty input yields one row
-  /// (COUNT = 0, other aggregates NULL).
-  std::vector<Row> Finalize() const;
-
- private:
-  struct AggState {
-    int64_t count = 0;        // non-NULL inputs (or rows for COUNT(*))
-    int64_t sum_int = 0;
-    double sum_double = 0;
-    Value min;
-    Value max;
-    bool any = false;         // saw a non-NULL input
-  };
-
-  void Fold(std::vector<AggState>* group, const Row& row) const;
-  size_t GroupSlot(const Row& key_source);
-
-  std::vector<size_t> group_columns_;
-  std::vector<AggregateItem> aggregates_;
-  std::vector<TypeId> arg_types_;  ///< result type per aggregate
-  std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> group_index_;
-  std::vector<Row> group_keys_;
-  std::vector<std::vector<AggState>> states_;
 };
 
 /// Hash aggregation for the GROUP BY extension: groups rows under `=!`

@@ -1,11 +1,9 @@
 #include "exec/planner.h"
 
-#include <memory>
 #include <optional>
 
 #include "exec/index_exec.h"
 #include "exec/operators.h"
-#include "exec/parallel.h"
 
 namespace uniqopt {
 
@@ -14,8 +12,8 @@ namespace {
 class Lowering {
  public:
   Lowering(const Database& db, const PhysicalOptions& options,
-           ExecProfile* profile, ParallelLoweringHooks* hooks)
-      : db_(db), options_(options), profile_(profile), hooks_(hooks) {}
+           ExecProfile* profile)
+      : db_(db), options_(options), profile_(profile) {}
 
   /// Lowers one plan node; with a profile attached, the node's operator
   /// (plus any helper operators lowered inline for it, e.g. pushed-down
@@ -41,14 +39,11 @@ class Lowering {
 
   /// σ[predicate] over a bare keyed Get whose equality conjuncts cover a
   /// declared key is at most one row, so it can probe the unique index
-  /// instead of scanning. Parallel lowerings keep the scan — a single
-  /// probe has nothing to parallelize.
+  /// instead of scanning.
   std::optional<IndexLookupMatch> MatchKeyedInput(const PlanPtr& input,
                                                   const ExprPtr& predicate) {
     const GetNode* get = As<GetNode>(input);
-    if (!options_.use_indexes || hooks_ != nullptr || get == nullptr) {
-      return std::nullopt;
-    }
+    if (!options_.use_indexes || get == nullptr) return std::nullopt;
     return MatchIndexLookup(get->table(), predicate);
   }
 
@@ -116,10 +111,6 @@ class Lowering {
   }
 
   Result<OperatorPtr> LowerGet(const GetNode& node) {
-    if (hooks_ != nullptr && &node == hooks_->driver) {
-      return OperatorPtr(new MorselScanOp(hooks_->driver_snapshot,
-                                          node.schema(), hooks_->cursor));
-    }
     UNIQOPT_ASSIGN_OR_RETURN(const Table* table,
                              db_.GetTable(node.table().name()));
     return OperatorPtr(new TableScanOp(table, node.schema()));
@@ -129,7 +120,6 @@ class Lowering {
   /// (hash joins enabled): the shape that lowers to an equi-join, with
   /// its predicate split the way the join consumes it.
   struct EquiJoin {
-    const SelectNode* select;
     const ProductNode* product;
     JoinSplit split;
   };
@@ -145,7 +135,7 @@ class Lowering {
         SplitJoinPredicate(select->predicate(),
                            product->left()->schema().num_columns(), options_);
     if (split.left_keys.empty()) return std::nullopt;
-    return EquiJoin{select, product, std::move(split)};
+    return EquiJoin{product, std::move(split)};
   }
 
   /// π onto `node`'s columns. Stacked π_All compose into one column
@@ -227,7 +217,7 @@ class Lowering {
     // are exactly a declared key, the committed unique index already IS
     // the hash table: probe it and skip the build phase entirely.
     const GetNode* right_get = As<GetNode>(product.right());
-    if (options_.use_indexes && hooks_ == nullptr && right_get != nullptr) {
+    if (options_.use_indexes && right_get != nullptr) {
       std::optional<IndexJoinMatch> match = MatchUniqueIndexJoin(
           right_get->table(), split.left_keys, split.right_keys);
       if (match.has_value()) {
@@ -254,22 +244,9 @@ class Lowering {
     UNIQOPT_ASSIGN_OR_RETURN(
         OperatorPtr right,
         LowerJoinInput(product.right(), std::move(split.right_only)));
-    std::shared_ptr<SharedJoinBuild> shared;
-    if (hooks_ != nullptr) {
-      // All worker lowerings hit this node (pointer identity — plan
-      // nodes are shared, not copied, across lowerings), so the first
-      // one creates the shared build and the rest reuse it.
-      std::shared_ptr<SharedJoinBuild>& build =
-          hooks_->shared_builds[join.select];
-      if (build == nullptr) {
-        build = std::make_shared<SharedJoinBuild>(split.right_keys);
-      }
-      shared = build;
-    }
     return OperatorPtr(new HashJoinOp(
         std::move(left), std::move(right), std::move(split.left_keys),
-        std::move(split.right_keys), std::move(res), std::move(columns),
-        std::move(shared)));
+        std::move(split.right_keys), std::move(res), std::move(columns)));
   }
 
   Result<OperatorPtr> LowerExists(const ExistsNode& node) {
@@ -315,7 +292,6 @@ class Lowering {
   const Database& db_;
   const PhysicalOptions& options_;
   ExecProfile* profile_;
-  ParallelLoweringHooks* hooks_;
   int depth_ = 0;
 };
 
@@ -324,9 +300,8 @@ class Lowering {
 Result<OperatorPtr> CreatePhysicalPlan(const PlanPtr& plan,
                                        const Database& db,
                                        const PhysicalOptions& options,
-                                       ExecProfile* profile,
-                                       ParallelLoweringHooks* hooks) {
-  Lowering lowering(db, options, profile, hooks);
+                                       ExecProfile* profile) {
+  Lowering lowering(db, options, profile);
   return lowering.Lower(plan);
 }
 
@@ -334,13 +309,6 @@ Result<std::vector<Row>> ExecutePlan(const PlanPtr& plan, const Database& db,
                                      ExecContext* ctx,
                                      const PhysicalOptions& options,
                                      ExecProfile* profile) {
-  if (options.dop > 1) {
-    UNIQOPT_ASSIGN_OR_RETURN(
-        std::optional<std::vector<Row>> parallel,
-        TryParallelExecute(plan, db, ctx, options, profile));
-    if (parallel.has_value()) return std::move(*parallel);
-    // Unsupported plan shape: fall through to the serial executor.
-  }
   ctx->batch_size = options.batch_size;
   UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr root,
                            CreatePhysicalPlan(plan, db, options, profile));

@@ -30,11 +30,6 @@ struct PhysicalOptions {
   /// zero-copy views, filters compact selection vectors). 0 reverts to
   /// tuple-at-a-time Volcano iteration.
   size_t batch_size = RowBatch::kDefaultBatchSize;
-  /// Degree of parallelism for morsel-driven execution. With dop > 1,
-  /// ExecutePlan splits the driving base-table scan into fixed-size
-  /// morsels claimed by `dop` workers via an atomic cursor; plans whose
-  /// shape the parallel lowering does not support fall back to serial.
-  unsigned dop = 1;
   /// Lower equality predicates that cover a declared unique key to
   /// index point lookups, and join builds whose build side is a bare
   /// keyed Get to unique-index probes (the committed index IS the hash
@@ -51,16 +46,10 @@ struct PhysicalOptions {
     salt |= sort_merge_intersect ? 4u : 0u;
     salt |= predicate_pushdown ? 8u : 0u;
     salt |= use_indexes ? 16u : 0u;
-    salt |= static_cast<uint64_t>(dop & 0xffu) << 8;
     salt |= static_cast<uint64_t>(batch_size & 0xffffffffu) << 16;
     return salt;
   }
 };
-
-/// Internal hooks threaded through the lowering by the parallel
-/// executor (morsel-cursor scan substitution, shared hash-join builds).
-/// Defined in exec/parallel.h; callers outside the executor pass none.
-struct ParallelLoweringHooks;
 
 /// Lowers a logical plan to an executable operator tree over `db`. With
 /// `profile` non-null every lowered plan node is wrapped in a metering
@@ -68,13 +57,10 @@ struct ParallelLoweringHooks;
 Result<OperatorPtr> CreatePhysicalPlan(const PlanPtr& plan,
                                        const Database& db,
                                        const PhysicalOptions& options = {},
-                                       ExecProfile* profile = nullptr,
-                                       ParallelLoweringHooks* hooks = nullptr);
+                                       ExecProfile* profile = nullptr);
 
-/// Lower + execute in one step. With options.dop > 1 the plan runs on
-/// the morsel-driven parallel executor when its shape supports it
-/// (serial fallback otherwise); options.batch_size selects the
-/// vectorized NextBatch path in either mode.
+/// Lower + execute in one step; options.batch_size selects the
+/// vectorized NextBatch path.
 Result<std::vector<Row>> ExecutePlan(const PlanPtr& plan, const Database& db,
                                      ExecContext* ctx,
                                      const PhysicalOptions& options = {},

@@ -57,26 +57,8 @@ uint64_t ExecProfile::SelfTimeNs(size_t slot) const {
   return children > total ? 0 : total - children;
 }
 
-void ExecProfile::SetParallel(unsigned dop, size_t batch_size,
-                              std::vector<WorkerProfile> workers) {
-  parallel_dop_ = dop;
-  parallel_batch_size_ = batch_size;
-  workers_ = std::move(workers);
-}
-
 std::string ExecProfile::ToText() const {
   std::string out;
-  if (parallel_dop_ > 0) {
-    out += "  Gather  dop=" + std::to_string(parallel_dop_) +
-           " batch_size=" + std::to_string(parallel_batch_size_) + "\n";
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      const WorkerProfile& wp = workers_[w];
-      out += "    worker " + std::to_string(w) +
-             ": morsels=" + std::to_string(wp.morsels) +
-             " rows=" + std::to_string(wp.rows) +
-             " busy=" + FormatNs(wp.busy_ns) + "\n";
-    }
-  }
   for (size_t i = 0; i < ops_.size(); ++i) {
     const OpProfile& op = ops_[i];
     out += std::string(static_cast<size_t>(op.depth) * 2 + 2, ' ');

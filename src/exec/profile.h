@@ -19,15 +19,6 @@ struct OpProfile {
                            ///< included (self time derivable from them)
 };
 
-/// Measured behaviour of one parallel worker during a profiled
-/// execution: morsels it claimed, rows it produced, wall time spent in
-/// its pipeline.
-struct WorkerProfile {
-  uint64_t morsels = 0;
-  uint64_t rows = 0;
-  uint64_t busy_ns = 0;
-};
-
 /// Per-operator instrumentation for one execution: slots are registered
 /// in preorder during lowering, so `ops[i]`'s direct children are the
 /// following entries at depth + 1 (until a shallower entry).
@@ -46,30 +37,12 @@ class ExecProfile {
   /// Time in slot i excluding time attributed to its direct children.
   uint64_t SelfTimeNs(size_t slot) const;
 
-  /// Attaches the parallel-execution section: one entry per worker.
-  /// ToText then renders a Gather header with per-worker morsel/row
-  /// counts above the (serial) operator slots.
-  void SetParallel(unsigned dop, size_t batch_size,
-                   std::vector<WorkerProfile> workers);
-  unsigned parallel_dop() const { return parallel_dop_; }
-  const std::vector<WorkerProfile>& workers() const { return workers_; }
-
-  void Clear() {
-    ops_.clear();
-    workers_.clear();
-    parallel_dop_ = 0;
-    parallel_batch_size_ = 0;
-  }
-
   /// EXPLAIN ANALYZE rendering: one indented line per operator with
   /// rows in/out and total/self time.
   std::string ToText() const;
 
  private:
   std::vector<OpProfile> ops_;
-  unsigned parallel_dop_ = 0;
-  size_t parallel_batch_size_ = 0;
-  std::vector<WorkerProfile> workers_;
 };
 
 /// Decorator that meters a wrapped operator into an ExecProfile slot.

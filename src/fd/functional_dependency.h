@@ -26,20 +26,24 @@ struct FunctionalDependency {
 /// A set of FDs supporting attribute-set closure (Armstrong's axioms) and
 /// key tests. Inference rules are sound for the paper's `=!`-based FDs:
 /// reflexivity, augmentation and transitivity all hold because `=!` is a
-/// true equivalence relation on values (unlike the 3VL `=`).
+/// true equivalence relation on values (unlike the 3VL `=`). Each FD is
+/// held once: adding one with the same lhs and rhs as a held FD is a
+/// no-op.
 class FdSet {
  public:
   FdSet() = default;
 
-  void Add(FunctionalDependency fd) { fds_.push_back(std::move(fd)); }
+  void Add(FunctionalDependency fd) {
+    if (!Contains(fd)) fds_.push_back(std::move(fd));
+  }
   void Add(AttributeSet lhs, AttributeSet rhs) {
-    fds_.push_back({std::move(lhs), std::move(rhs)});
+    Add(FunctionalDependency{std::move(lhs), std::move(rhs)});
   }
   /// Adds the constant-column dependency ∅ → {attr}.
   void AddConstant(size_t attr) {
     FunctionalDependency fd;
     fd.rhs.Add(attr);
-    fds_.push_back(std::move(fd));
+    Add(std::move(fd));
   }
   /// Adds the bidirectional equivalence a ↔ b (from a = b under 3VL: both
   /// sides non-NULL and equal whenever the predicate passed).
@@ -53,7 +57,8 @@ class FdSet {
   bool empty() const { return fds_.empty(); }
 
   void Append(const FdSet& other) {
-    fds_.insert(fds_.end(), other.fds_.begin(), other.fds_.end());
+    if (&other == this) return;
+    for (const FunctionalDependency& fd : other.fds_) Add(fd);
   }
 
   /// All FDs with attributes shifted by `offset` (product re-basing).
@@ -80,6 +85,13 @@ class FdSet {
   std::string ToString() const;
 
  private:
+  bool Contains(const FunctionalDependency& fd) const {
+    for (const FunctionalDependency& held : fds_) {
+      if (held.lhs == fd.lhs && held.rhs == fd.rhs) return true;
+    }
+    return false;
+  }
+
   std::vector<FunctionalDependency> fds_;
 };
 

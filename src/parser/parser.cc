@@ -130,6 +130,20 @@ class Parser {
     return Advance().text;
   }
 
+  /// Runs `parse` one nesting level deeper (see kMaxNestingDepth).
+  template <typename ParseFn>
+  auto Nested(const ParseFn& parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNestingDepth) {
+      return Status::InvalidArgument(
+          "nesting exceeds the limit of " + std::to_string(kMaxNestingDepth) +
+          " levels at offset " + std::to_string(Peek().offset));
+    }
+    ++depth_;
+    auto parsed = parse();
+    --depth_;
+    return parsed;
+  }
+
   // -- Query expressions ---------------------------------------------------
   Result<QueryPtr> ParseQueryExpr() {
     auto q = std::make_unique<Query>();
@@ -246,7 +260,9 @@ class Parser {
   }
 
   // -- Expressions ----------------------------------------------------------
-  Result<AstExprPtr> ParseExpr() { return ParseOr(); }
+  Result<AstExprPtr> ParseExpr() {
+    return Nested([&] { return ParseOr(); });
+  }
 
   Result<AstExprPtr> ParseOr() {
     UNIQOPT_ASSIGN_OR_RETURN(AstExprPtr left, ParseAnd());
@@ -278,7 +294,8 @@ class Parser {
 
   Result<AstExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
-      UNIQOPT_ASSIGN_OR_RETURN(AstExprPtr child, ParseNot());
+      UNIQOPT_ASSIGN_OR_RETURN(AstExprPtr child,
+                               Nested([&] { return ParseNot(); }));
       // NOT EXISTS folds into the EXISTS node.
       if (child->kind == AstExprKind::kExists) {
         child->negated = !child->negated;
@@ -300,7 +317,8 @@ class Parser {
       Advance();
       node->kind = AstExprKind::kExists;
       UNIQOPT_RETURN_NOT_OK(ExpectSymbol("("));
-      UNIQOPT_ASSIGN_OR_RETURN(node->subquery, ParseQuerySpec());
+      UNIQOPT_ASSIGN_OR_RETURN(node->subquery,
+                               Nested([&] { return ParseQuerySpec(); }));
       UNIQOPT_RETURN_NOT_OK(ExpectSymbol(")"));
       return node;
     }
@@ -364,7 +382,8 @@ class Parser {
         node->negated = negated;
         node->offset = left->offset;
         node->children.push_back(std::move(left));
-        UNIQOPT_ASSIGN_OR_RETURN(node->subquery, ParseQuerySpec());
+        UNIQOPT_ASSIGN_OR_RETURN(node->subquery,
+                                 Nested([&] { return ParseQuerySpec(); }));
         UNIQOPT_RETURN_NOT_OK(ExpectSymbol(")"));
         return node;
       }
@@ -683,6 +702,7 @@ class Parser {
   std::string_view sql_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< nesting levels entered (see Nested)
 };
 
 }  // namespace

@@ -8,6 +8,12 @@
 
 namespace uniqopt {
 
+/// Deepest nesting of parenthesized expressions, NOTs and subqueries a
+/// statement may have. The parser recurses once per level, so deeper
+/// input is rejected with kInvalidArgument instead of overflowing the
+/// stack (SQLite bounds expression depth at the same value).
+inline constexpr int kMaxNestingDepth = 1000;
+
 /// Parses one SQL statement (query or CREATE TABLE); trailing `;` is
 /// accepted, trailing garbage is an error.
 Result<StatementPtr> ParseStatement(std::string_view sql);

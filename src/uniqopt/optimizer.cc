@@ -272,8 +272,8 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     static const PhaseDef kCost = MakePhaseDef("cost");
     Phase phase(kCost, &out.phase_ns);
     CostEstimator estimator(db_);
-    std::vector<PlanAlternative> alternatives = StandardAlternatives(
-        out.original_plan, out.optimized_plan, default_physical_.dop);
+    std::vector<PlanAlternative> alternatives =
+        StandardAlternatives(out.original_plan, out.optimized_plan);
     size_t best = ChooseBestAlternative(estimator, &alternatives);
     out.cost_based = true;
     out.optimized_plan = alternatives[best].plan;
@@ -368,7 +368,7 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
       // replay prepares from entries keyed to the real catalog.
       fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 4 : 0) |
                    extra_fingerprint_salt_;
-      // Physical defaults shape execution (dop, batch size, join and
+      // Physical defaults shape execution (batch size, join and
       // distinct strategies), so prepares under different defaults get
       // distinct fingerprints.
       fopts.salt = cache::Fnv1aMix(fopts.salt, default_physical_.CacheSalt());

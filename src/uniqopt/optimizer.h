@@ -168,10 +168,9 @@ class Optimizer {
   bool check_equiv() const { return check_equiv_; }
 
   /// Default physical options for this optimizer: the shell's \set
-  /// dop/batch land here. Folded (via CacheSalt) into plan-cache
+  /// batch lands here. Folded (via CacheSalt) into plan-cache
   /// fingerprints so entries prepared under different physical defaults
-  /// never collide, and consulted by cost-based preparation (dop > 1
-  /// adds parallel alternatives to the candidate pool).
+  /// never collide.
   void set_default_physical(const PhysicalOptions& physical) {
     default_physical_ = physical;
   }

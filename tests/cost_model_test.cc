@@ -168,22 +168,5 @@ TEST_F(CostModelTest, ConcurrentDistinctCountIsRaceFree) {
   EXPECT_FALSE(mismatch.load());
 }
 
-TEST_F(CostModelTest, ParallelAlternativeWinsOnlyForLargeWork) {
-  // dop > 1 adds per-worker startup + gather cost: a big join should
-  // prefer the parallel lowering, a one-row point lookup should not.
-  PlanPtr big = Bind(
-      "SELECT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO");
-  std::vector<PlanAlternative> alts = StandardAlternatives(big, big, 8);
-  size_t best = ChooseBestAlternative(*estimator_, &alts);
-  EXPECT_EQ(alts[best].physical.dop, 8u) << alts[best].label;
-
-  PlanPtr small = Bind("SELECT * FROM SUPPLIER WHERE SNO = 7");
-  std::vector<PlanAlternative> small_alts =
-      StandardAlternatives(small, small, 8);
-  size_t small_best = ChooseBestAlternative(*estimator_, &small_alts);
-  EXPECT_EQ(small_alts[small_best].physical.dop, 1u)
-      << small_alts[small_best].label;
-}
-
 }  // namespace
 }  // namespace uniqopt

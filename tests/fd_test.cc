@@ -139,6 +139,21 @@ TEST(FdSetTest, ProjectToDropsOutOfScopeLhs) {
   EXPECT_EQ(projected.Closure(AttributeSet{0}), AttributeSet{0});
 }
 
+TEST(FdSetTest, HoldsEachDependencyOnce) {
+  FdSet fds;
+  fds.Add(AttributeSet{0}, AttributeSet{1});
+  fds.Add(AttributeSet{0}, AttributeSet{1});
+  fds.AddConstant(2);
+  fds.AddConstant(2);
+  EXPECT_EQ(fds.ToString(), "[{0} -> {1}; {} -> {2}]");
+  fds.Append(fds);
+  EXPECT_EQ(fds.ToString(), "[{0} -> {1}; {} -> {2}]");
+  FdSet other;
+  other.AddEquivalence(0, 1);
+  fds.Append(other);
+  EXPECT_EQ(fds.ToString(), "[{0} -> {1}; {} -> {2}; {1} -> {0}]");
+}
+
 TEST(FdTest, ToStringRendering) {
   FunctionalDependency fd{AttributeSet{0, 1}, AttributeSet{2}};
   EXPECT_EQ(fd.ToString(), "{0, 1} -> {2}");

@@ -358,18 +358,5 @@ TEST(IndexExecTest, CacheSaltSeparatesIndexModes) {
   EXPECT_NE(on.CacheSalt(), off.CacheSalt());
 }
 
-TEST(IndexExecTest, ParallelExecutionStaysCorrectWithIndexesEnabled) {
-  Database db;
-  ASSERT_OK(MakeTestSupplierDatabase(&db));
-  const std::string sql =
-      "SELECT P.PNAME, S.SNAME FROM PARTS P, SUPPLIER S "
-      "WHERE P.SNO = S.SNO";
-  PhysicalOptions parallel;
-  parallel.dop = 4;
-  ASSERT_OK_AND_ASSIGN(std::vector<Row> par, RunSql(db, sql, {}, parallel));
-  ASSERT_OK_AND_ASSIGN(std::vector<Row> serial, RunSql(db, sql));
-  EXPECT_TRUE(MultisetEquals(par, serial));
-}
-
 }  // namespace
 }  // namespace uniqopt

@@ -1,7 +1,12 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "parser/lexer.h"
 #include "parser/parser.h"
+#include "test_util.h"
+#include "uniqopt/optimizer.h"
+#include "workload/supplier_schema.h"
 
 namespace uniqopt {
 namespace {
@@ -172,6 +177,45 @@ TEST(ParserTest, ParseExpressionStandalone) {
   auto e = ParseExpression("BUDGET > 0 OR STATUS = 'Inactive'");
   ASSERT_TRUE(e.ok());
   EXPECT_EQ((*e)->kind, AstExprKind::kOr);
+}
+
+std::string Repeat(const std::string& piece, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+/// A query whose WHERE clause is nested `levels` deep: the clause itself
+/// is the first level and each parenthesis adds one.
+std::string NestedWhere(int levels) {
+  return "SELECT SNO FROM SUPPLIER WHERE " + Repeat("(", levels - 1) +
+         "SNO = 1" + Repeat(")", levels - 1);
+}
+
+TEST(ParserTest, NestingPastTheLimitIsAnError) {
+  const std::string parens = NestedWhere(20000);
+  const std::string nots =
+      "SELECT SNO FROM SUPPLIER WHERE " + Repeat("NOT ", 20000) + "SNO = 1";
+  const std::string subqueries =
+      "SELECT SNO FROM SUPPLIER WHERE " +
+      Repeat("EXISTS (SELECT SNO FROM PARTS WHERE ", 20000) + "PNO = 1" +
+      Repeat(")", 20000);
+  for (const std::string& sql :
+       {parens, nots, subqueries, NestedWhere(kMaxNestingDepth + 1)}) {
+    auto parsed = ParseQuery(sql);
+    ASSERT_FALSE(parsed.ok()) << sql.substr(0, 80);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("limit of 1000 levels"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ParserTest, QueryAtTheNestingLimitPrepares) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK(optimizer.Prepare(NestedWhere(kMaxNestingDepth)).status());
 }
 
 }  // namespace
