@@ -51,17 +51,14 @@ int Run() {
   }
   std::printf("logical plan:\n%s\n", bound->plan->ToString().c_str());
 
-  // 3. Run Algorithm 1 and show its trace (compare the paper's Ex. 5).
+  // 3. Run Algorithm 1 and show its proof (compare the paper's Ex. 5).
   auto verdict = AnalyzeDistinctAlgorithm1(bound->plan);
   if (!verdict.ok()) {
     std::fprintf(stderr, "analyze: %s\n",
                  verdict.status().ToString().c_str());
     return 1;
   }
-  std::printf("Algorithm 1 trace:\n");
-  for (const std::string& line : verdict->trace) {
-    std::printf("  %s\n", line.c_str());
-  }
+  std::printf("Algorithm 1 proof:\n%s", verdict->proof.ToText().c_str());
   std::printf("verdict: DISTINCT is %s\n\n",
               verdict->distinct_unnecessary ? "UNNECESSARY" : "required");
 

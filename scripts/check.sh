@@ -3,9 +3,12 @@
 # must compile warning-clean where -Werror applies, plus an ASan/UBSan
 # build of the observability tests (the registry, tracer and flight
 # recorder are the concurrent code in the tree — sanitize them every
-# time) and of the executor tests (operators_test builds the join
-# operators by hand over every kind of build input, including borrowed
-# rows that their producer frees at Close).
+# time), of the analysis, rewriter and verifier tests (the rewriter reads
+# a DISTINCT verdict its caller owns; the verifier re-checks proofs built
+# through the shared key-coverage test) and of the executor tests
+# (operators_test builds the join operators by hand over every kind of
+# build input, including borrowed rows that their producer frees at
+# Close).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -166,18 +169,21 @@ run_equiv_sweep
 
 run_tidy
 
-echo "== sanitizers: ASan/UBSan build of obs, analysis and executor tests =="
+echo "== sanitizers: ASan/UBSan build of obs, analysis, rewrite, verify and executor tests =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   >/dev/null
 cmake --build build-asan -j --target obs_test analysis_test \
+  rewrite_test verify_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
   batch_exec_test dml_test index_exec_test dml_oracle_test \
   operators_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
+./build-asan/tests/rewrite_test
+./build-asan/tests/verify_test
 ./build-asan/tests/export_test
 ./build-asan/tests/recorder_test
 ./build-asan/tests/http_endpoint_test

@@ -8,19 +8,19 @@
 
 namespace uniqopt {
 
-std::string Algorithm1Result::TraceToString() const {
-  std::string out;
-  for (const std::string& line : trace) {
-    out += line;
-    out += "\n";
+Result<std::vector<ExprPtr>> CnfConjuncts(
+    const std::vector<ExprPtr>& predicates) {
+  std::vector<ExprPtr> conjuncts;
+  for (const ExprPtr& pred : predicates) {
+    UNIQOPT_ASSIGN_OR_RETURN(ExprPtr cnf, ToCnf(pred, kNormalizeBudget));
+    for (const ExprPtr& c : FlattenAnd(cnf)) conjuncts.push_back(c);
   }
-  return out;
+  return conjuncts;
 }
 
 AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
                                 const AttributeSet& initially_bound,
                                 const AnalysisOptions& options,
-                                std::vector<std::string>* trace,
                                 bool* any_equality_kept,
                                 ProofTrace* proof) {
   // Lines 6–9: keep only conjuncts that are single atomic Type 1 / Type 2
@@ -38,19 +38,12 @@ AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
   for (const ExprPtr& conj : conjuncts) {
     std::vector<ExprPtr> disjuncts = FlattenOr(conj);
     if (disjuncts.size() > 1) {
-      if (trace != nullptr) {
-        trace->push_back("  delete disjunctive conjunct: " + conj->ToString());
-      }
       record_conjunct(conj, ConjunctDisposition::kDeletedDisjunction);
       continue;
     }
     if (conj->IsTrueLiteral()) continue;
     EqualityAtom atom = ClassifyAtom(conj);
     if (atom.type == AtomType::kOther) {
-      if (trace != nullptr) {
-        trace->push_back("  delete non-equality conjunct: " +
-                         conj->ToString());
-      }
       record_conjunct(conj, ConjunctDisposition::kDeletedNonEquality);
       continue;
     }
@@ -63,12 +56,6 @@ AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
         !options.use_column_equivalence) {
       record_conjunct(conj, ConjunctDisposition::kDeletedBySwitch);
       continue;
-    }
-    if (trace != nullptr) {
-      trace->push_back(
-          std::string("  keep ") +
-          (atom.type == AtomType::kType1ColumnConstant ? "Type 1" : "Type 2") +
-          " conjunct: " + conj->ToString());
     }
     record_conjunct(conj, atom.type == AtomType::kType1ColumnConstant
                               ? ConjunctDisposition::kKeptType1
@@ -145,27 +132,34 @@ std::vector<std::string> ShapeColumnNames(const SpecShape& shape) {
   return names;
 }
 
-// Records one key-coverage outcome in the proof.
-void RecordKeyOutcome(ProofTrace* proof, const SpecShape::BaseTable& bt,
-                      const KeyConstraint& key, size_t shift,
-                      const AttributeSet& bound, bool covered) {
-  if (proof == nullptr) return;
-  ProofKeyOutcome outcome;
-  outcome.table = bt.get->table().name();
-  outcome.alias = bt.get->alias();
-  outcome.key_name = key.name;
-  outcome.covered = covered;
-  for (size_t col : key.columns) {
-    size_t pos = shift + col;
-    outcome.key_columns.push_back(proof->NameOf(pos));
-    if (!bound.Contains(pos)) {
-      outcome.missing_columns.push_back(proof->NameOf(pos));
-    }
-  }
-  proof->keys.push_back(std::move(outcome));
-}
-
 }  // namespace
+
+bool KeyCovered(const TableDef& table, const std::string& alias,
+                size_t shift, const AttributeSet& bound,
+                const AnalysisOptions& options, ProofTrace* proof) {
+  for (const KeyConstraint& key : table.keys()) {
+    if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
+    bool covered =
+        AttributeSet::FromVector(key.columns).Shifted(shift).IsSubsetOf(bound);
+    if (proof != nullptr) {
+      ProofKeyOutcome outcome;
+      outcome.table = table.name();
+      outcome.alias = alias;
+      outcome.key_name = key.name;
+      outcome.covered = covered;
+      for (size_t col : key.columns) {
+        size_t pos = shift + col;
+        outcome.key_columns.push_back(proof->NameOf(pos));
+        if (!bound.Contains(pos)) {
+          outcome.missing_columns.push_back(proof->NameOf(pos));
+        }
+      }
+      proof->keys.push_back(std::move(outcome));
+    }
+    if (covered) return true;
+  }
+  return false;
+}
 
 Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
                                        const Algorithm1Options& options) {
@@ -176,112 +170,58 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
       obs::MetricsRegistry::Global().GetHistogram("analysis.algorithm1.ns");
   obs::ScopedLatencyTimer timer(&latency);
   Algorithm1Result result;
-  ProofTrace* proof = nullptr;
-  if (options.record_proof) {
-    proof = &result.proof;
-    proof->recorded = true;
-    proof->column_names = ShapeColumnNames(shape);
-  }
+  ProofTrace& proof = result.proof;
+  proof.recorded = true;
+  proof.column_names = ShapeColumnNames(shape);
   // Line 5: C := C_R ∧ C_S ∧ C_{R,S} ∧ T, in CNF. Top-level conjuncts of
   // each Select predicate are CNF-normalized individually so that e.g.
   // `a = b AND (x = 1 OR y = 2)` keeps its useful first conjunct.
-  std::vector<ExprPtr> conjuncts;
-  for (const ExprPtr& pred : shape.predicates) {
-    Result<ExprPtr> cnf = ToCnf(pred, options.normalize_budget);
-    if (!cnf.ok()) {
-      // Predicate too complex to normalize: give up conservatively.
-      result.yes = false;
-      result.trace.push_back("CNF budget exceeded; answer NO");
-      if (proof != nullptr) proof->conclusion = "NO: CNF budget exceeded";
-      span.AddAttr("answer", "NO");
-      return result;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+  Result<std::vector<ExprPtr>> conjuncts = CnfConjuncts(shape.predicates);
+  if (!conjuncts.ok()) {
+    // Predicate too complex to normalize: give up conservatively.
+    proof.conclusion = "NO: CNF budget exceeded";
+    span.AddAttr("answer", "NO");
+    return result;
   }
-  result.trace.push_back("C has " + std::to_string(conjuncts.size()) +
-                         " conjunct(s)");
 
   // Projection attribute positions (over the product schema).
   AttributeSet projection =
       AttributeSet::FromVector(shape.project->columns());
-  result.trace.push_back("V initialized to projection attributes " +
-                         projection.ToString());
-
   bool any_kept = false;
-  AttributeSet bound = BoundColumnClosure(conjuncts, projection, options,
-                                          &result.trace, &any_kept, proof);
+  AttributeSet bound =
+      BoundColumnClosure(*conjuncts, projection, options, &any_kept, &proof);
   if (!any_kept && options.verbatim_line10) {
     // Line 10 of the published algorithm: C reduced to T ⇒ NO.
-    result.yes = false;
-    result.bound_columns = bound;
-    result.trace.push_back("C = T after deletions; verbatim line 10: NO");
-    if (proof != nullptr) {
-      proof->conclusion = "NO: C = T after deletions (verbatim line 10)";
-    }
+    proof.conclusion = "NO: C = T after deletions (verbatim line 10)";
     span.AddAttr("answer", "NO");
     return result;
   }
-  result.bound_columns = bound;
-  result.trace.push_back("closure V = " + bound.ToString());
 
   // Line 17: Key(R) ⊕ Key(S) ⊆ V — generalized: every FROM table must
   // have at least one candidate key fully inside V.
   for (const SpecShape::BaseTable& bt : shape.tables) {
     const TableDef& table = bt.get->table();
-    if (!table.HasAnyKey()) {
-      result.yes = false;
-      result.trace.push_back("table " + table.name() +
-                             " has no declared key: NO");
-      if (proof != nullptr) {
-        proof->conclusion = "NO: table " + table.name() +
-                            " has no declared candidate key";
-      }
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss(options.near_miss_goal, table, bt.get->alias(),
-                             bt.offset, bound, projection, options,
-                             &result.near_misses);
-      }
-      span.AddAttr("answer", "NO");
-      return result;
+    if (KeyCovered(table, bt.get->alias(), bt.offset, bound, options,
+                   &proof)) {
+      continue;
     }
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      AttributeSet key_set =
-          AttributeSet::FromVector(key.columns).Shifted(bt.offset);
-      bool this_covered = key_set.IsSubsetOf(bound);
-      RecordKeyOutcome(proof, bt, key, bt.offset, bound, this_covered);
-      if (this_covered) {
-        result.trace.push_back("key " + key.name + " of " + table.name() +
-                               " covered by V");
-        covered = true;
-        break;
-      }
+    proof.conclusion =
+        table.HasAnyKey()
+            ? "NO: no candidate key of " + table.name() + " (" +
+                  bt.get->alias() + ") is covered by V"
+            : "NO: table " + table.name() + " has no declared candidate key";
+    if (options.collect_near_misses) {
+      ComputeTableNearMiss("theorem1.distinct", table, bt.get->alias(),
+                           bt.offset, bound, projection, options,
+                           &result.near_misses);
     }
-    if (!covered) {
-      result.yes = false;
-      result.trace.push_back("no candidate key of " + table.name() +
-                             " (" + bt.get->alias() + ") is covered: NO");
-      if (proof != nullptr) {
-        proof->conclusion = "NO: no candidate key of " + table.name() + " (" +
-                            bt.get->alias() + ") is covered by V";
-      }
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss(options.near_miss_goal, table, bt.get->alias(),
-                             bt.offset, bound, projection, options,
-                             &result.near_misses);
-      }
-      span.AddAttr("answer", "NO");
-      return result;
-    }
+    span.AddAttr("answer", "NO");
+    return result;
   }
   result.yes = true;
-  result.trace.push_back("all table keys covered: YES");
-  if (proof != nullptr) {
-    proof->conclusion =
-        "YES: every FROM table has a candidate key covered by V; "
-        "duplicate elimination is unnecessary (Theorem 1)";
-  }
+  proof.conclusion =
+      "YES: every FROM table has a candidate key covered by V; "
+      "duplicate elimination is unnecessary (Theorem 1)";
   obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.yes")
       .Increment();
   span.AddAttr("answer", "YES");

@@ -22,31 +22,28 @@ struct Algorithm1Options : AnalysisOptions {
   /// such as `SELECT DISTINCT * FROM R` are recognized (a sound
   /// strengthening the paper's theorem clearly admits).
   bool verbatim_line10 = false;
-  /// Record a structured ProofTrace (normalization decisions, closure
-  /// steps, per-key outcomes) alongside the flat text trace. Costs a few
-  /// string builds per conjunct; off only for the tightest benchmarks.
-  bool record_proof = true;
-  /// Goal label attached to near-miss records emitted at this run's
-  /// failure sites (callers testing a different theorem override it).
-  std::string near_miss_goal = "theorem1.distinct";
 };
 
-/// Outcome of Algorithm 1, with the step-by-step trace the paper walks
+/// Outcome of Algorithm 1, with the structured proof the paper walks
 /// through in Example 5.
 struct Algorithm1Result {
   bool yes = false;  ///< YES: duplicate elimination is unnecessary.
-  /// Human-readable trace (one line per algorithm step).
-  std::vector<std::string> trace;
-  /// The final bound-column set V of the (single) conjunctive component.
-  AttributeSet bound_columns;
-  /// Structured proof (populated when options.record_proof).
+  /// Normalization decisions, closure steps and per-key outcomes.
   ProofTrace proof;
   /// On NO: the minimal missing fact for the first failing table
   /// (populated when options.collect_near_misses).
   std::vector<obs::NearMiss> near_misses;
-
-  std::string TraceToString() const;
 };
+
+/// Node budget of each CNF conversion in Algorithm 1, the Theorem 2 test
+/// and the near-miss collector.
+inline constexpr size_t kNormalizeBudget = 4096;
+
+/// Line 5 of Algorithm 1: the top-level conjuncts of the CNF of each of
+/// `predicates`, in order. Fails when a predicate exceeds
+/// kNormalizeBudget.
+Result<std::vector<ExprPtr>> CnfConjuncts(
+    const std::vector<ExprPtr>& predicates);
 
 /// The bound-column closure at the heart of Algorithm 1 and of the
 /// Theorem 2 test: starting from `initially_bound`, add every column
@@ -56,16 +53,24 @@ struct Algorithm1Result {
 /// which only weakens the tested condition — sound.
 ///
 /// `conjuncts` are the top-level conjuncts of the predicate (each may
-/// still be a disjunction, which gets deleted). Returns the closed set V
-/// and appends trace lines. When `proof` is non-null its conjuncts /
-/// initially_bound / closure_steps / closure fields are filled in
-/// (`proof->column_names` should already hold the frame's display names).
+/// still be a disjunction, which gets deleted). Returns the closed set V.
+/// When `proof` is non-null its conjuncts / initially_bound /
+/// closure_steps / closure fields are filled in (`proof->column_names`
+/// should already hold the frame's display names).
 AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
                                 const AttributeSet& initially_bound,
                                 const AnalysisOptions& options,
-                                std::vector<std::string>* trace,
                                 bool* any_equality_kept,
                                 ProofTrace* proof = nullptr);
+
+/// Line 17 for one FROM table: true iff some candidate key of `table`
+/// (UNIQUE keys only under `options.use_unique_keys`), shifted to the
+/// table's first frame position `shift`, lies inside `bound`. When
+/// `proof` is non-null each key tested, up to the first covered one, is
+/// recorded against `alias`.
+bool KeyCovered(const TableDef& table, const std::string& alias,
+                size_t shift, const AttributeSet& bound,
+                const AnalysisOptions& options, ProofTrace* proof);
 
 /// Runs Algorithm 1 on a decomposed query specification: returns YES iff
 /// for every FROM table some candidate key is contained in the closure

@@ -106,26 +106,16 @@ std::vector<obs::NearMiss> CollectShapeNearMisses(
   std::vector<obs::NearMiss> out;
   std::vector<ExprPtr> conjuncts;
   for (const ExprPtr& pred : shape.predicates) {
-    Result<ExprPtr> cnf = ToCnf(pred, options.normalize_budget);
+    Result<ExprPtr> cnf = ToCnf(pred, kNormalizeBudget);
     if (!cnf.ok()) continue;  // over-budget conjunct contributes nothing
     for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
   }
-  bool any_kept = false;
-  AttributeSet bound = BoundColumnClosure(conjuncts, initially_bound,
-                                          options, nullptr, &any_kept);
+  AttributeSet bound =
+      BoundColumnClosure(conjuncts, initially_bound, options, nullptr);
   for (const SpecShape::BaseTable& bt : shape.tables) {
     const TableDef& table = bt.get->table();
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      if (AttributeSet::FromVector(key.columns)
-              .Shifted(bt.offset)
-              .IsSubsetOf(bound)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
+    if (!KeyCovered(table, bt.get->alias(), bt.offset, bound, options,
+                    nullptr)) {
       ComputeTableNearMiss(goal, table, bt.get->alias(), bt.offset, bound,
                            initially_bound, options, &out);
     }

@@ -50,9 +50,8 @@ struct ProofKeyOutcome {
 /// by Algorithm 1 / the Theorem 2 test; rendered by
 /// UniquenessVerdict::ExplainProof().
 struct ProofTrace {
-  /// False when the producing analysis did not run in proof mode (or a
-  /// different detector answered); ToText() says so instead of showing an
-  /// empty proof.
+  /// False when a detector other than Algorithm 1 / the Theorem 2 test
+  /// answered; ToText() says so instead of showing an empty proof.
   bool recorded = false;
 
   /// Frame position → display name, set by the caller that knows the

@@ -45,9 +45,11 @@ void HarvestPredicateFds(const ExprPtr& predicate,
 namespace {
 
 void DedupeKeys(std::vector<AttributeSet>* keys) {
-  // Drop keys that are supersets of other keys, and exact duplicates.
+  // Drop keys that are supersets of other keys, and exact duplicates;
+  // keep at most kMaxDerivedKeys.
   std::vector<AttributeSet> out;
   for (const AttributeSet& k : *keys) {
+    if (out.size() == kMaxDerivedKeys) break;
     bool dominated = false;
     for (const AttributeSet& other : *keys) {
       if (&other == &k) continue;
@@ -111,9 +113,11 @@ DerivedProperties DeriveProduct(const DerivedProperties& left,
   props.width = left.width + right.width;
   props.fds = left.fds;
   props.fds.Append(right.fds.Shifted(left.width));
-  // Key(R × S) = Key(R) ⊕ Key(S), the paper's concatenation.
+  // Key(R × S) = Key(R) ⊕ Key(S), the paper's concatenation, up to
+  // kMaxDerivedKeys combinations.
   for (const AttributeSet& kl : left.keys) {
     for (const AttributeSet& kr : right.keys) {
+      if (props.keys.size() == kMaxDerivedKeys) return props;
       props.keys.push_back(kl.Union(kr.Shifted(left.width)));
     }
   }
@@ -142,8 +146,8 @@ DerivedProperties DeriveProject(const ProjectNode& project,
   // A key of the input that is functionally determined by the kept
   // columns makes the projection duplicate-free; the determining subset
   // of kept columns is then a derived key of the output.
+  AttributeSet kept_closure = input.fds.Closure(kept);
   for (const AttributeSet& key : input.keys) {
-    AttributeSet kept_closure = input.fds.Closure(kept);
     if (key.IsSubsetOf(kept_closure)) {
       // Whole projected row is a key; try to shrink to kept∩closure
       // seeds for a smaller one.
@@ -256,11 +260,6 @@ DerivedProperties DeriveProperties(const PlanPtr& plan,
   }
   UNIQOPT_DCHECK_MSG(false, "unhandled plan kind");
   return {};
-}
-
-bool IsProvablyDuplicateFree(const PlanPtr& plan,
-                             const AnalysisOptions& options) {
-  return DeriveProperties(plan, options).IsDuplicateFree();
 }
 
 }  // namespace uniqopt

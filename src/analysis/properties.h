@@ -26,8 +26,6 @@ struct AnalysisOptions {
   /// column pinned by CHECK may still be NULL and is NOT constant
   /// under `=!`.
   bool use_check_constraints = false;
-  /// Budget for CNF/DNF normalization.
-  size_t normalize_budget = 4096;
   /// Emit structured NearMiss records (minimal missing key/FD facts) at
   /// proof-failure sites, feeding the constraint advisor. Off by default
   /// so raw analyzer callers (benches, the verifier's reference checker)
@@ -35,10 +33,16 @@ struct AnalysisOptions {
   bool collect_near_misses = false;
 };
 
+/// Most derived keys kept per plan node. Key(R × S) = Key(R) ⊕ Key(S)
+/// doubles with every self-joined two-key table; dropping keys beyond
+/// this bound is sound, since every key kept is still a key.
+inline constexpr size_t kMaxDerivedKeys = 64;
+
 /// Derived-table properties of a plan node: the functional dependencies
 /// (over the node's output columns, null-aware per Definition 1) and the
 /// derived candidate keys (attribute sets no two output rows agree on
-/// under `=!` — the paper's derived key dependencies).
+/// under `=!` — the paper's derived key dependencies), at most
+/// kMaxDerivedKeys of them.
 struct DerivedProperties {
   size_t width = 0;
   FdSet fds;
@@ -58,10 +62,6 @@ struct DerivedProperties {
 /// Darwen).
 DerivedProperties DeriveProperties(const PlanPtr& plan,
                                    const AnalysisOptions& options = {});
-
-/// Convenience: true when `plan`'s output provably has no duplicates.
-bool IsProvablyDuplicateFree(const PlanPtr& plan,
-                             const AnalysisOptions& options = {});
 
 /// Harvests FDs implied by a WHERE predicate holding (false-interpreted)
 /// on every row of a table with `width` columns:

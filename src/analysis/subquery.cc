@@ -3,7 +3,6 @@
 #include "analysis/algorithm1.h"
 #include "analysis/near_miss.h"
 #include "analysis/shape.h"
-#include "expr/normalize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,11 +14,7 @@ std::string SubqueryVerdict::ExplainProof() const {
              ? "at most one inner row matches each outer row"
              : "more than one inner match possible (condition not proven)";
   out += "\n";
-  if (proof.recorded) {
-    out += proof.ToText();
-  } else {
-    for (const std::string& line : trace) out += line + "\n";
-  }
+  out += proof.ToText();
   return out;
 }
 
@@ -62,103 +57,45 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
 
   // Assemble the full C_S ∧ C_{R,S}: inner-local predicates shifted into
   // the combined (outer ⊕ inner) frame, plus the correlation predicate.
-  std::vector<ExprPtr> conjuncts;
+  std::vector<ExprPtr> predicates;
   for (const ExprPtr& pred : inner_shape.predicates) {
-    Result<ExprPtr> cnf =
-        ToCnf(ShiftColumns(pred, outer_width), options.normalize_budget);
-    if (!cnf.ok()) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("CNF budget exceeded; condition not proven");
-      proof->conclusion = "NOT PROVEN: CNF budget exceeded";
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+    predicates.push_back(ShiftColumns(pred, outer_width));
   }
-  {
-    Result<ExprPtr> cnf = ToCnf(node.correlation(), options.normalize_budget);
-    if (!cnf.ok()) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("CNF budget exceeded; condition not proven");
-      proof->conclusion = "NOT PROVEN: CNF budget exceeded";
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+  predicates.push_back(node.correlation());
+  Result<std::vector<ExprPtr>> conjuncts = CnfConjuncts(predicates);
+  if (!conjuncts.ok()) {
+    proof->conclusion = "NOT PROVEN: CNF budget exceeded";
+    span.AddAttr("at_most_one_match", false);
+    return verdict;
   }
 
   // Outer columns are constants for each candidate outer row.
-  AttributeSet initially_bound = AttributeSet::AllUpTo(outer_width);
-  verdict.trace.push_back("outer columns bound: " +
-                          initially_bound.ToString());
-  AttributeSet bound = BoundColumnClosure(conjuncts, initially_bound, options,
-                                          &verdict.trace, nullptr, proof);
-  verdict.trace.push_back("closure V = " + bound.ToString());
+  AttributeSet bound =
+      BoundColumnClosure(*conjuncts, AttributeSet::AllUpTo(outer_width),
+                         options, nullptr, proof);
 
   // Every inner base table must have a covered candidate key.
   for (const SpecShape::BaseTable& bt : inner_shape.tables) {
     const TableDef& table = bt.get->table();
-    if (!table.HasAnyKey()) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("inner table " + table.name() +
-                              " has no declared key");
-      proof->conclusion = "NOT PROVEN: inner table " + table.name() +
-                          " has no declared candidate key";
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss("theorem2.subquery_to_join", table,
-                             bt.get->alias(), outer_width + bt.offset, bound,
-                             AttributeSet(), options, &verdict.near_misses);
-      }
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
+    size_t shift = outer_width + bt.offset;
+    if (KeyCovered(table, bt.get->alias(), shift, bound, options, proof)) {
+      continue;
     }
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      size_t shift = outer_width + bt.offset;
-      AttributeSet key_set =
-          AttributeSet::FromVector(key.columns).Shifted(shift);
-      bool this_covered = key_set.IsSubsetOf(bound);
-      {
-        ProofKeyOutcome outcome;
-        outcome.table = table.name();
-        outcome.alias = bt.get->alias();
-        outcome.key_name = key.name;
-        outcome.covered = this_covered;
-        for (size_t col : key.columns) {
-          size_t pos = shift + col;
-          outcome.key_columns.push_back(proof->NameOf(pos));
-          if (!bound.Contains(pos)) {
-            outcome.missing_columns.push_back(proof->NameOf(pos));
-          }
-        }
-        proof->keys.push_back(std::move(outcome));
-      }
-      if (this_covered) {
-        verdict.trace.push_back("key " + key.name + " of inner table " +
-                                table.name() + " covered");
-        covered = true;
-        break;
-      }
+    proof->conclusion =
+        table.HasAnyKey()
+            ? "NOT PROVEN: no candidate key of inner table " + table.name() +
+                  " is covered by V"
+            : "NOT PROVEN: inner table " + table.name() +
+                  " has no declared candidate key";
+    if (options.collect_near_misses) {
+      ComputeTableNearMiss("theorem2.subquery_to_join", table,
+                           bt.get->alias(), shift, bound, AttributeSet(),
+                           options, &verdict.near_misses);
     }
-    if (!covered) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("no key of inner table " + table.name() +
-                              " is bound: more than one match possible");
-      proof->conclusion = "NOT PROVEN: no candidate key of inner table " +
-                          table.name() + " is covered by V";
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss("theorem2.subquery_to_join", table,
-                             bt.get->alias(), outer_width + bt.offset, bound,
-                             AttributeSet(), options, &verdict.near_misses);
-      }
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
+    span.AddAttr("at_most_one_match", false);
+    return verdict;
   }
   verdict.at_most_one_match = true;
-  verdict.trace.push_back(
-      "every inner key bound: at most one inner row matches");
   proof->conclusion =
       "PROVEN: every inner table's candidate key is bound; at most one "
       "inner row matches each outer row (Theorem 2)";

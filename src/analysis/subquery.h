@@ -19,7 +19,6 @@ struct SubqueryVerdict {
   /// variables, outer columns, or transitively via equalities). When
   /// true, EXISTS ⇔ plain join under ALL semantics.
   bool at_most_one_match = false;
-  std::vector<std::string> trace;
   /// Structured closure/key-coverage proof over the outer ⊕ inner frame.
   ProofTrace proof;
   /// On NOT PROVEN: the minimal missing facts for the first inner table

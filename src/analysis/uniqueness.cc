@@ -37,7 +37,6 @@ Result<UniquenessVerdict> AnalyzeDistinctAlgorithm1(
   UNIQOPT_ASSIGN_OR_RETURN(Algorithm1Result result,
                            RunAlgorithm1(shape, options));
   verdict.distinct_unnecessary = result.yes;
-  verdict.trace = std::move(result.trace);
   verdict.proof = std::move(result.proof);
   // Missing facts only matter when there is a DISTINCT to eliminate.
   if (verdict.has_distinct) {
@@ -50,9 +49,8 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
                                     const AnalysisOptions& options) {
   UniquenessVerdict verdict;
   verdict.detector = DetectorKind::kFdPropagation;
-  const ProjectNode* project = As<ProjectNode>(plan);
   PlanPtr all_mode = plan;
-  if (project != nullptr) {
+  if (const ProjectNode* project = As<ProjectNode>(plan)) {
     verdict.has_distinct = project->mode() == DuplicateMode::kDist;
     if (verdict.has_distinct) {
       // Ask whether the *ALL-mode* projection is already duplicate-free;
@@ -61,22 +59,13 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
                                    project->columns());
     }
     // For ALL-mode projections the question "would a DISTINCT here be
-    // redundant" is still well-defined (and what Algorithm 1 answers);
-    // fall through and compute it.
-    DerivedProperties props = DeriveProperties(all_mode, options);
-    verdict.distinct_unnecessary = props.IsDuplicateFree();
-    verdict.trace.push_back("derived properties: " + props.ToString());
-    verdict.trace.push_back(verdict.distinct_unnecessary
-                                ? "derived key exists: duplicates impossible"
-                                : "no derived key: duplicates possible");
-    return verdict;
+    // redundant" is still well-defined (and what Algorithm 1 answers).
   } else if (const SetOpNode* setop = As<SetOpNode>(plan);
              setop != nullptr && setop->mode() == DuplicateMode::kDist) {
     verdict.has_distinct = true;
     // Corollary 2 direction: ∩_Dist ≡ ∩_All when either operand is
     // duplicate-free (and likewise the result of −_All over a
     // duplicate-free left operand has no duplicates).
-    all_mode = nullptr;
     DerivedProperties left = DeriveProperties(setop->left(), options);
     DerivedProperties right = DeriveProperties(setop->right(), options);
     bool dup_free = setop->op() == SetOpAlgebra::kIntersect
@@ -89,8 +78,8 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
         (right.IsDuplicateFree() ? "yes" : "no"));
     return verdict;
   }
-  // Other shapes (bare set-op in ALL mode, Exists, ...): analyze the
-  // plan's own output directly.
+  // Projections and other shapes (bare set-op in ALL mode, Exists, ...):
+  // analyze the plan's own output.
   DerivedProperties props = DeriveProperties(all_mode, options);
   verdict.distinct_unnecessary = props.IsDuplicateFree();
   verdict.trace.push_back("derived properties: " + props.ToString());

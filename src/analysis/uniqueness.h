@@ -25,6 +25,8 @@ struct UniquenessVerdict {
   /// π_All` for this query, Theorem 1's condition).
   bool distinct_unnecessary = false;
   DetectorKind detector = DetectorKind::kAlgorithm1;
+  /// Explanation of an FD-propagation verdict, which records no
+  /// ProofTrace.
   std::vector<std::string> trace;
   /// Structured proof (Algorithm 1 detector only; `proof.recorded` tells).
   ProofTrace proof;
@@ -33,7 +35,7 @@ struct UniquenessVerdict {
   std::vector<obs::NearMiss> near_misses;
 
   /// Multi-line explanation of why the verdict holds: the structured
-  /// proof when one was recorded, the flat trace otherwise.
+  /// proof when one was recorded, the FD-propagation trace otherwise.
   std::string ExplainProof() const;
 };
 

@@ -70,7 +70,9 @@ namespace {
 
 class Rewriter {
  public:
-  explicit Rewriter(const RewriteOptions& options) : options_(options) {}
+  Rewriter(const RewriteOptions& options, const PlanNode* root,
+           const UniquenessVerdict* root_verdict)
+      : options_(options), root_(root), root_verdict_(root_verdict) {}
 
   Result<PlanPtr> Transform(const PlanPtr& node) {
     UNIQOPT_ASSIGN_OR_RETURN(PlanPtr current, TransformChildren(node));
@@ -217,28 +219,32 @@ class Rewriter {
         p != nullptr && p->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kRemoveRedundantDistinct);
       obs::Span span("rewrite.rule.RemoveRedundantDistinct");
-      UniquenessVerdict verdict = AnalyzeDistinct(node, options_.analysis);
-      span.AddAttr("distinct_unnecessary", verdict.distinct_unnecessary);
-      span.AddAttr("detector", verdict.detector == DetectorKind::kAlgorithm1
+      // The caller's verdict answers this gate for the unrewritten root.
+      UniquenessVerdict fresh;
+      const UniquenessVerdict* verdict = root_verdict_;
+      if (node.get() != root_ || verdict == nullptr) {
+        fresh = AnalyzeDistinct(node, options_.analysis);
+        verdict = &fresh;
+      }
+      span.AddAttr("distinct_unnecessary", verdict->distinct_unnecessary);
+      span.AddAttr("detector", verdict->detector == DetectorKind::kAlgorithm1
                                    ? "algorithm1"
                                    : "fd_propagation");
-      if (verdict.distinct_unnecessary) {
+      if (verdict->distinct_unnecessary) {
         PlanPtr after =
             ProjectNode::Make(p->input(), DuplicateMode::kAll, p->columns());
         RewriteEvidence evidence;
         evidence.before = node;
         evidence.after = after;
-        evidence.proof = std::move(verdict.proof);
-        evidence.facts = std::move(verdict.trace);
+        evidence.proof = verdict->proof;
+        evidence.facts = verdict->trace;
         Record(RewriteRuleId::kRemoveRedundantDistinct,
                "DISTINCT removed (uniqueness condition holds)",
                std::move(evidence));
         return after;
       }
       Rejected(RewriteRuleId::kRemoveRedundantDistinct);
-      if (CollectingNearMisses()) {
-        Harvest(std::move(verdict.near_misses));
-      }
+      if (CollectingNearMisses()) Harvest(verdict->near_misses);
       return node;
     }
     if (const SetOpNode* s = As<SetOpNode>(node);
@@ -305,7 +311,6 @@ class Rewriter {
         evidence.before = node;  // full π(EXISTS) subtree, matching `after`
         evidence.after = after;
         evidence.proof = std::move(verdict->proof);
-        evidence.facts = std::move(verdict->trace);
         Record(RewriteRuleId::kSubqueryToJoin,
                "EXISTS converted to join (Theorem 2: inner key bound)",
                std::move(evidence));
@@ -340,17 +345,16 @@ class Rewriter {
       obs::Span span("rewrite.rule.SubqueryToDistinctJoin");
       PlanPtr outer_projection = ProjectNode::Make(
           exists->outer(), DuplicateMode::kAll, project->columns());
-      bool outer_unique =
-          IsProvablyDuplicateFree(outer_projection, options_.analysis);
-      span.AddAttr("outer_duplicate_free", outer_unique);
-      if (outer_unique) {
+      DerivedProperties outer =
+          DeriveProperties(outer_projection, options_.analysis);
+      span.AddAttr("outer_duplicate_free", outer.IsDuplicateFree());
+      if (outer.IsDuplicateFree()) {
         PlanPtr after = rebuild_as_join(DuplicateMode::kDist);
         RewriteEvidence evidence;
         evidence.before = node;
         evidence.after = after;
-        evidence.facts = {
-            "outer projection duplicate-free (Corollary 1): " +
-            DeriveProperties(outer_projection, options_.analysis).ToString()};
+        evidence.facts = {"outer projection duplicate-free (Corollary 1): " +
+                          outer.ToString()};
         Record(RewriteRuleId::kSubqueryToDistinctJoin,
                "EXISTS converted to DISTINCT join (Corollary 1: outer "
                "duplicate-free)",
@@ -469,7 +473,9 @@ class Rewriter {
     ExprPtr expected = MakeNullSafeCorrelation(left, right);
     if (!exists->correlation()->Equals(*expected)) return node;
     Considered(RewriteRuleId::kExistsToIntersect);
-    if (!IsProvablyDuplicateFree(exists->outer(), options_.analysis)) {
+    DerivedProperties outer =
+        DeriveProperties(exists->outer(), options_.analysis);
+    if (!outer.IsDuplicateFree()) {
       Rejected(RewriteRuleId::kExistsToIntersect);
       return node;
     }
@@ -480,10 +486,8 @@ class Rewriter {
     RewriteEvidence evidence;
     evidence.before = node;
     evidence.after = *setop;
-    evidence.facts = {
-        "outer block duplicate-free: " +
-            DeriveProperties(exists->outer(), options_.analysis).ToString(),
-        "correlation is the exact null-safe tuple equality"};
+    evidence.facts = {"outer block duplicate-free: " + outer.ToString(),
+                      "correlation is the exact null-safe tuple equality"};
     Record(RewriteRuleId::kExistsToIntersect,
            "null-safe EXISTS converted to INTERSECT (outer "
            "duplicate-free)",
@@ -968,7 +972,6 @@ class Rewriter {
       evidence.before = node;
       evidence.after = after;  // full π(EXISTS) subtree, matching `before`
       evidence.proof = std::move(verdict->proof);
-      evidence.facts = std::move(verdict->trace);
       Record(RewriteRuleId::kJoinToSubquery,
              "join converted to EXISTS (Theorem 2: discarded side unique)",
              std::move(evidence));
@@ -989,6 +992,8 @@ class Rewriter {
   }
 
   const RewriteOptions& options_;
+  const PlanNode* root_;
+  const UniquenessVerdict* root_verdict_;
   std::vector<AppliedRewrite> applied_;
   std::vector<obs::NearMiss> near_misses_;
 };
@@ -996,13 +1001,14 @@ class Rewriter {
 }  // namespace
 
 Result<RewriteResult> RewritePlan(const PlanPtr& plan,
-                                  const RewriteOptions& options) {
+                                  const RewriteOptions& options,
+                                  const UniquenessVerdict* plan_verdict) {
   obs::Span span("rewrite.plan");
   obs::MetricsRegistry::Global().GetCounter("rewrite.plans").Increment();
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram("rewrite.plan.ns");
   obs::ScopedLatencyTimer timer(&latency);
-  Rewriter rewriter(options);
+  Rewriter rewriter(options, plan.get(), plan_verdict);
   RewriteResult result;
   UNIQOPT_ASSIGN_OR_RETURN(result.plan, rewriter.Transform(plan));
   result.applied = rewriter.TakeApplied();

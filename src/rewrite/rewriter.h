@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/algorithm1.h"
+#include "analysis/uniqueness.h"
 #include "common/result.h"
 #include "obs/advisor.h"
 #include "plan/plan.h"
@@ -150,9 +150,12 @@ struct RewriteResult {
 
 /// Applies the enabled rules bottom-up until fixpoint. Every rewrite is
 /// semantics-preserving under the multiset (ALL) semantics of §2.2,
-/// gated on the corresponding theorem's condition.
-Result<RewriteResult> RewritePlan(const PlanPtr& plan,
-                                  const RewriteOptions& options = {});
+/// gated on the corresponding theorem's condition. `plan_verdict`, when
+/// given, is AnalyzeDistinct(plan, options.analysis): the DISTINCT gate
+/// uses it for `plan` itself instead of running the analysis again.
+Result<RewriteResult> RewritePlan(
+    const PlanPtr& plan, const RewriteOptions& options = {},
+    const UniquenessVerdict* plan_verdict = nullptr);
 
 /// Builds the null-safe tuple-equivalence predicate of Theorem 3 over
 /// Concat(left, right): for every column i,

@@ -162,7 +162,8 @@ std::string PreparedQuery::Explain() const {
 }
 
 Result<PreparedQuery> Optimizer::PrepareUncached(
-    const std::string& sql) const {
+    const std::string& sql,
+    const Result<cache::CanonicalSql>& canonical) const {
   obs::Span prepare_span("optimizer.prepare");
   static obs::Counter& prepared_counter =
       obs::MetricsRegistry::Global().GetCounter("optimizer.queries_prepared");
@@ -216,7 +217,7 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   {
     static const PhaseDef kRewrite = MakePhaseDef("rewrite");
     Phase phase(kRewrite, &out.phase_ns);
-    auto r = RewritePlan(bound.plan, effective_options);
+    auto r = RewritePlan(bound.plan, effective_options, &out.analysis);
     if (!r.ok()) {
       RecordFailure(sql, r.status(), std::move(out.phase_ns));
       return r.status();
@@ -252,7 +253,7 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   // query class. The advisor dedups suggestions on it and the
   // time-series plane buckets per-class latencies under it.
   std::string canonical_text;
-  if (auto canonical = cache::CanonicalizeSql(sql); canonical.ok()) {
+  if (canonical.ok()) {
     cache::FingerprintOptions fopts;
     fopts.parameterize_literals = true;
     out.class_fingerprint =
@@ -357,39 +358,35 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
   // served after the bump.
   const uint64_t version = db_->catalog().version();
   uint64_t fingerprint = 0;
-  bool cacheable = CacheUsable();
+  // SQL that does not lex skips the cache, so the normal pipeline
+  // produces (and records) the real diagnostic.
+  const Result<cache::CanonicalSql> canonical = cache::CanonicalizeSql(sql);
+  const bool cacheable = CacheUsable() && canonical.ok();
   if (cacheable) {
-    auto canonical = cache::CanonicalizeSql(sql);
-    if (canonical.ok()) {
-      cache::FingerprintOptions fopts;
-      // The verify and equiv flags shape what a PreparedQuery contains
-      // (verification report / certificates present or not), so they
-      // are part of the key. extra_fingerprint_salt_ isolates what-if
-      // replay prepares from entries keyed to the real catalog.
-      fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 4 : 0) |
-                   extra_fingerprint_salt_;
-      // Physical defaults shape execution (batch size, join and
-      // distinct strategies), so prepares under different defaults get
-      // distinct fingerprints.
-      fopts.salt = cache::Fnv1aMix(fopts.salt, default_physical_.CacheSalt());
-      fingerprint = cache::FingerprintSql(*canonical, version, fopts);
-      if (cache::PlanCache::EntryPtr entry =
-              cache_->Get(fingerprint, version)) {
-        if (cache_hit != nullptr) *cache_hit = true;
-        static obs::Counter& prepared_counter =
-            obs::MetricsRegistry::Global().GetCounter(
-                "optimizer.queries_prepared");
-        prepared_counter.Increment();
-        feed_sample(*entry);
-        return entry;
-      }
-    } else {
-      // Not lexable: fall through so the normal pipeline produces (and
-      // records) the real diagnostic.
-      cacheable = false;
+    cache::FingerprintOptions fopts;
+    // The verify and equiv flags shape what a PreparedQuery contains
+    // (verification report / certificates present or not), so they are
+    // part of the key. extra_fingerprint_salt_ isolates what-if replay
+    // prepares from entries keyed to the real catalog.
+    fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 4 : 0) |
+                 extra_fingerprint_salt_;
+    // Physical defaults shape execution (batch size, join and distinct
+    // strategies), so prepares under different defaults get distinct
+    // fingerprints.
+    fopts.salt = cache::Fnv1aMix(fopts.salt, default_physical_.CacheSalt());
+    fingerprint = cache::FingerprintSql(*canonical, version, fopts);
+    if (cache::PlanCache::EntryPtr entry = cache_->Get(fingerprint, version)) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      static obs::Counter& prepared_counter =
+          obs::MetricsRegistry::Global().GetCounter(
+              "optimizer.queries_prepared");
+      prepared_counter.Increment();
+      feed_sample(*entry);
+      return entry;
     }
   }
-  UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared, PrepareUncached(sql));
+  UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                           PrepareUncached(sql, canonical));
   auto entry =
       std::make_shared<const PreparedQuery>(std::move(prepared));
   if (cacheable) {
@@ -401,7 +398,9 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
 }
 
 Result<PreparedQuery> Optimizer::Prepare(const std::string& sql) const {
-  if (!CacheUsable()) return PrepareUncached(sql);
+  if (!CacheUsable()) {
+    return PrepareUncached(sql, cache::CanonicalizeSql(sql));
+  }
   bool hit = false;
   UNIQOPT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,
                            PrepareShared(sql, &hit));

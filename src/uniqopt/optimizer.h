@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/uniqueness.h"
+#include "cache/fingerprint.h"
 #include "cache/plan_cache.h"
 #include "common/result.h"
 #include "exec/cost_model.h"
@@ -195,8 +196,11 @@ class Optimizer {
 
  private:
   /// The full parse → bind → analyze → rewrite → [cost] → [verify]
-  /// pipeline, no cache involvement.
-  Result<PreparedQuery> PrepareUncached(const std::string& sql) const;
+  /// pipeline, no cache involvement. `canonical` is
+  /// cache::CanonicalizeSql(sql), which keys the query class.
+  Result<PreparedQuery> PrepareUncached(
+      const std::string& sql,
+      const Result<cache::CanonicalSql>& canonical) const;
 
   bool CacheUsable() const { return cache_->enabled() && !use_cost_model_; }
 

@@ -33,8 +33,8 @@ AttributeSet ReferenceClosure(const std::vector<ExprPtr>& conjuncts,
                               bool* any_equality_kept = nullptr);
 
 /// Reference duplicate-freeness judgment, exposed for tests: a sound,
-/// possibly weaker re-derivation of IsProvablyDuplicateFree by
-/// structural recursion (π_Dist / ∩_Dist / GROUP BY / keyed base
+/// possibly weaker re-derivation of DerivedProperties::IsDuplicateFree
+/// by structural recursion (π_Dist / ∩_Dist / GROUP BY / keyed base
 /// tables / reference Algorithm 1 for π_All specifications).
 bool ReferenceDuplicateFree(const PlanPtr& plan,
                             const Algorithm1Options& options);

@@ -35,8 +35,7 @@ TEST_F(AnalysisTest, Example1DistinctUnnecessary) {
   auto verdict = AnalyzeDistinctAlgorithm1(plan);
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
   EXPECT_TRUE(verdict->has_distinct);
-  EXPECT_TRUE(verdict->distinct_unnecessary)
-      << testing::PrintToString(verdict->trace);
+  EXPECT_TRUE(verdict->distinct_unnecessary) << verdict->ExplainProof();
 }
 
 TEST_F(AnalysisTest, Example2DistinctRequired) {
@@ -58,12 +57,11 @@ TEST_F(AnalysisTest, Example5TraceMatchesPaperSteps) {
   auto verdict = AnalyzeDistinctAlgorithm1(plan);
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(verdict->distinct_unnecessary);
-  // Trace should mention both kept conjuncts and key coverage.
-  std::string trace;
-  for (const std::string& line : verdict->trace) trace += line + "\n";
-  EXPECT_NE(trace.find("Type 1"), std::string::npos) << trace;
-  EXPECT_NE(trace.find("Type 2"), std::string::npos) << trace;
-  EXPECT_NE(trace.find("YES"), std::string::npos) << trace;
+  // The proof should mention both kept conjuncts and key coverage.
+  std::string proof = verdict->proof.ToText();
+  EXPECT_NE(proof.find("Type 1"), std::string::npos) << proof;
+  EXPECT_NE(proof.find("Type 2"), std::string::npos) << proof;
+  EXPECT_NE(proof.find("YES"), std::string::npos) << proof;
 }
 
 TEST_F(AnalysisTest, VerbatimLine10RejectsEmptyPredicate) {
@@ -220,8 +218,7 @@ TEST_F(AnalysisTest, SubqueryAtMostOneMatchTheorem2) {
   ASSERT_NE(exists, nullptr);
   auto verdict = TestSubqueryAtMostOneMatch(*exists);
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-  EXPECT_TRUE(verdict->at_most_one_match)
-      << testing::PrintToString(verdict->trace);
+  EXPECT_TRUE(verdict->at_most_one_match) << verdict->ExplainProof();
 }
 
 TEST_F(AnalysisTest, SubqueryManyMatchesExample8) {
@@ -399,13 +396,28 @@ TEST_F(AnalysisTest, DerivePropertiesProductKeys) {
   EXPECT_GE(props.keys.size(), 2u);
 }
 
+TEST_F(AnalysisTest, WideSelfJoinKeepsBoundedKeys) {
+  // Twelve PARTS: Key(R) ⊕ Key(S) alone would give the product 2^12 =
+  // 4,096 keys.
+  PlanPtr plan = Bind(PartsSelfJoinSql(12));
+  ASSERT_NE(plan, nullptr);
+  const ProjectNode* project = As<ProjectNode>(plan);
+  ASSERT_NE(project, nullptr);
+  DerivedProperties props = DeriveProperties(project->input());
+  EXPECT_EQ(props.width, 12 * 5u);
+  EXPECT_FALSE(props.keys.empty());
+  EXPECT_LE(props.keys.size(), kMaxDerivedKeys);
+  EXPECT_LE(DeriveProperties(plan).keys.size(), kMaxDerivedKeys);
+}
+
 TEST_F(AnalysisTest, DuplicateFreeDetection) {
-  EXPECT_TRUE(IsProvablyDuplicateFree(Bind("SELECT SNO FROM SUPPLIER")));
-  EXPECT_FALSE(IsProvablyDuplicateFree(Bind("SELECT SNAME FROM SUPPLIER")));
-  EXPECT_TRUE(
-      IsProvablyDuplicateFree(Bind("SELECT DISTINCT SNAME FROM SUPPLIER")));
-  EXPECT_TRUE(IsProvablyDuplicateFree(
-      Bind("SELECT SNAME FROM SUPPLIER WHERE SNO = 3")));
+  auto duplicate_free = [&](const std::string& sql) {
+    return DeriveProperties(Bind(sql)).IsDuplicateFree();
+  };
+  EXPECT_TRUE(duplicate_free("SELECT SNO FROM SUPPLIER"));
+  EXPECT_FALSE(duplicate_free("SELECT SNAME FROM SUPPLIER"));
+  EXPECT_TRUE(duplicate_free("SELECT DISTINCT SNAME FROM SUPPLIER"));
+  EXPECT_TRUE(duplicate_free("SELECT SNAME FROM SUPPLIER WHERE SNO = 3"));
 }
 
 TEST_F(AnalysisTest, UnsupportedShapesReportUnsupported) {

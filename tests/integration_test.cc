@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "uniqopt/uniqopt.h"
 
@@ -58,6 +59,40 @@ TEST_F(IntegrationTest, AnalyzeSqlDiagnostic) {
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(verdict->has_distinct);
   EXPECT_TRUE(verdict->distinct_unnecessary);
+}
+
+TEST_F(IntegrationTest, ColdPrepareRunsAlgorithm1OncePerDistinct) {
+  // The rewriter's DISTINCT gate reuses the analyze phase's verdict for
+  // the unrewritten plan instead of running Algorithm 1 again.
+  obs::Counter& runs =
+      obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.runs");
+  const uint64_t before = runs.value();
+  auto prepared = optimizer_->Prepare(
+      "SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+      "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_FALSE(prepared->cache_hit);
+  EXPECT_TRUE(prepared->analysis.distinct_unnecessary);
+  ASSERT_EQ(prepared->rewrites.size(), 1u);
+  EXPECT_EQ(prepared->rewrites[0].rule,
+            RewriteRuleId::kRemoveRedundantDistinct);
+  EXPECT_TRUE(prepared->rewrites[0].evidence.proof.recorded);
+  EXPECT_EQ(runs.value() - before, 1u);
+}
+
+TEST_F(IntegrationTest, WideSelfJoinDistinctPrepares) {
+  // Twenty PARTS: the product would carry 2^20 derived keys without the
+  // kMaxDerivedKeys bound. The DISTINCT is required and must stay.
+  auto prepared = optimizer_->Prepare(PartsSelfJoinSql(20));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(prepared->analysis.has_distinct);
+  EXPECT_FALSE(prepared->analysis.distinct_unnecessary);
+  const ProjectNode* top = As<ProjectNode>(prepared->optimized_plan);
+  ASSERT_NE(top, nullptr);
+  EXPECT_EQ(top->mode(), DuplicateMode::kDist);
+  DerivedProperties product = DeriveProperties(top->input());
+  EXPECT_FALSE(product.keys.empty());
+  EXPECT_LE(product.keys.size(), kMaxDerivedKeys);
 }
 
 TEST_F(IntegrationTest, OptimizedPlansReturnSameRowsAsOriginal) {

@@ -54,7 +54,7 @@ TEST_P(PropertyTest, AnalyzerYesImpliesNoDuplicates) {
     ASSERT_TRUE(rows.ok()) << sql;
     EXPECT_FALSE(HasDuplicates(*rows))
         << sql << "\n"
-        << testing::PrintToString(verdict.trace);
+        << verdict.ExplainProof();
   }
   // The generator must produce at least a few detectable queries, or the
   // property is vacuous.

@@ -99,6 +99,24 @@ inline std::string ProfileSection(const std::string& report) {
   return report.substr(begin, end - begin);
 }
 
+/// `SELECT DISTINCT P1.PNAME` over `n` PARTS tables chained on SNO.
+/// PARTS has two candidate keys, so Key(R) ⊕ Key(S) doubles the
+/// product's derived keys with every table; the DISTINCT is required.
+inline std::string PartsSelfJoinSql(int n) {
+  std::string from = "PARTS P1";
+  std::string where;
+  for (int i = 2; i <= n; ++i) {
+    const std::string cur = std::to_string(i);
+    from.append(", PARTS P").append(cur);
+    where.append(i > 2 ? " AND P" : " WHERE P")
+        .append(std::to_string(i - 1))
+        .append(".SNO = P")
+        .append(cur)
+        .append(".SNO");
+  }
+  return "SELECT DISTINCT P1.PNAME FROM " + from + where;
+}
+
 }  // namespace uniqopt
 
 #endif  // UNIQOPT_TESTS_TEST_UTIL_H_
