@@ -12,16 +12,15 @@
 // without executing; `EXPLAIN ANALYZE <query>` executes with
 // per-operator metering and shows the profile plus the metrics the run
 // moved; `CREATE TABLE ...` extends the catalog; `\metrics` dumps the
-// metrics registry; `\trace on|off` toggles pipeline tracing (spans
-// print as they close and are buffered for `\export`); `\history`
-// shows the query flight recorder; `\advisor` lists the uniqueness
+// metrics registry; `\history` shows the query flight recorder
+// (per-phase timings included); `\advisor` lists the uniqueness
 // constraint advisor's near-miss suggestions (`\advisor replay [n]`
 // what-if replays the top n against a hypothetical catalog, `\advisor
 // clear` resets the store); `\slow [ms]` sets/queries the
 // slow-query threshold; `\serve <port>` starts the HTTP observability
-// endpoint (GET /metrics, /trace, /queries, /advisor); `\export
-// [trace|metrics|queries|advisor] <file>` dumps the corresponding
-// payload;
+// endpoint (GET /metrics, /queries, /advisor, ...); `\export
+// [metrics|queries|advisor|timeline] <file>` dumps the corresponding
+// payload (`queries` when the kind is omitted);
 // `\verify <query>` prepares the query and runs the post-optimization
 // static verifier (plan lint, proof checker, null-semantics audit);
 // `\cache` shows the plan cache's configuration and hit/miss stats
@@ -54,7 +53,6 @@
 #include "obs/sentinel.h"
 #include "obs/timeseries.h"
 #include "obs/advisor.h"
-#include "obs/trace.h"
 #include "txn/dml.h"
 #include "txn/dml_executor.h"
 #include "uniqopt/uniqopt.h"
@@ -62,26 +60,6 @@
 namespace {
 
 using namespace uniqopt;
-
-/// Prints each span as it closes (indented by nesting depth) and keeps
-/// a bounded buffer behind `\export trace` and GET /trace.
-class ShellTraceSink : public obs::TraceSink {
- public:
-  static constexpr size_t kMaxBufferedEvents = 100000;
-
-  void OnSpanEnd(obs::TraceEvent event) override {
-    if (echo_) std::printf("[trace] %s\n", event.ToString().c_str());
-    buffer_.OnSpanEnd(std::move(event));
-    buffer_.TrimTo(kMaxBufferedEvents);
-  }
-
-  void set_echo(bool echo) { echo_ = echo; }
-  obs::CollectingSink* buffer() { return &buffer_; }
-
- private:
-  bool echo_ = true;
-  obs::CollectingSink buffer_;
-};
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
@@ -127,8 +105,7 @@ int Run() {
   // Session physical defaults (\set batch); mirrored into the
   // optimizer so plan-cache fingerprints track the session settings.
   PhysicalOptions physical;
-  ShellTraceSink trace_sink;
-  obs::HttpEndpoint endpoint(trace_sink.buffer());
+  obs::HttpEndpoint endpoint;
   obs::TimeSeriesPlane& plane = obs::TimeSeriesPlane::Global();
   obs::Sentinel& sentinel = obs::Sentinel::Global();
   // Attached once up front: with the sentinel disabled (the default)
@@ -139,7 +116,7 @@ int Run() {
       "(SUPPLIER/PARTS/AGENTS).\n"
       "EXPLAIN <q> shows the rewrite trail and uniqueness proof; "
       "EXPLAIN ANALYZE <q> executes\nwith per-operator metering. "
-      "\\metrics dumps counters; \\trace on|off toggles spans;\n"
+      "\\metrics dumps counters;\n"
       "\\history shows the flight recorder; \\advisor lists constraint "
       "suggestions\n(\\advisor replay [n] what-if replays the top n; "
       "\\advisor adopt [n] turns suggestion n\ninto a real CREATE UNIQUE "
@@ -147,9 +124,9 @@ int Run() {
       "the transactional DML plane with key enforcement; "
       "\\slow [ms] sets the "
       "slow-query threshold;\n\\serve <port> starts the HTTP endpoint "
-      "(/metrics /trace /queries /advisor /timeseries /alerts /healthz)\n"
+      "(/metrics /queries /advisor /timeseries /alerts /healthz)\n"
       "plus the 1s window ticker and the regression sentinel; \\export "
-      "[trace|metrics|queries|advisor|timeline] "
+      "[metrics|queries|advisor|timeline] "
       "<file> dumps a payload;\n\\verify <q> runs the plan verifier "
       "(equivalence certificates included);\n\\schemalint audits the "
       "catalog's declared constraints for inconsistencies;\n"
@@ -170,16 +147,6 @@ int Run() {
     if (trimmed == "\\q" || EqualsIgnoreCase(trimmed, "quit")) break;
     if (trimmed == "\\metrics") {
       std::printf("%s", obs::MetricsRegistry::Global().ToText().c_str());
-      continue;
-    }
-    if (trimmed == "\\trace on") {
-      obs::Tracer::Global().Enable(&trace_sink);
-      std::printf("tracing on\n");
-      continue;
-    }
-    if (trimmed == "\\trace off") {
-      obs::Tracer::Global().Disable();
-      std::printf("tracing off\n");
       continue;
     }
     if (trimmed == "\\history") {
@@ -417,20 +384,17 @@ int Run() {
            Split(trimmed.size() > 7 ? trimmed.substr(8) : "", ' ')) {
         if (!piece.empty()) args.push_back(piece);
       }
-      std::string kind = args.size() == 2 ? args[0] : "trace";
+      std::string kind = args.size() == 2 ? args[0] : "queries";
       std::string path = args.size() == 2  ? args[1]
                          : args.size() == 1 ? args[0]
                                             : "";
       if (path.empty()) {
         std::printf(
-            "usage: \\export [trace|metrics|queries|advisor|timeline] "
+            "usage: \\export [metrics|queries|advisor|timeline] "
             "<file>\n");
         continue;
       }
-      if (kind == "trace") {
-        WriteFile(path,
-                  obs::ToChromeTraceJson(trace_sink.buffer()->Events()));
-      } else if (kind == "metrics") {
+      if (kind == "metrics") {
         WriteFile(path, obs::ToPrometheusText(obs::SnapshotMetrics(
                             obs::MetricsRegistry::Global())));
       } else if (kind == "queries") {
@@ -441,7 +405,7 @@ int Run() {
         WriteFile(path, plane.ToJson());
       } else {
         std::printf(
-            "usage: \\export [trace|metrics|queries|advisor|timeline] "
+            "usage: \\export [metrics|queries|advisor|timeline] "
             "<file>\n");
       }
       continue;

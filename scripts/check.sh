@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 test suite, a Release (-O3) build that
 # must compile warning-clean where -Werror applies, plus an ASan/UBSan
-# build of the observability tests (the registry, tracer and flight
+# build of the observability tests (the registry and the flight
 # recorder are the concurrent code in the tree — sanitize them every
 # time), of the analysis, rewriter and verifier tests (the rewriter reads
 # a DISTINCT verdict its caller owns; the verifier re-checks proofs built

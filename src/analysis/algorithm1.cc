@@ -4,7 +4,6 @@
 #include "expr/equality.h"
 #include "expr/normalize.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 
@@ -163,7 +162,6 @@ bool KeyCovered(const TableDef& table, const std::string& alias,
 
 Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
                                        const Algorithm1Options& options) {
-  obs::Span span("analysis.algorithm1");
   obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.runs")
       .Increment();
   static obs::Histogram& latency =
@@ -180,7 +178,6 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
   if (!conjuncts.ok()) {
     // Predicate too complex to normalize: give up conservatively.
     proof.conclusion = "NO: CNF budget exceeded";
-    span.AddAttr("answer", "NO");
     return result;
   }
 
@@ -193,7 +190,6 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
   if (!any_kept && options.verbatim_line10) {
     // Line 10 of the published algorithm: C reduced to T ⇒ NO.
     proof.conclusion = "NO: C = T after deletions (verbatim line 10)";
-    span.AddAttr("answer", "NO");
     return result;
   }
 
@@ -215,7 +211,6 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
                            bt.offset, bound, projection, options,
                            &result.near_misses);
     }
-    span.AddAttr("answer", "NO");
     return result;
   }
   result.yes = true;
@@ -224,7 +219,6 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
       "duplicate elimination is unnecessary (Theorem 1)";
   obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.yes")
       .Increment();
-  span.AddAttr("answer", "YES");
   return result;
 }
 

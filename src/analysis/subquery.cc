@@ -4,7 +4,6 @@
 #include "analysis/near_miss.h"
 #include "analysis/shape.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 
@@ -38,7 +37,6 @@ std::vector<std::string> CombinedColumnNames(const ExistsNode& node) {
 
 Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
     const ExistsNode& node, const AnalysisOptions& options) {
-  obs::Span span("analysis.subquery_theorem2");
   obs::MetricsRegistry::Global().GetCounter("analysis.subquery.runs")
       .Increment();
   SubqueryVerdict verdict;
@@ -65,7 +63,6 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
   Result<std::vector<ExprPtr>> conjuncts = CnfConjuncts(predicates);
   if (!conjuncts.ok()) {
     proof->conclusion = "NOT PROVEN: CNF budget exceeded";
-    span.AddAttr("at_most_one_match", false);
     return verdict;
   }
 
@@ -92,7 +89,6 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
                            bt.get->alias(), shift, bound, AttributeSet(),
                            options, &verdict.near_misses);
     }
-    span.AddAttr("at_most_one_match", false);
     return verdict;
   }
   verdict.at_most_one_match = true;
@@ -101,7 +97,6 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
       "inner row matches each outer row (Theorem 2)";
   obs::MetricsRegistry::Global().GetCounter("analysis.subquery.proven")
       .Increment();
-  span.AddAttr("at_most_one_match", true);
   return verdict;
 }
 

@@ -9,7 +9,6 @@
 #include "expr/normalize.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 namespace ims {
@@ -312,7 +311,6 @@ std::string ProgramSummary(const DliProgram& program) {
 
 GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
                          const std::vector<Value>& params) {
-  obs::Span span("ims.run_program");
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram("ims.gateway.run.ns");
   obs::ScopedLatencyTimer timer(&latency);
@@ -398,9 +396,6 @@ GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
         result.rows.end());
   }
   result.stats = dli.stats();
-  span.AddAttr("rows", static_cast<uint64_t>(result.rows.size()));
-  span.AddAttr("gnp_calls",
-               static_cast<uint64_t>(result.stats.gnp_calls));
 
   obs::QueryRecord rec;
   rec.source = "ims.gateway";

@@ -17,15 +17,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-/// Microseconds with sub-ns precision preserved (Chrome trace ts unit).
-std::string FormatMicros(uint64_t ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
-}
-
 }  // namespace
 
 std::string JsonEscape(const std::string& s) {
@@ -214,29 +205,6 @@ std::string ToMetricsJson(const std::vector<MetricSample>& samples) {
              ", \"count\": " + std::to_string(cumulative) + "}";
     }
     out += "]}";
-  }
-  out += first ? "]}\n" : "\n]}\n";
-  return out;
-}
-
-std::string ToChromeTraceJson(const std::vector<TraceEvent>& events) {
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (const TraceEvent& e : events) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "  {\"name\": \"" + JsonEscape(e.name) + "\", ";
-    out += "\"cat\": \"uniqopt\", \"ph\": \"X\", ";
-    out += "\"ts\": " + FormatMicros(e.start_ns) + ", ";
-    out += "\"dur\": " + FormatMicros(e.duration_ns) + ", ";
-    out += "\"pid\": 1, \"tid\": " + std::to_string(e.tid) + ", ";
-    out += "\"args\": {";
-    out += "\"span_id\": " + std::to_string(e.id) +
-           ", \"parent_id\": " + std::to_string(e.parent_id);
-    for (const auto& [key, value] : e.attrs) {
-      out += ", \"" + JsonEscape(key) + "\": \"" + JsonEscape(value) + "\"";
-    }
-    out += "}}";
   }
   out += first ? "]}\n" : "\n]}\n";
   return out;

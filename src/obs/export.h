@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 namespace obs {
@@ -78,12 +77,6 @@ Status LintPrometheusText(const std::string& text);
 ///      "min": ..., "max": ..., "mean": ..., "p50": ..., "p90": ...,
 ///      "p99": ..., "buckets": [{"le": 1023, "count": 4}, ...]}]}
 std::string ToMetricsJson(const std::vector<MetricSample>& samples);
-
-/// Chrome trace-event JSON (the format Perfetto / chrome://tracing
-/// load): complete-event ("ph":"X") entries with microsecond ts/dur,
-/// span attributes as args. Spans from different threads land on
-/// different tid lanes.
-std::string ToChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// Minimal RFC 8259 syntax check (objects, arrays, strings, numbers,
 /// literals). Used by tests to assert exported JSON actually parses and

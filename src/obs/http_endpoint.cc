@@ -49,9 +49,8 @@ std::string HttpResponse(int code, const char* reason,
 
 }  // namespace
 
-HttpEndpoint::HttpEndpoint(CollectingSink* sink, QueryRecorder* recorder)
-    : sink_(sink),
-      recorder_(recorder != nullptr ? recorder : &QueryRecorder::Global()) {}
+HttpEndpoint::HttpEndpoint(QueryRecorder* recorder)
+    : recorder_(recorder != nullptr ? recorder : &QueryRecorder::Global()) {}
 
 HttpEndpoint::~HttpEndpoint() { Stop(); }
 
@@ -129,11 +128,6 @@ std::string HttpEndpoint::RenderPath(const std::string& path) const {
   if (path == "/metrics") {
     return ToPrometheusText(SnapshotMetrics(MetricsRegistry::Global()));
   }
-  if (path == "/trace") {
-    std::vector<TraceEvent> events =
-        sink_ != nullptr ? sink_->Events() : std::vector<TraceEvent>{};
-    return ToChromeTraceJson(events);
-  }
   if (path == "/queries") {
     return recorder_->ToJson();
   }
@@ -164,7 +158,6 @@ std::string HttpEndpoint::RenderPath(const std::string& path) const {
   if (path == "/" || path == "/index") {
     return "uniqopt observability endpoint\n"
            "  /metrics     Prometheus text exposition\n"
-           "  /trace       Chrome trace-event JSON (load in Perfetto)\n"
            "  /queries     query flight recorder history (JSON)\n"
            "  /advisor     uniqueness constraint advisor suggestions (JSON)\n"
            "  /timeseries  windowed time-series plane snapshot (JSON)\n"
@@ -217,8 +210,8 @@ void HttpEndpoint::HandleConnection(int fd) {
     return;
   }
   const char* content_type =
-      (path == "/trace" || path == "/queries" || path == "/advisor" ||
-       path == "/timeseries" || path == "/alerts" || path == "/healthz")
+      (path == "/queries" || path == "/advisor" || path == "/timeseries" ||
+       path == "/alerts" || path == "/healthz")
           ? "application/json"
       : path == "/metrics"
           ? "text/plain; version=0.0.4; charset=utf-8"

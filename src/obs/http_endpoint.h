@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 namespace obs {
@@ -17,7 +16,6 @@ namespace obs {
 /// thread, one request per connection, loopback only. Serves
 ///
 ///   GET /metrics     Prometheus text exposition of the metrics registry
-///   GET /trace       Chrome trace-event JSON of the attached trace sink
 ///   GET /queries     flight-recorder history as JSON
 ///   GET /advisor     uniqueness constraint advisor suggestions as JSON
 ///   GET /timeseries  windowed time-series plane snapshot (JSON)
@@ -34,10 +32,8 @@ namespace obs {
 /// the shell's \serve or embedded by a host process.
 class HttpEndpoint {
  public:
-  /// `sink` (optional) backs /trace; `recorder` defaults to the global
-  /// flight recorder.
-  explicit HttpEndpoint(CollectingSink* sink = nullptr,
-                        QueryRecorder* recorder = nullptr);
+  /// `recorder` defaults to the global flight recorder.
+  explicit HttpEndpoint(QueryRecorder* recorder = nullptr);
   ~HttpEndpoint();
 
   HttpEndpoint(const HttpEndpoint&) = delete;
@@ -63,7 +59,6 @@ class HttpEndpoint {
   void Serve();
   void HandleConnection(int fd);
 
-  CollectingSink* sink_;
   QueryRecorder* recorder_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;

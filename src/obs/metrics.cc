@@ -287,66 +287,6 @@ std::string MetricsRegistry::ToText() const {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(name) +
-           "\": " + std::to_string(counter->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(name) +
-           "\": " + std::to_string(gauge->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(name) + "\": {";
-    out += "\"count\": " + std::to_string(h->count());
-    out += ", \"sum\": " + std::to_string(h->sum());
-    out += ", \"min\": " + std::to_string(h->min());
-    out += ", \"max\": " + std::to_string(h->max());
-    out += ", \"mean\": " + std::to_string(h->mean());
-    out += ", \"p50\": " + std::to_string(h->Quantile(0.5));
-    out += ", \"p90\": " + std::to_string(h->Quantile(0.9));
-    out += ", \"p99\": " + std::to_string(h->Quantile(0.99));
-    out += "}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
-}
-
-namespace {
-
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -43,7 +43,7 @@ class Gauge {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Metric (and span) names use the dotted `<subsystem>.<object>.<measure>`
+/// Metric names use the dotted `<subsystem>.<object>.<measure>`
 /// scheme. A name is valid when it maps onto a Prometheus-legal name
 /// after the exporter replaces dots with underscores:
 /// `[a-zA-Z_][a-zA-Z0-9_.:]*`.
@@ -162,11 +162,9 @@ class MetricsRegistry {
   /// Zeroes every metric (names stay registered).
   void ResetAll();
 
-  /// Human-readable dump, sorted by name.
+  /// Human-readable dump, sorted by name. Machine-readable exports
+  /// render from SnapshotMetrics (obs/export.h).
   std::string ToText() const;
-  /// {"counters": {...}, "histograms": {name: {count, sum, min, max,
-  ///  mean, p50, p90, p99}}}
-  std::string ToJson() const;
 
  private:
   mutable std::mutex mu_;

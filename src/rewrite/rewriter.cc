@@ -10,7 +10,6 @@
 #include "expr/equality.h"
 #include "expr/normalize.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 
@@ -68,6 +67,9 @@ ExprPtr MakeNullSafeCorrelation(const Schema& left, const Schema& right) {
 
 namespace {
 
+/// Bound on rule applications at one node (cycle guard).
+constexpr int kMaxIterationsPerNode = 8;
+
 class Rewriter {
  public:
   Rewriter(const RewriteOptions& options, const PlanNode* root,
@@ -76,7 +78,7 @@ class Rewriter {
 
   Result<PlanPtr> Transform(const PlanPtr& node) {
     UNIQOPT_ASSIGN_OR_RETURN(PlanPtr current, TransformChildren(node));
-    for (int i = 0; i < options_.max_iterations_per_node; ++i) {
+    for (int i = 0; i < kMaxIterationsPerNode; ++i) {
       UNIQOPT_ASSIGN_OR_RETURN(PlanPtr next, ApplyRulesAt(current));
       if (next == current) break;
       current = std::move(next);
@@ -162,8 +164,7 @@ class Rewriter {
       UNIQOPT_ASSIGN_OR_RETURN(PlanPtr next, TryRemoveDistinct(node));
       if (next != node) return next;
     }
-    if (options_.subquery_to_join || options_.subquery_to_distinct_join ||
-        options_.starburst_always_join) {
+    if (options_.subquery_to_join || options_.subquery_to_distinct_join) {
       UNIQOPT_ASSIGN_OR_RETURN(PlanPtr next, TrySubqueryToJoin(node));
       if (next != node) return next;
     }
@@ -218,7 +219,6 @@ class Rewriter {
     if (const ProjectNode* p = As<ProjectNode>(node);
         p != nullptr && p->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kRemoveRedundantDistinct);
-      obs::Span span("rewrite.rule.RemoveRedundantDistinct");
       // The caller's verdict answers this gate for the unrewritten root.
       UniquenessVerdict fresh;
       const UniquenessVerdict* verdict = root_verdict_;
@@ -226,10 +226,6 @@ class Rewriter {
         fresh = AnalyzeDistinct(node, options_.analysis);
         verdict = &fresh;
       }
-      span.AddAttr("distinct_unnecessary", verdict->distinct_unnecessary);
-      span.AddAttr("detector", verdict->detector == DetectorKind::kAlgorithm1
-                                   ? "algorithm1"
-                                   : "fd_propagation");
       if (verdict->distinct_unnecessary) {
         PlanPtr after =
             ProjectNode::Make(p->input(), DuplicateMode::kAll, p->columns());
@@ -250,7 +246,6 @@ class Rewriter {
     if (const SetOpNode* s = As<SetOpNode>(node);
         s != nullptr && s->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kRemoveRedundantDistinct);
-      obs::Span span("rewrite.rule.RemoveRedundantDistinct");
       DerivedProperties left = DeriveProperties(s->left(), options_.analysis);
       DerivedProperties right =
           DeriveProperties(s->right(), options_.analysis);
@@ -258,7 +253,6 @@ class Rewriter {
           s->op() == SetOpAlgebra::kIntersect
               ? (left.IsDuplicateFree() || right.IsDuplicateFree())
               : left.IsDuplicateFree();
-      span.AddAttr("distinct_unnecessary", equivalent);
       if (equivalent) {
         Result<PlanPtr> after = SetOpNode::Make(s->op(), DuplicateMode::kAll,
                                                 s->left(), s->right());
@@ -300,11 +294,8 @@ class Rewriter {
     // Theorem 2: at most one inner match ⇒ plain join, mode preserved.
     if (options_.subquery_to_join) {
       Considered(RewriteRuleId::kSubqueryToJoin);
-      obs::Span span("rewrite.rule.SubqueryToJoin");
       Result<SubqueryVerdict> verdict =
           TestSubqueryAtMostOneMatch(*exists, options_.analysis);
-      span.AddAttr("at_most_one_match",
-                   verdict.ok() && verdict->at_most_one_match);
       if (verdict.ok() && verdict->at_most_one_match) {
         PlanPtr after = rebuild_as_join(project->mode());
         RewriteEvidence evidence;
@@ -323,8 +314,7 @@ class Rewriter {
     }
     // Already-DISTINCT projection: the Dist/Dist equivalence noted after
     // Theorem 2 always allows the conversion.
-    if ((options_.subquery_to_distinct_join ||
-         options_.starburst_always_join) &&
+    if (options_.subquery_to_distinct_join &&
         project->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kSubqueryToDistinctJoin);
       PlanPtr after = rebuild_as_join(DuplicateMode::kDist);
@@ -342,12 +332,10 @@ class Rewriter {
     if (options_.subquery_to_distinct_join &&
         project->mode() == DuplicateMode::kAll) {
       Considered(RewriteRuleId::kSubqueryToDistinctJoin);
-      obs::Span span("rewrite.rule.SubqueryToDistinctJoin");
       PlanPtr outer_projection = ProjectNode::Make(
           exists->outer(), DuplicateMode::kAll, project->columns());
       DerivedProperties outer =
           DeriveProperties(outer_projection, options_.analysis);
-      span.AddAttr("outer_duplicate_free", outer.IsDuplicateFree());
       if (outer.IsDuplicateFree()) {
         PlanPtr after = rebuild_as_join(DuplicateMode::kDist);
         RewriteEvidence evidence;
@@ -367,11 +355,6 @@ class Rewriter {
                                       options_.analysis));
       }
     }
-    // Starburst baseline: force the conversion via a DISTINCT join even
-    // without a uniqueness proof (always sound for ALL-mode outer blocks
-    // only when the outer is duplicate-free — so the baseline converts
-    // π_Dist blocks unconditionally and leaves π_All blocks with a proof
-    // obligation it cannot discharge; mirrored from Rule 7 discussion).
     return node;
   }
 
@@ -392,9 +375,6 @@ class Rewriter {
                                ? RewriteRuleId::kIntersectToExists
                                : RewriteRuleId::kIntersectAllToExists;
       Considered(rule);
-      obs::Span span("rewrite.rule.IntersectToExists");
-      span.AddAttr("left_duplicate_free", left.IsDuplicateFree());
-      span.AddAttr("right_duplicate_free", right.IsDuplicateFree());
       const char* what = setop->mode() == DuplicateMode::kDist
                              ? "INTERSECT (Theorem 3)"
                              : "INTERSECT ALL (Corollary 2)";
@@ -956,12 +936,9 @@ class Rewriter {
     // Valid unconditionally for π_Dist; for π_All the discarded side must
     // match at most once (Theorem 2 read right-to-left).
     Considered(RewriteRuleId::kJoinToSubquery);
-    obs::Span span("rewrite.rule.JoinToSubquery");
     if (project->mode() == DuplicateMode::kAll) {
       Result<SubqueryVerdict> verdict = TestSubqueryAtMostOneMatch(
           *As<ExistsNode>(exists), options_.analysis);
-      span.AddAttr("at_most_one_match",
-                   verdict.ok() && verdict->at_most_one_match);
       if (!verdict.ok() || !verdict->at_most_one_match) {
         Rejected(RewriteRuleId::kJoinToSubquery);
         return node;
@@ -977,7 +954,6 @@ class Rewriter {
              std::move(evidence));
       return after;
     }
-    span.AddAttr("mode", "distinct");
     PlanPtr after = ProjectNode::Make(exists, project->mode(),
                                       project->columns());
     RewriteEvidence evidence;
@@ -1003,7 +979,6 @@ class Rewriter {
 Result<RewriteResult> RewritePlan(const PlanPtr& plan,
                                   const RewriteOptions& options,
                                   const UniquenessVerdict* plan_verdict) {
-  obs::Span span("rewrite.plan");
   obs::MetricsRegistry::Global().GetCounter("rewrite.plans").Increment();
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram("rewrite.plan.ns");
@@ -1013,8 +988,6 @@ Result<RewriteResult> RewritePlan(const PlanPtr& plan,
   UNIQOPT_ASSIGN_OR_RETURN(result.plan, rewriter.Transform(plan));
   result.applied = rewriter.TakeApplied();
   result.near_misses = rewriter.TakeNearMisses();
-  span.AddAttr("rewrites_applied",
-               static_cast<uint64_t>(result.applied.size()));
   return result;
 }
 

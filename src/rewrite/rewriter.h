@@ -90,12 +90,6 @@ struct RewriteOptions {
   /// both would ping-pong): convert a null-safe-equality EXISTS into an
   /// INTERSECT for set-operation execution strategies.
   bool exists_to_intersect = false;
-  /// Starburst-style baseline policy: convert every subquery to a join
-  /// whenever semantically possible, even without a uniqueness proof
-  /// (uses DISTINCT-join). Used by comparison benchmarks.
-  bool starburst_always_join = false;
-  /// Bound on rule applications at one node (cycle guard).
-  int max_iterations_per_node = 8;
 };
 
 /// Soundness evidence attached to every applied rewrite: the node the

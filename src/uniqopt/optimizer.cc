@@ -10,38 +10,31 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "parser/parser.h"
 
 namespace uniqopt {
 
 namespace {
 
-/// Interned identity of one optimizer phase: the span name and the
-/// `optimizer.phase.<name>.ns` histogram handle, both resolved exactly
-/// once per phase (function-local static at each Phase site) so the
-/// per-call cost is the histogram's atomics — no string concatenation
-/// and no registry mutex on the prepare hot path.
+/// Interned identity of one optimizer phase: the
+/// `optimizer.phase.<name>.ns` histogram handle, resolved exactly once
+/// per phase (function-local static at each Phase site) so the per-call
+/// cost is the histogram's atomics — no string concatenation and no
+/// registry mutex on the prepare hot path.
 struct PhaseDef {
   const char* name;
-  std::string span_name;
   obs::Histogram* histogram;
 };
 
 PhaseDef MakePhaseDef(const char* name) {
-  PhaseDef def;
-  def.name = name;
-  def.span_name = std::string("optimizer.phase.") + name;
-  def.histogram = &obs::MetricsRegistry::Global().GetHistogram(
-      def.span_name + ".ns");
-  return def;
+  return PhaseDef{name, &obs::MetricsRegistry::Global().GetHistogram(
+                            std::string("optimizer.phase.") + name + ".ns")};
 }
 
-/// One optimizer phase: a trace span plus a latency histogram sample.
-/// The histogram records unconditionally (atomics only); the span is
-/// zero-cost when tracing is off. With `phase_sink` non-null the
-/// elapsed time is also appended there — that is how PreparedQuery
-/// carries its per-phase latencies to the flight recorder.
+/// One optimizer phase: a latency histogram sample (atomics only). With
+/// `phase_sink` non-null the elapsed time is also appended there — that
+/// is how PreparedQuery carries its per-phase latencies to the flight
+/// recorder.
 class Phase {
  public:
   explicit Phase(const PhaseDef& def,
@@ -49,7 +42,6 @@ class Phase {
                      nullptr)
       : def_(def),
         phase_sink_(phase_sink),
-        span_(def.span_name.c_str()),
         start_(std::chrono::steady_clock::now()) {}
 
   ~Phase() {
@@ -61,12 +53,9 @@ class Phase {
     if (phase_sink_ != nullptr) phase_sink_->emplace_back(def_.name, ns);
   }
 
-  obs::Span& span() { return span_; }
-
  private:
   const PhaseDef& def_;
   std::vector<std::pair<std::string, uint64_t>>* phase_sink_;
-  obs::Span span_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -164,7 +153,6 @@ std::string PreparedQuery::Explain() const {
 Result<PreparedQuery> Optimizer::PrepareUncached(
     const std::string& sql,
     const Result<cache::CanonicalSql>& canonical) const {
-  obs::Span prepare_span("optimizer.prepare");
   static obs::Counter& prepared_counter =
       obs::MetricsRegistry::Global().GetCounter("optimizer.queries_prepared");
   prepared_counter.Increment();
@@ -192,8 +180,6 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
       return r.status();
     }
     bound = std::move(*r);
-    phase.span().AddAttr(
-        "host_vars", static_cast<uint64_t>(bound.host_vars.size()));
   }
   // Near-miss collection is an advisor feature: only pay for the
   // minimal-missing-fact computation at proof-failure sites when the
@@ -209,9 +195,6 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     static const PhaseDef kAnalyze = MakePhaseDef("analyze");
     Phase phase(kAnalyze, &out.phase_ns);
     out.analysis = AnalyzeDistinct(bound.plan, effective_options.analysis);
-    phase.span().AddAttr("has_distinct", out.analysis.has_distinct);
-    phase.span().AddAttr("distinct_unnecessary",
-                         out.analysis.distinct_unnecessary);
   }
   RewriteResult rewritten;
   {
@@ -223,8 +206,6 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
       return r.status();
     }
     rewritten = std::move(*r);
-    phase.span().AddAttr(
-        "rewrites_applied", static_cast<uint64_t>(rewritten.applied.size()));
   }
   out.sql = sql;
   out.original_plan = std::move(bound.plan);
@@ -281,7 +262,6 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     out.chosen_physical = alternatives[best].physical;
     out.chosen_label = alternatives[best].label;
     out.chosen_estimate = alternatives[best].estimate;
-    phase.span().AddAttr("chosen", out.chosen_label);
   }
   if (verify_plans_) {
     // After cost selection: verify the plan that will actually execute.
@@ -289,9 +269,6 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     Phase phase(kVerify, &out.phase_ns);
     out.verification = Verify(out);
     out.verified = true;
-    phase.span().AddAttr(
-        "violations",
-        static_cast<uint64_t>(out.verification.violations.size()));
   }
   out.plan_hash =
       obs::FingerprintPlanText(out.optimized_plan->ToString());
@@ -530,7 +507,6 @@ Result<std::vector<Row>> Optimizer::Execute(
                          profile);
     if (r.ok()) {
       rows = std::move(*r);
-      phase.span().AddAttr("rows", static_cast<uint64_t>(rows.size()));
     } else {
       exec_status = r.status();
     }
@@ -544,14 +520,17 @@ Result<std::vector<Row>> Optimizer::Execute(
   rec.rows_scanned = ctx.stats.rows_scanned;
   if (profile != nullptr) rec.profile_text = profile->ToText();
   for (const auto& [name, ns] : rec.phase_ns) rec.total_ns += ns;
-  const uint64_t total_ns = rec.total_ns;
+  // The Phase above appended this call's timing last; the entries before
+  // it are the prepared entry's parse..verify phases.
+  const uint64_t execute_ns = rec.phase_ns.back().second;
   uint64_t record_id = obs::QueryRecorder::Global().Record(std::move(rec));
-  // Per-class end-to-end latency, exemplar-linked to the record just
-  // written: an alert on this window resolves to that QueryRecord.
+  // Per-class execute latency, exemplar-linked to the record just
+  // written: an alert on this window resolves to that QueryRecord. The
+  // prepare cost is PrepareShared's `prepare.ns` sample, not this one.
   obs::TimeSeriesPlane& plane = obs::TimeSeriesPlane::Global();
   if (plane.enabled()) {
     plane.RecordClassSample(query.class_fingerprint, "execute.ns",
-                            total_ns, record_id, query.plan_hash);
+                            execute_ns, record_id, query.plan_hash);
   }
   // Mirror the per-execution work counters into the registry so they
   // accumulate across queries (\metrics, bench --metrics-json).

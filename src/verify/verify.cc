@@ -1,7 +1,6 @@
 #include "verify/verify.h"
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "verify/null_audit.h"
 #include "verify/plan_lint.h"
 #include "verify/proof_checker.h"
@@ -162,7 +161,6 @@ void CertifyRewrites(const VerifyInput& input, VerifyReport* report) {
 }  // namespace
 
 VerifyReport VerifyPlan(const VerifyInput& input) {
-  obs::Span span("verify.plan");
   VerifyReport report;
   LintPlan(input, &report);
   CheckProofs(input, &report);
@@ -177,9 +175,6 @@ VerifyReport VerifyPlan(const VerifyInput& input) {
     reg.GetCounter("verify.plan.violations")
         .Increment(report.violations.size());
   }
-  span.AddAttr("violations", static_cast<uint64_t>(report.violations.size()));
-  span.AddAttr("nodes_checked",
-               static_cast<uint64_t>(report.nodes_checked));
   return report;
 }
 

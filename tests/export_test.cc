@@ -1,8 +1,7 @@
-// Tests for the metrics/trace export plane: Prometheus text exposition
+// Tests for the metrics export plane: Prometheus text exposition
 // (linted by the exporter's own lint pass), the stable metrics JSON
-// schema shared with bench --metrics-json, Chrome trace-event JSON for
-// Perfetto, and the name mapping from dotted metric names to
-// Prometheus-legal ones.
+// schema shared with bench --metrics-json, and the name mapping from
+// dotted metric names to Prometheus-legal ones.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace uniqopt {
 namespace {
@@ -187,36 +185,6 @@ TEST(MetricsJsonTest, StableSchemaIsValidJson) {
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   EXPECT_NE(json.find("\"le\""), std::string::npos);
-}
-
-TEST(ChromeTraceTest, ProducesValidTraceEventJson) {
-  obs::CollectingSink sink;
-  obs::Tracer tracer;
-  tracer.Enable(&sink);
-  {
-    obs::Span outer(tracer, "optimizer.prepare");
-    outer.AddAttr("sql", "SELECT DISTINCT \"quoted\"\n");
-    { obs::Span inner(tracer, "optimizer.phase.parse"); }
-  }
-  tracer.Disable();
-
-  std::string json = obs::ToChromeTraceJson(sink.Events());
-  Status valid = obs::ValidateJson(json);
-  EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("optimizer.phase.parse"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\""), std::string::npos);
-  // The attr with quotes/newline must be escaped, not emitted raw.
-  EXPECT_EQ(json.find("\"quoted\"\n"), std::string::npos);
-}
-
-TEST(ChromeTraceTest, EmptyTraceIsValid) {
-  std::string json = obs::ToChromeTraceJson({});
-  Status valid = obs::ValidateJson(json);
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(RecorderJsonTest, QueriesDumpIsValidJson) {

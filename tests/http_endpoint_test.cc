@@ -1,6 +1,6 @@
 // Tests for the HTTP observability endpoint: a real loopback socket
 // round-trip per route, the Prometheus lint on a served /metrics page,
-// JSON validity of /trace and /queries, and the 404/405 error paths.
+// JSON validity of /queries, and the 404/405 error paths.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "test_util.h"
 
 namespace uniqopt {
@@ -77,11 +76,7 @@ class HttpEndpointTest : public ::testing::Test {
     rec.ok = true;
     recorder_.Record(std::move(rec));
 
-    obs::Tracer::Global().Enable(&sink_);
-    { obs::Span span("optimizer.prepare"); }
-    obs::Tracer::Global().Disable();
-
-    endpoint_ = std::make_unique<obs::HttpEndpoint>(&sink_, &recorder_);
+    endpoint_ = std::make_unique<obs::HttpEndpoint>(&recorder_);
     ASSERT_OK(endpoint_->Start(0));
     ASSERT_TRUE(endpoint_->serving());
     ASSERT_NE(endpoint_->port(), 0);
@@ -89,7 +84,6 @@ class HttpEndpointTest : public ::testing::Test {
 
   void TearDown() override { endpoint_->Stop(); }
 
-  obs::CollectingSink sink_;
   obs::QueryRecorder recorder_;
   std::unique_ptr<obs::HttpEndpoint> endpoint_;
 };
@@ -104,17 +98,6 @@ TEST_F(HttpEndpointTest, MetricsRouteServesLintedPrometheusText) {
   EXPECT_NE(body.find("exec_rows_total"), std::string::npos);
   EXPECT_NE(body.find("optimizer_phase_parse_ns_count"),
             std::string::npos);
-}
-
-TEST_F(HttpEndpointTest, TraceRouteServesValidChromeTraceJson) {
-  std::string response = Get(endpoint_->port(), "/trace");
-  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("application/json"), std::string::npos);
-  std::string body = Body(response);
-  Status valid = obs::ValidateJson(body);
-  EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << body;
-  EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(body.find("optimizer.prepare"), std::string::npos);
 }
 
 TEST_F(HttpEndpointTest, QueriesRouteServesRecorderJson) {
@@ -273,16 +256,14 @@ TEST_F(HttpEndpointTest, DoubleStartFails) {
 }
 
 TEST(HttpEndpointRenderTest, RenderPathMatchesRoutes) {
-  obs::CollectingSink sink;
   obs::QueryRecorder recorder;
-  obs::HttpEndpoint endpoint(&sink, &recorder);
+  obs::HttpEndpoint endpoint(&recorder);
   EXPECT_FALSE(endpoint.RenderPath("/").empty());
   EXPECT_FALSE(endpoint.RenderPath("/metrics").empty() &&
                !obs::SnapshotMetrics(obs::MetricsRegistry::Global())
                     .empty());
   EXPECT_TRUE(endpoint.RenderPath("/bogus").empty());
-  Status trace_valid = obs::ValidateJson(endpoint.RenderPath("/trace"));
-  EXPECT_TRUE(trace_valid.ok()) << trace_valid.ToString();
+  EXPECT_TRUE(endpoint.RenderPath("/trace").empty());
   Status queries_valid =
       obs::ValidateJson(endpoint.RenderPath("/queries"));
   EXPECT_TRUE(queries_valid.ok()) << queries_valid.ToString();

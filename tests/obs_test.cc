@@ -1,8 +1,7 @@
 // Tests for the observability layer: metrics registry (counters,
-// histograms, snapshots/deltas), tracing (span nesting, attributes,
-// disabled no-op), and the EXPLAIN ANALYZE surfaces built on them —
-// including the Example 10 gateway claim that the join→subquery rewrite
-// halves ims.dli.gnp_calls.
+// histograms, snapshots/deltas) and the EXPLAIN ANALYZE surfaces built
+// on them — including the Example 10 gateway claim that the
+// join→subquery rewrite halves ims.dli.gnp_calls.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "ims/translator.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rewrite/rewriter.h"
 #include "test_util.h"
 #include "uniqopt/optimizer.h"
@@ -85,17 +83,6 @@ TEST(RegistryTest, ResetAllZeroesButKeepsNames) {
   EXPECT_EQ(registry.GetCounter("x").value(), 0u);
   EXPECT_EQ(registry.GetHistogram("h").count(), 0u);
   EXPECT_EQ(registry.Counters().count("x"), 1u);
-}
-
-TEST(RegistryTest, JsonDumpIsWellFormedEnough) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("c.one").Increment(2);
-  registry.GetHistogram("h.lat").Record(100);
-  std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"c.one\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"h.lat\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99\""), std::string::npos) << json;
 }
 
 TEST(HistogramTest, ExactStatsAndSmallValues) {
@@ -280,65 +267,47 @@ TEST(MetricNameTest, RegistrationCanonicalizesInvalidNames) {
   EXPECT_EQ(registry.GetCounter("bad name-here").value(), 3u);
 }
 
-TEST(TraceTest, SpanNestingAndAttributes) {
-  obs::CollectingSink sink;
-  obs::Tracer::Global().Enable(&sink);
-  {
-    obs::Span outer("outer");
-    outer.AddAttr("phase", std::string("test"));
-    {
-      obs::Span inner("inner");
-      inner.AddAttr("rows", uint64_t{7});
-      inner.AddAttr("ok", true);
-    }
+// The per-rule counters are the record of every rule decision, fired or
+// rejected, and the time-series plane derives firing ratios from them.
+// One cold prepare moves the deciding rule's counters by exactly one.
+TEST(RuleCounterTest, ColdPrepareCountsEachGateDecisionOnce) {
+  struct Case {
+    const char* sql;
+    std::string rule;
+    const char* outcome;  // "fired" or "rejected"
+  };
+  const Case cases[] = {
+      // Example 1: the key SNO is in the projection list.
+      {"SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+       "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
+       "RemoveRedundantDistinct", "fired"},
+      // Example 2: SNAME replaces SNO; no key of SUPPLIER is covered.
+      {"SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+       "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
+       "RemoveRedundantDistinct", "rejected"},
+      // Theorem 2: the inner key (SNO, PNO) is bound.
+      {"SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS "
+       "(SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = 3)",
+       "SubqueryToJoin", "fired"},
+  };
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const Case& c : cases) {
+    Optimizer optimizer(&db);  // a fresh plan cache: the prepare is cold
+    obs::CounterSnapshot before = registry.Counters();
+    ASSERT_OK(optimizer.Prepare(c.sql).status());
+    obs::CounterSnapshot after = registry.Counters();
+    auto moved = [&](const std::string& outcome) {
+      const std::string name = "rewrite.rule." + c.rule + "." + outcome;
+      return after[name] - before[name];
+    };
+    const std::string other =
+        std::string(c.outcome) == "fired" ? "rejected" : "fired";
+    EXPECT_EQ(moved("considered"), 1u) << c.sql;
+    EXPECT_EQ(moved(c.outcome), 1u) << c.sql;
+    EXPECT_EQ(moved(other), 0u) << c.sql;
   }
-  obs::Tracer::Global().Disable();
-  std::vector<obs::TraceEvent> events = sink.TakeEvents();
-  ASSERT_EQ(events.size(), 2u);
-  // Spans are emitted as they end: inner first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_EQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_EQ(events[0].parent_id, events[1].id);
-  EXPECT_EQ(events[1].parent_id, 0u);
-  ASSERT_EQ(events[0].attrs.size(), 2u);
-  EXPECT_EQ(events[0].attrs[0].first, "rows");
-  EXPECT_EQ(events[0].attrs[0].second, "7");
-  EXPECT_EQ(events[0].attrs[1].second, "true");
-  ASSERT_EQ(events[1].attrs.size(), 1u);
-  EXPECT_EQ(events[1].attrs[0].second, "test");
-}
-
-TEST(TraceTest, DisabledTracingIsInert) {
-  obs::CollectingSink sink;
-  ASSERT_FALSE(obs::Tracer::Global().enabled());
-  {
-    obs::Span span("never.seen");
-    EXPECT_FALSE(span.active());
-    span.AddAttr("k", 1);  // must be a no-op, not a crash
-  }
-  EXPECT_TRUE(sink.TakeEvents().empty());
-}
-
-TEST(TraceTest, SiblingSpansShareParent) {
-  obs::CollectingSink sink;
-  obs::Tracer::Global().Enable(&sink);
-  {
-    obs::Span parent("parent");
-    { obs::Span a("a"); }
-    { obs::Span b("b"); }
-  }
-  obs::Tracer::Global().Disable();
-  std::vector<obs::TraceEvent> events = sink.TakeEvents();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "a");
-  EXPECT_EQ(events[1].name, "b");
-  EXPECT_EQ(events[2].name, "parent");
-  EXPECT_EQ(events[0].parent_id, events[2].id);
-  EXPECT_EQ(events[1].parent_id, events[2].id);
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_EQ(events[1].depth, 1);
 }
 
 TEST(ExplainAnalyzeTest, ReportsProfileStatsAndMetricsDelta) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/recorder.h"
 #include "obs/timeseries.h"
 #include "test_util.h"
 #include "uniqopt/uniqopt.h"
@@ -334,6 +335,54 @@ TEST(SentinelPlaneTest, TickHammerAgainstPrepareBatch) {
   plane.set_enabled(false);
   plane.Reset();
   sentinel.Reset();
+}
+
+// The class `execute.ns` series is per-execute latency: each Execute
+// samples its own `execute` phase, not the parse..verify phases its
+// QueryRecord copies from the prepared entry (PrepareShared samples
+// those as `prepare.ns`).
+TEST(SentinelPlaneTest, ExecuteClassSampleIsTheExecutePhase) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  obs::TimeSeriesPlane& plane = obs::TimeSeriesPlane::Global();
+  plane.Reset();
+  plane.set_enabled(true);
+  plane.Tick();
+
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> entry,
+      optimizer.PrepareShared(
+          "SELECT DISTINCT SNO FROM SUPPLIER WHERE SNO = 7"));
+  obs::QueryRecorder::Global().Clear();
+  ASSERT_OK(optimizer.Execute(*entry).status());
+  ASSERT_OK(optimizer.Execute(*entry).status());
+  plane.Tick();
+  plane.set_enabled(false);
+
+  uint64_t execute_ns = 0;
+  std::vector<obs::QueryRecord> history =
+      obs::QueryRecorder::Global().History();
+  ASSERT_EQ(history.size(), 2u);
+  for (const obs::QueryRecord& rec : history) {
+    for (const auto& [phase, ns] : rec.phase_ns) {
+      if (phase == "execute") execute_ns += ns;
+    }
+  }
+  const obs::SeriesSnapshot* series = nullptr;
+  std::vector<obs::SeriesSnapshot> snapshot = plane.Snapshot();
+  for (const obs::SeriesSnapshot& s : snapshot) {
+    if (s.kind == obs::SeriesKind::kClass &&
+        s.class_fingerprint == entry->class_fingerprint &&
+        s.name.ends_with(".execute.ns")) {
+      series = &s;
+    }
+  }
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->windows.size(), 1u);
+  EXPECT_EQ(series->windows[0].count, 2u);
+  EXPECT_EQ(series->windows[0].sum, execute_ns);
+  plane.Reset();
 }
 
 }  // namespace
