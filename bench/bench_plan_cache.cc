@@ -22,7 +22,7 @@
 //    BM_PrepareCold baseline runs prover-off so the number stays
 //    comparable with pre-prover baselines in bench/baselines/.
 //  - BM_PrepareWarmHit: the same corpus against a pre-warmed cache —
-//    fingerprint + one shared-lock lookup. Latencies land in
+//    fingerprint + one locked lookup. Latencies land in
 //    `bench.plan_cache.warm.ns`; check.sh --bench-gate asserts warm p50
 //    is ≥10× faster than cold p50 (BENCH_pr6.json).
 //  - BM_PrepareMixed/<hit_pct>: K threads hammering one Optimizer at a

@@ -102,8 +102,7 @@ int Run() {
   Database db;
   if (!MakeTestSupplierDatabase(&db).ok()) return 1;
   Optimizer optimizer(&db);
-  // Session physical defaults (\set batch); mirrored into the
-  // optimizer so plan-cache fingerprints track the session settings.
+  // Session physical defaults (\set batch), passed to every Execute.
   PhysicalOptions physical;
   obs::HttpEndpoint endpoint;
   obs::TimeSeriesPlane& plane = obs::TimeSeriesPlane::Global();
@@ -280,7 +279,6 @@ int Run() {
         continue;
       }
       physical.batch_size = static_cast<size_t>(value);
-      optimizer.set_default_physical(physical);
       std::printf("batch=%zu\n", physical.batch_size);
       continue;
     }

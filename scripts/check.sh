@@ -5,10 +5,12 @@
 # recorder are the concurrent code in the tree — sanitize them every
 # time), of the analysis, rewriter and verifier tests (the rewriter reads
 # a DISTINCT verdict its caller owns; the verifier re-checks proofs built
-# through the shared key-coverage test) and of the executor tests
+# through the shared key-coverage test), of the executor tests
 # (operators_test builds the join operators by hand over every kind of
 # build input, including borrowed rows that their producer frees at
-# Close).
+# Close) and of the plan-cache tests (cache_test and
+# concurrent_prepare_test: the cache splices recency-list nodes under
+# its lock and destroys the entries it drops after the unlock).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -169,7 +171,7 @@ run_equiv_sweep
 
 run_tidy
 
-echo "== sanitizers: ASan/UBSan build of obs, analysis, rewrite, verify and executor tests =="
+echo "== sanitizers: ASan/UBSan build of obs, analysis, rewrite, verify, executor and plan-cache tests =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -179,7 +181,7 @@ cmake --build build-asan -j --target obs_test analysis_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
   batch_exec_test dml_test index_exec_test dml_oracle_test \
-  operators_test
+  operators_test cache_test concurrent_prepare_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
 ./build-asan/tests/rewrite_test
@@ -197,6 +199,8 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/index_exec_test
 ./build-asan/tests/dml_oracle_test
 ./build-asan/tests/operators_test
+./build-asan/tests/cache_test
+./build-asan/tests/concurrent_prepare_test
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: ThreadSanitizer build of concurrent obs tests =="

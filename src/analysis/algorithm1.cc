@@ -11,7 +11,7 @@ Result<std::vector<ExprPtr>> CnfConjuncts(
     const std::vector<ExprPtr>& predicates) {
   std::vector<ExprPtr> conjuncts;
   for (const ExprPtr& pred : predicates) {
-    UNIQOPT_ASSIGN_OR_RETURN(ExprPtr cnf, ToCnf(pred, kNormalizeBudget));
+    UNIQOPT_ASSIGN_OR_RETURN(ExprPtr cnf, ToCnf(pred));
     for (const ExprPtr& c : FlattenAnd(cnf)) conjuncts.push_back(c);
   }
   return conjuncts;

@@ -35,13 +35,9 @@ struct Algorithm1Result {
   std::vector<obs::NearMiss> near_misses;
 };
 
-/// Node budget of each CNF conversion in Algorithm 1, the Theorem 2 test
-/// and the near-miss collector.
-inline constexpr size_t kNormalizeBudget = 4096;
-
 /// Line 5 of Algorithm 1: the top-level conjuncts of the CNF of each of
 /// `predicates`, in order. Fails when a predicate exceeds
-/// kNormalizeBudget.
+/// kDefaultNormalizeBudget.
 Result<std::vector<ExprPtr>> CnfConjuncts(
     const std::vector<ExprPtr>& predicates);
 

@@ -106,7 +106,7 @@ std::vector<obs::NearMiss> CollectShapeNearMisses(
   std::vector<obs::NearMiss> out;
   std::vector<ExprPtr> conjuncts;
   for (const ExprPtr& pred : shape.predicates) {
-    Result<ExprPtr> cnf = ToCnf(pred, kNormalizeBudget);
+    Result<ExprPtr> cnf = ToCnf(pred);
     if (!cnf.ok()) continue;  // over-budget conjunct contributes nothing
     for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
   }

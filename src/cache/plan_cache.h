@@ -1,12 +1,12 @@
 #ifndef UNIQOPT_CACHE_PLAN_CACHE_H_
 #define UNIQOPT_CACHE_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
-
-#include "cache/sharded_lru.h"
+#include <unordered_map>
 
 namespace uniqopt {
 
@@ -23,19 +23,35 @@ struct PlanCacheOptions {
   /// Master switch; a disabled cache turns Get/Put into no-ops so the
   /// optimizer needs no branching beyond one load.
   bool enabled = true;
-  size_t shards = 8;
+  /// Maximum entries in the whole cache.
   size_t capacity = 1024;
+  /// Byte budget of the whole cache, over the caller-supplied sizes.
   size_t byte_budget = 64ull << 20;
+};
+
+struct LruStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t invalidations = 0;
+  uint64_t entries = 0;  ///< current
+  uint64_t bytes = 0;    ///< current, approximate
 };
 
 /// Fingerprint-keyed cache of immutable prepared queries. A hit returns
 /// the `shared_ptr<const PreparedQuery>` stored by some earlier prepare
 /// — plans, rewrite evidence and the verification report included — so
 /// the caller skips parse, bind, Algorithm 1, rewriting *and*
-/// verification. Keys are produced by cache::FingerprintSql with the
-/// catalog version mixed in, so any DDL makes every older key
-/// unreachable; Get additionally purges the superseded entries the
-/// first time it observes a newer catalog version (lazy invalidation).
+/// verification. Keys mix in the catalog version (Optimizer::CacheKey),
+/// so any catalog bump makes every older key unreachable; Get also
+/// purges the superseded entries the first time it sees a newer
+/// version.
+///
+/// One mutex guards an exact LRU: a recency list (front = most recent)
+/// plus a hash index into it, so a hit, an insert and each eviction are
+/// O(1). `capacity` and `byte_budget` bound the whole cache; an entry
+/// larger than the budget is still admitted, alone. Entries leave the
+/// cache under the lock but are destroyed after it is released.
 ///
 /// Event counts are mirrored into the global metrics registry
 /// (cache.hits / cache.misses / cache.evictions / cache.invalidations
@@ -50,19 +66,21 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Cache lookup under the caller's current catalog version. Purges
-  /// entries from older versions when the version moved since the last
-  /// call (they can never be served again).
+  /// Cache lookup under the caller's current catalog version; a hit
+  /// becomes the most recently used entry. Purges entries from older
+  /// versions when the version moved since the last call (they can
+  /// never be served again).
   EntryPtr Get(uint64_t fingerprint, uint64_t catalog_version);
 
-  /// Stores a prepared query under its fingerprint. `bytes` is the
-  /// caller's size estimate (budget accounting only).
+  /// Stores (or replaces) a prepared query under its fingerprint, then
+  /// evicts least recently used entries while the cache is over its
+  /// capacity or byte budget. `bytes` is the caller's size estimate.
   void Put(uint64_t fingerprint, uint64_t catalog_version, EntryPtr entry,
            size_t bytes);
 
   void Clear();
 
-  LruStats Stats() const { return lru_.Stats(); }
+  LruStats Stats() const;
   bool enabled() const { return options_.enabled; }
   const PlanCacheOptions& options() const { return options_; }
 
@@ -70,9 +88,26 @@ class PlanCache {
   std::string ToText() const;
 
  private:
-  PlanCacheOptions options_;
-  ShardedLru<PreparedQuery> lru_;
-  std::atomic<uint64_t> observed_version_{0};
+  struct Slot {
+    uint64_t fingerprint = 0;
+    uint64_t version = 0;
+    size_t bytes = 0;
+    EntryPtr entry;
+  };
+  using SlotList = std::list<Slot>;
+
+  /// Moves `it` from the cache into `dropped`; the caller destroys
+  /// `dropped` once it has released mu_.
+  void RemoveLocked(SlotList::iterator it, SlotList* dropped);
+  void PublishGaugesLocked();
+
+  const PlanCacheOptions options_;
+  mutable std::mutex mu_;
+  // All guarded by mu_.
+  SlotList lru_;
+  std::unordered_map<uint64_t, SlotList::iterator> index_;
+  uint64_t newest_version_ = 0;
+  LruStats counts_;
   // Interned registry handles — per-event cost is the metric's atomics.
   obs::Counter* hits_;
   obs::Counter* misses_;

@@ -27,31 +27,18 @@ Status Catalog::AddTable(TableDef def) {
       }
       ref = &it->second;
     }
-    std::vector<size_t> ref_ordinals;
-    for (const std::string& rc : fk.ref_columns) {
-      UNIQOPT_ASSIGN_OR_RETURN(size_t ord, ref->ColumnOrdinal(rc));
-      ref_ordinals.push_back(ord);
-    }
-    std::vector<size_t> sorted = ref_ordinals;
-    std::sort(sorted.begin(), sorted.end());
-    bool is_key = false;
-    for (const KeyConstraint& k : ref->keys()) {
-      std::vector<size_t> kc = k.columns;
-      std::sort(kc.begin(), kc.end());
-      if (kc == sorted) {
-        is_key = true;
-        break;
-      }
-    }
-    if (!is_key) {
+    UNIQOPT_ASSIGN_OR_RETURN(ResolvedForeignKey resolved,
+                             ResolveForeignKey(fk, *ref));
+    if (!resolved.key_index.has_value()) {
       return Status::InvalidArgument(
           "foreign key " + fk.name + " must reference a candidate key of " +
           fk.ref_table);
     }
     // Type compatibility between referencing and referenced columns.
     for (size_t i = 0; i < fk.columns.size(); ++i) {
-      if (!Value::Comparable(def.schema().column(fk.columns[i]).type,
-                             ref->schema().column(ref_ordinals[i]).type)) {
+      if (!Value::Comparable(
+              def.schema().column(fk.columns[i]).type,
+              ref->schema().column(resolved.ref_ordinals[i]).type)) {
         return Status::InvalidArgument("foreign key " + fk.name +
                                        " column type mismatch");
       }

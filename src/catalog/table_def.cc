@@ -115,6 +115,30 @@ Result<size_t> TableDef::ColumnOrdinal(const std::string& column_name) const {
   return Status::NotFound("no column " + column_name + " in table " + name_);
 }
 
+Result<ResolvedForeignKey> ResolveForeignKey(const ForeignKeyConstraint& fk,
+                                             const TableDef& parent) {
+  ResolvedForeignKey out;
+  for (const std::string& rc : fk.ref_columns) {
+    UNIQOPT_ASSIGN_OR_RETURN(size_t ord, parent.ColumnOrdinal(rc));
+    out.ref_ordinals.push_back(ord);
+  }
+  std::vector<size_t> sorted = out.ref_ordinals;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<KeyConstraint>& keys = parent.keys();
+  for (size_t k = 0; k < keys.size() && !out.key_index.has_value(); ++k) {
+    std::vector<size_t> key_columns = keys[k].columns;
+    std::sort(key_columns.begin(), key_columns.end());
+    if (key_columns == sorted) out.key_index = k;
+  }
+  if (!out.key_index.has_value()) return out;
+  for (size_t parent_col : keys[*out.key_index].columns) {
+    size_t j = 0;
+    while (out.ref_ordinals[j] != parent_col) ++j;
+    out.child_columns.push_back(fk.columns[j]);
+  }
+  return out;
+}
+
 std::string TableDef::ToString() const {
   std::string out = "TABLE " + name_ + " " + schema_.ToString();
   for (const KeyConstraint& k : keys_) {

@@ -110,6 +110,24 @@ class TableDef {
   std::vector<ForeignKeyConstraint> foreign_keys_;
 };
 
+/// A foreign key resolved onto its parent table's declared keys.
+struct ResolvedForeignKey {
+  /// The parent's ordinal of each of `fk.ref_columns`, in that order.
+  std::vector<size_t> ref_ordinals;
+  /// Index into the parent's keys() of the key the referenced columns
+  /// form, or nullopt when they form no declared key.
+  std::optional<size_t> key_index;
+  /// The child's referencing columns in that key's column order (empty
+  /// without a key), so `child_row.Project(child_columns)` probes it.
+  std::vector<size_t> child_columns;
+};
+
+/// Resolves `fk`, declared on a child table, onto `parent`. Fails with
+/// TableDef::ColumnOrdinal's NotFound when a referenced column does not
+/// exist in `parent`.
+Result<ResolvedForeignKey> ResolveForeignKey(const ForeignKeyConstraint& fk,
+                                             const TableDef& parent);
+
 }  // namespace uniqopt
 
 #endif  // UNIQOPT_CATALOG_TABLE_DEF_H_

@@ -113,28 +113,20 @@ void LintForeignKeys(const Catalog& catalog, const TableDef& def,
                       fk_name, "source/target column counts differ"});
       continue;
     }
-    std::vector<size_t> refs;
-    bool resolved = true;
-    for (const std::string& rc : fk.ref_columns) {
-      auto ord = rdef.ColumnOrdinal(rc);
-      if (!ord.ok()) {
+    Result<ResolvedForeignKey> resolved = ResolveForeignKey(fk, rdef);
+    if (!resolved.ok()) {
+      for (const std::string& rc : fk.ref_columns) {
+        if (rdef.ColumnOrdinal(rc).ok()) continue;
         out->push_back({SchemaLintKind::kDanglingForeignKey, def.name(),
                         fk_name,
                         "references unknown column " + fk.ref_table + "." +
                             rc});
-        resolved = false;
         break;
       }
-      refs.push_back((*ord));
+      continue;
     }
-    if (!resolved) continue;
-    std::set<size_t> refset(refs.begin(), refs.end());
-    bool is_key = false;
-    for (const KeyConstraint& key : rdef.keys()) {
-      std::set<size_t> ks(key.columns.begin(), key.columns.end());
-      if (ks == refset) is_key = true;
-    }
-    if (!is_key) {
+    const std::vector<size_t>& refs = resolved->ref_ordinals;
+    if (!resolved->key_index.has_value()) {
       out->push_back({SchemaLintKind::kDanglingForeignKey, def.name(),
                       fk_name,
                       "referenced columns " + ColumnList(rdef, refs) + " of " +

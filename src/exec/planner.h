@@ -37,8 +37,9 @@ struct PhysicalOptions {
   /// classic hash builds — the benchmark baseline.
   bool use_indexes = true;
 
-  /// Folds every knob into a fingerprint-salt word, so plan-cache
-  /// entries prepared under different physical defaults never collide.
+  /// Folds every knob into one salt word. The optimizer's plan-cache
+  /// key leaves it out (a prepared entry does not depend on physical
+  /// options); reqbench's traced replay still mixes it into its key.
   uint64_t CacheSalt() const {
     uint64_t salt = 0;
     salt |= join == JoinStrategy::kHash ? 1u : 0u;

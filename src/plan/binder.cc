@@ -630,15 +630,6 @@ Result<TableDef> BuildTableDef(const CreateTableStmt& stmt) {
   return def;
 }
 
-Status ExecuteCreateTable(std::string_view sql, Catalog* catalog) {
-  UNIQOPT_ASSIGN_OR_RETURN(StatementPtr stmt, ParseStatement(sql));
-  if (stmt->create_table == nullptr) {
-    return Status::InvalidArgument("expected a CREATE TABLE statement");
-  }
-  UNIQOPT_ASSIGN_OR_RETURN(TableDef def, BuildTableDef(*stmt->create_table));
-  return catalog->AddTable(std::move(def));
-}
-
 Result<ExprPtr> BindTableScalar(const Catalog* catalog, const TableDef& table,
                                 const AstExpr& expr,
                                 std::vector<HostVariable>* host_vars) {

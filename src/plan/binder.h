@@ -57,9 +57,6 @@ class Binder {
 /// contain host variables or subqueries.
 Result<TableDef> BuildTableDef(const CreateTableStmt& stmt);
 
-/// Parses `CREATE TABLE ...` SQL and registers it in `catalog`.
-Status ExecuteCreateTable(std::string_view sql, Catalog* catalog);
-
 /// Binds a scalar expression against a single table's schema (qualified
 /// by the table name), for DML WHERE and SET clauses. Subqueries and
 /// aggregates are rejected; host variables accumulate into *host_vars

@@ -782,20 +782,14 @@ class Rewriter {
       size_t src_begin = source.offset;
       for (const ForeignKeyConstraint& fk : source_def.foreign_keys()) {
         if (fk.ref_table != victim_def.name()) continue;
-        std::vector<size_t> ref_ordinals;
-        bool ok = true;
-        for (const std::string& rc : fk.ref_columns) {
-          auto ord = victim_def.ColumnOrdinal(rc);
-          if (!ord.ok()) {
-            ok = false;
-            break;
-          }
-          ref_ordinals.push_back(*ord);
-        }
+        Result<ResolvedForeignKey> resolved =
+            ResolveForeignKey(fk, victim_def);
+        bool ok = resolved.ok();
         for (size_t c : fk.columns) {
           ok = ok && !source_def.schema().column(c).nullable;
         }
         if (!ok) continue;
+        const std::vector<size_t>& ref_ordinals = resolved->ref_ordinals;
 
         std::map<size_t, size_t> reps;
         for (size_t j = 0; j < ref_ordinals.size(); ++j) {

@@ -246,36 +246,14 @@ Status Table::ValidateForeignKeys(const Row& row) const {
 
     UNIQOPT_ASSIGN_OR_RETURN(const Table* parent,
                              database_->GetTable(fk.ref_table));
-    // Locate the referenced candidate key and its index.
-    std::vector<size_t> ref_ordinals;
-    for (const std::string& rc : fk.ref_columns) {
-      UNIQOPT_ASSIGN_OR_RETURN(size_t ord, parent->def().ColumnOrdinal(rc));
-      ref_ordinals.push_back(ord);
-    }
-    std::optional<size_t> key_index;
-    const std::vector<KeyConstraint>& parent_keys = parent->def().keys();
-    for (size_t k = 0; k < parent_keys.size(); ++k) {
-      std::vector<size_t> a = parent_keys[k].columns;
-      std::vector<size_t> b = ref_ordinals;
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      if (a == b) {
-        key_index = k;
-        break;
-      }
-    }
-    if (!key_index.has_value()) {
+    UNIQOPT_ASSIGN_OR_RETURN(ResolvedForeignKey resolved,
+                             ResolveForeignKey(fk, parent->def()));
+    if (!resolved.key_index.has_value()) {
       return Status::Internal("foreign key " + fk.name +
                               " does not match a key of " + fk.ref_table);
     }
-    // Build the probe row in the parent key's column order.
-    std::vector<Value> probe;
-    for (size_t parent_col : parent_keys[*key_index].columns) {
-      size_t j = 0;
-      while (ref_ordinals[j] != parent_col) ++j;
-      probe.push_back(row[fk.columns[j]]);
-    }
-    if (!parent->ContainsKeyValue(*key_index, Row(std::move(probe)))) {
+    if (!parent->ContainsKeyValue(*resolved.key_index,
+                                  row.Project(resolved.child_columns))) {
       return Status::ConstraintViolation(
           "row " + row.ToString() + " violates " + fk.name +
           ": no matching row in " + fk.ref_table);

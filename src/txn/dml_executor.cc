@@ -1,6 +1,5 @@
 #include "txn/dml_executor.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -47,38 +46,15 @@ Status CheckNoChildReferences(
     UNIQOPT_ASSIGN_OR_RETURN(const Table* child, db->GetTable(child_name));
     for (const ForeignKeyConstraint& fk : child->def().foreign_keys()) {
       if (fk.ref_table != parent_name) continue;
-      // Locate the referenced candidate key and the mapping from its
-      // column order to the child's referencing columns.
-      std::vector<size_t> ref_ordinals;
-      for (const std::string& rc : fk.ref_columns) {
-        UNIQOPT_ASSIGN_OR_RETURN(size_t ord,
-                                 parent->def().ColumnOrdinal(rc));
-        ref_ordinals.push_back(ord);
-      }
-      std::optional<size_t> key_index;
-      const std::vector<KeyConstraint>& parent_keys = parent->def().keys();
-      for (size_t k = 0; k < parent_keys.size(); ++k) {
-        std::vector<size_t> a = parent_keys[k].columns;
-        std::vector<size_t> b = ref_ordinals;
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        if (a == b) {
-          key_index = k;
-          break;
-        }
-      }
-      if (!key_index.has_value()) {
+      UNIQOPT_ASSIGN_OR_RETURN(ResolvedForeignKey resolved,
+                               ResolveForeignKey(fk, parent->def()));
+      if (!resolved.key_index.has_value()) {
         return Status::Internal("foreign key " + fk.name +
                                 " does not match a key of " + fk.ref_table);
       }
-      if (removed_per_key[*key_index].empty()) continue;
-      // Child column positions in the parent key's column order.
-      std::vector<size_t> child_cols;
-      for (size_t parent_col : parent_keys[*key_index].columns) {
-        size_t j = 0;
-        while (ref_ordinals[j] != parent_col) ++j;
-        child_cols.push_back(fk.columns[j]);
-      }
+      const KeyRowSet& removed = removed_per_key[*resolved.key_index];
+      if (removed.empty()) continue;
+      const std::vector<size_t>& child_cols = resolved.child_columns;
       const bool self_reference = child_name == parent_name;
       TableSnapshot child_snap;
       const RowStore* child_rows;
@@ -94,7 +70,7 @@ Status CheckNoChildReferences(
         for (size_t c : child_cols) any_null = any_null || row[c].is_null();
         if (any_null) continue;
         Row probe = row.Project(child_cols);
-        if (removed_per_key[*key_index].count(probe) > 0) {
+        if (removed.count(probe) > 0) {
           return Status::ConstraintViolation(
               "key " + probe.ToString() + " of " + parent_name +
               " is still referenced by " + fk.name + " on " + child_name);

@@ -10,10 +10,6 @@ namespace uniqopt {
 
 namespace {
 
-/// Fingerprint-salt bit reserved for what-if replay (bit 1 is the
-/// verify flag; see Optimizer::PrepareShared).
-constexpr uint64_t kReplaySaltBit = 2;
-
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -119,14 +115,13 @@ Result<AdvisorReplayResult> ReplayAdvisorSuggestions(
   }
 
   // The baseline optimizer prepares against the real catalog with the
-  // same settings the hypothetical side uses: verification forced on,
-  // advisor publication off (replay must not count itself), and the
-  // replay salt bit set so neither side shares plan-cache entries with
+  // same settings the hypothetical side uses: verification forced on
+  // and advisor publication off (replay must not count itself). Each
+  // optimizer owns its plan cache, so neither side shares entries with
   // ordinary prepares.
   Optimizer baseline(db, rewrite_options);
   baseline.set_verify_plans(true);
   baseline.set_advise(false);
-  baseline.set_extra_fingerprint_salt(kReplaySaltBit);
 
   for (obs::AdvisorSuggestion& suggestion : suggestions) {
     AdvisorReplayOutcome outcome;
@@ -142,7 +137,6 @@ Result<AdvisorReplayResult> ReplayAdvisorSuggestions(
     Optimizer hypothetical(shadow->get(), rewrite_options);
     hypothetical.set_verify_plans(true);
     hypothetical.set_advise(false);
-    hypothetical.set_extra_fingerprint_salt(kReplaySaltBit);
 
     for (const std::string& sql : suggestion.sample_queries) {
       Result<PreparedQuery> base = baseline.Prepare(sql);

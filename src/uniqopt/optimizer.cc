@@ -233,13 +233,12 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   // with literals parameterized, so canonically-equal SQL counts as one
   // query class. The advisor dedups suggestions on it and the
   // time-series plane buckets per-class latencies under it.
-  std::string canonical_text;
   if (canonical.ok()) {
     cache::FingerprintOptions fopts;
     fopts.parameterize_literals = true;
     out.class_fingerprint =
         cache::FingerprintSql(*canonical, /*catalog_version=*/0, fopts);
-    canonical_text = canonical->text;
+    out.canonical_sql = canonical->text;
   }
   if (advise_ && !out.near_misses.empty() &&
       obs::AdvisorStore::Global().enabled()) {
@@ -247,7 +246,7 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     // replay sample alongside each suggestion.
     for (const obs::NearMiss& miss : out.near_misses) {
       obs::AdvisorStore::Global().Record(miss, out.class_fingerprint,
-                                         canonical_text);
+                                         out.canonical_sql);
     }
   }
   if (use_cost_model_) {
@@ -281,7 +280,8 @@ namespace {
 /// budget. Plans are measured by their printed form (proportional to
 /// node count); proof traces get a flat per-rewrite allowance.
 size_t EstimatePreparedQueryBytes(const PreparedQuery& q) {
-  size_t bytes = sizeof(PreparedQuery) + q.sql.size();
+  size_t bytes =
+      sizeof(PreparedQuery) + q.sql.size() + q.canonical_sql.size();
   if (q.original_plan != nullptr) {
     bytes += q.original_plan->ToString().size() * 2;
   }
@@ -310,6 +310,15 @@ size_t EstimatePreparedQueryBytes(const PreparedQuery& q) {
 }
 
 }  // namespace
+
+uint64_t Optimizer::CacheKey(const cache::CanonicalSql& canonical,
+                             uint64_t catalog_version) const {
+  // The verify and equiv flags shape what a PreparedQuery contains
+  // (verification report and certificates present or not).
+  cache::FingerprintOptions fopts;
+  fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 2 : 0);
+  return cache::FingerprintSql(canonical, catalog_version, fopts);
+}
 
 Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
     const std::string& sql, bool* cache_hit) const {
@@ -340,19 +349,11 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
   const Result<cache::CanonicalSql> canonical = cache::CanonicalizeSql(sql);
   const bool cacheable = CacheUsable() && canonical.ok();
   if (cacheable) {
-    cache::FingerprintOptions fopts;
-    // The verify and equiv flags shape what a PreparedQuery contains
-    // (verification report / certificates present or not), so they are
-    // part of the key. extra_fingerprint_salt_ isolates what-if replay
-    // prepares from entries keyed to the real catalog.
-    fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 4 : 0) |
-                 extra_fingerprint_salt_;
-    // Physical defaults shape execution (batch size, join and distinct
-    // strategies), so prepares under different defaults get distinct
-    // fingerprints.
-    fopts.salt = cache::Fnv1aMix(fopts.salt, default_physical_.CacheSalt());
-    fingerprint = cache::FingerprintSql(*canonical, version, fopts);
-    if (cache::PlanCache::EntryPtr entry = cache_->Get(fingerprint, version)) {
+    fingerprint = CacheKey(*canonical, version);
+    cache::PlanCache::EntryPtr entry = cache_->Get(fingerprint, version);
+    // A 64-bit key match alone does not prove the entry was prepared
+    // from this statement: on a collision prepare cold and replace it.
+    if (entry != nullptr && entry->canonical_sql == canonical->text) {
       if (cache_hit != nullptr) *cache_hit = true;
       static obs::Counter& prepared_counter =
           obs::MetricsRegistry::Global().GetCounter(
@@ -567,14 +568,6 @@ Result<std::string> Optimizer::ExplainAnalyze(
   out += "-- result --\n  " + std::to_string(rows.size()) + " row(s) in " +
          std::to_string(total_us) + "us\n";
   return out;
-}
-
-Result<std::vector<Row>> Optimizer::Query(
-    const std::string& sql,
-    const std::vector<std::pair<std::string, Value>>& params,
-    const PhysicalOptions& physical, ExecStats* stats) const {
-  UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(sql));
-  return Execute(prepared, params, physical, stats);
 }
 
 Result<UniquenessVerdict> Optimizer::AnalyzeSql(const std::string& sql) const {

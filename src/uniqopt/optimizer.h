@@ -36,6 +36,10 @@ inline constexpr bool kVerifyPlansByDefault = true;
 /// rewrites that fired, and the host-variable signature.
 struct PreparedQuery {
   std::string sql;
+  /// cache::CanonicalizeSql(sql).text, empty when the SQL did not lex.
+  /// A plan-cache hit is served only when it equals the request's, so
+  /// two statements whose 64-bit keys collide never share a plan.
+  std::string canonical_sql;
   PlanPtr original_plan;
   PlanPtr optimized_plan;
   std::vector<AppliedRewrite> rewrites;
@@ -93,7 +97,7 @@ class Optimizer {
       : db_(db),
         rewrite_options_(std::move(rewrite_options)),
         use_cost_model_(use_cost_model),
-        cache_(std::make_shared<cache::PlanCache>(cache_options)) {}
+        cache_(std::make_unique<cache::PlanCache>(cache_options)) {}
 
   /// Parses, binds and rewrites `sql` (and cost-chooses, when enabled).
   /// Served from the plan cache when a prepare of the same canonical
@@ -103,9 +107,9 @@ class Optimizer {
 
   /// The zero-copy prepare: returns the immutable cached entry itself
   /// (or the freshly prepared one, which is simultaneously inserted).
-  /// This is the hot path — a hit costs one fingerprint plus a
-  /// shard-level shared lock, no plan copies. `cache_hit`, when
-  /// non-null, reports whether the entry came from the cache.
+  /// This is the hot path — a hit costs one canonicalization, one key
+  /// and one locked lookup, no plan copies. `cache_hit`, when non-null,
+  /// reports whether the entry came from the cache.
   ///
   /// Thread-safe: concurrent PrepareShared calls on one Optimizer are
   /// supported (concurrent DDL is not — same contract as Catalog).
@@ -137,12 +141,6 @@ class Optimizer {
       const std::vector<std::pair<std::string, Value>>& params = {},
       const PhysicalOptions& physical = {}) const;
 
-  /// One-shot convenience: Prepare + Execute.
-  Result<std::vector<Row>> Query(
-      const std::string& sql,
-      const std::vector<std::pair<std::string, Value>>& params = {},
-      const PhysicalOptions& physical = {}, ExecStats* stats = nullptr) const;
-
   /// Runs the DISTINCT analysis without rewriting (diagnostics).
   Result<UniquenessVerdict> AnalyzeSql(const std::string& sql) const;
 
@@ -168,22 +166,19 @@ class Optimizer {
   void set_check_equiv(bool on) { check_equiv_ = on; }
   bool check_equiv() const { return check_equiv_; }
 
-  /// Default physical options for this optimizer: the shell's \set
-  /// batch lands here. Folded (via CacheSalt) into plan-cache
-  /// fingerprints so entries prepared under different physical defaults
-  /// never collide.
-  void set_default_physical(const PhysicalOptions& physical) {
-    default_physical_ = physical;
-  }
-  const PhysicalOptions& default_physical() const { return default_physical_; }
+  /// The plan-cache key of `canonical` under `catalog_version`: FNV-1a
+  /// over the canonical text, the version and the verify/equiv mode
+  /// bits — everything a prepared entry depends on. PrepareShared keys
+  /// its lookups and inserts with this and nothing else.
+  uint64_t CacheKey(const cache::CanonicalSql& canonical,
+                    uint64_t catalog_version) const;
 
-  /// Extra salt ORed into plan-cache fingerprints. What-if replay sets
-  /// a private bit so hypothetical-catalog prepares can never be served
-  /// from (or pollute) entries keyed to the real catalog.
-  void set_extra_fingerprint_salt(uint64_t salt) {
-    extra_fingerprint_salt_ = salt;
-  }
-  uint64_t extra_fingerprint_salt() const { return extra_fingerprint_salt_; }
+  /// Always the default PhysicalOptions and 0: a prepared entry depends
+  /// on neither (physical options are an Execute argument), so neither
+  /// is part of CacheKey. Kept for callers that still fold them into a
+  /// key of their own (reqbench's traced replay).
+  PhysicalOptions default_physical() const { return {}; }
+  uint64_t extra_fingerprint_salt() const { return 0; }
 
   Database* database() const { return db_; }
   const RewriteOptions& rewrite_options() const { return rewrite_options_; }
@@ -210,9 +205,7 @@ class Optimizer {
   bool verify_plans_ = kVerifyPlansByDefault;
   bool check_equiv_ = equiv::kCheckEquivByDefault;
   bool advise_ = true;
-  PhysicalOptions default_physical_;
-  uint64_t extra_fingerprint_salt_ = 0;
-  std::shared_ptr<cache::PlanCache> cache_;
+  std::unique_ptr<cache::PlanCache> cache_;
 };
 
 }  // namespace uniqopt

@@ -157,30 +157,6 @@ class ParallelExecTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(ParallelExecTest, CacheSaltSeparatesPhysicalDefaults) {
-  Optimizer optimizer(&db_);
-  const std::string sql =
-      "SELECT SNO FROM SUPPLIER WHERE SCITY = 'Toronto'";
-  bool hit = false;
-  ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  EXPECT_TRUE(hit);
-
-  PhysicalOptions batch7;
-  batch7.batch_size = 7;
-  optimizer.set_default_physical(batch7);
-  ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  EXPECT_FALSE(hit) << "batch-size change must re-key the entry";
-  ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  EXPECT_TRUE(hit);
-
-  PhysicalOptions tuple;
-  tuple.batch_size = 0;
-  optimizer.set_default_physical(tuple);
-  ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  EXPECT_FALSE(hit) << "tuple-at-a-time must re-key the entry";
-}
-
 // TSan hammer: concurrent PrepareBatch (cost model on, so the shared
 // CostEstimator's NDV cache is hit from many threads) interleaved with
 // executes on a second optimizer.

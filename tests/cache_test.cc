@@ -1,8 +1,9 @@
 // Plan cache unit coverage: SQL canonicalization + fingerprinting, the
-// generic sharded LRU (recency eviction, byte budget, version purge),
-// Optimizer cache hits (flag, identical plans, EXPLAIN marker,
-// recorder field), and the DDL-invalidation guarantee — a catalog bump
-// must make every previously cached plan unservable.
+// cache's exact LRU (recency eviction, byte budget, whole-cache
+// capacity, version purge), Optimizer cache hits (flag, identical
+// plans, EXPLAIN marker, recorder field), the canonical-text check that
+// turns a key collision into a miss, and the DDL-invalidation guarantee
+// — a catalog bump must make every previously cached plan unservable.
 
 #include <memory>
 #include <string>
@@ -11,7 +12,6 @@
 
 #include "cache/fingerprint.h"
 #include "cache/plan_cache.h"
-#include "cache/sharded_lru.h"
 #include "obs/recorder.h"
 #include "test_util.h"
 #include "uniqopt/uniqopt.h"
@@ -79,78 +79,107 @@ TEST(FingerprintSqlTest, SensitiveToLiteralsVersionAndSalt) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedLru
+// PlanCache
 // ---------------------------------------------------------------------------
 
-cache::ShardedLru<std::string>::Ptr Str(const std::string& s) {
-  return std::make_shared<const std::string>(s);
+cache::PlanCache::EntryPtr Entry(const std::string& sql) {
+  auto query = std::make_shared<PreparedQuery>();
+  query->sql = sql;
+  return query;
 }
 
-TEST(ShardedLruTest, EvictsLeastRecentlyUsed) {
-  cache::LruOptions options;
-  options.shards = 1;  // deterministic: one shard holds the whole budget
-  options.capacity = 2;
-  cache::ShardedLru<std::string> lru(options);
-  lru.Put(1, Str("a"), 1, 0);
-  lru.Put(2, Str("b"), 1, 0);
-  ASSERT_NE(lru.Get(1), nullptr);  // refresh 1: now 2 is stalest
-  lru.Put(3, Str("c"), 1, 0);
-  EXPECT_NE(lru.Get(1), nullptr);
-  EXPECT_EQ(lru.Get(2), nullptr);
-  EXPECT_NE(lru.Get(3), nullptr);
-  cache::LruStats stats = lru.Stats();
+cache::PlanCacheOptions Bounds(size_t capacity, size_t byte_budget) {
+  cache::PlanCacheOptions options;
+  options.capacity = capacity;
+  options.byte_budget = byte_budget;
+  return options;
+}
+
+TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
+  cache::PlanCache cache(Bounds(2, 1000));
+  cache.Put(1, 0, Entry("a"), 1);
+  cache.Put(2, 0, Entry("b"), 1);
+  ASSERT_NE(cache.Get(1, 0), nullptr);  // refresh 1: now 2 is stalest
+  cache.Put(3, 0, Entry("c"), 1);
+  EXPECT_NE(cache.Get(1, 0), nullptr);
+  EXPECT_EQ(cache.Get(2, 0), nullptr);
+  EXPECT_NE(cache.Get(3, 0), nullptr);
+  cache::LruStats stats = cache.Stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
 }
 
-TEST(ShardedLruTest, ByteBudgetEvictsUntilUnderLimit) {
-  cache::LruOptions options;
-  options.shards = 1;
-  options.capacity = 100;
-  options.byte_budget = 100;
-  cache::ShardedLru<std::string> lru(options);
-  lru.Put(1, Str("a"), 60, 0);
-  lru.Put(2, Str("b"), 60, 0);  // 120 > 100: the stalest (1) goes
-  EXPECT_EQ(lru.Get(1), nullptr);
-  EXPECT_NE(lru.Get(2), nullptr);
-  EXPECT_EQ(lru.Stats().bytes, 60u);
+TEST(PlanCacheTest, ByteBudgetEvictsUntilUnderLimit) {
+  cache::PlanCache cache(Bounds(100, 100));
+  cache.Put(1, 0, Entry("a"), 60);
+  cache.Put(2, 0, Entry("b"), 60);  // 120 > 100: the stalest (1) goes
+  EXPECT_EQ(cache.Get(1, 0), nullptr);
+  EXPECT_NE(cache.Get(2, 0), nullptr);
+  EXPECT_EQ(cache.Stats().bytes, 60u);
   // An oversized entry still gets admitted alone (never evicts itself).
-  lru.Put(3, Str("big"), 500, 0);
-  EXPECT_NE(lru.Get(3), nullptr);
-  EXPECT_EQ(lru.Stats().entries, 1u);
+  cache.Put(3, 0, Entry("big"), 500);
+  EXPECT_NE(cache.Get(3, 0), nullptr);
+  EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Stats().bytes, 500u);
 }
 
-TEST(ShardedLruTest, ReplaceUpdatesBytesAndValue) {
-  cache::ShardedLru<std::string> lru({1, 10, 1000});
-  lru.Put(7, Str("old"), 100, 0);
-  lru.Put(7, Str("new"), 10, 0);
-  EXPECT_EQ(*lru.Get(7), "new");
-  EXPECT_EQ(lru.Stats().entries, 1u);
-  EXPECT_EQ(lru.Stats().bytes, 10u);
+TEST(PlanCacheTest, ReplaceUpdatesBytesAndValue) {
+  cache::PlanCache cache(Bounds(10, 1000));
+  cache.Put(7, 0, Entry("old"), 100);
+  cache.Put(7, 0, Entry("new"), 10);
+  cache::PlanCache::EntryPtr entry = cache.Get(7, 0);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->sql, "new");
+  EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Stats().bytes, 10u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
 }
 
-TEST(ShardedLruTest, InvalidateBeforePurgesOlderVersionsOnly) {
-  cache::ShardedLru<std::string> lru({4, 100, 1000});
-  lru.Put(1, Str("v1"), 1, 1);
-  lru.Put(2, Str("v1b"), 1, 1);
-  lru.Put(3, Str("v2"), 1, 2);
-  EXPECT_EQ(lru.InvalidateBefore(2), 2u);
-  EXPECT_EQ(lru.Get(1), nullptr);
-  EXPECT_EQ(lru.Get(2), nullptr);
-  EXPECT_NE(lru.Get(3), nullptr);
-  EXPECT_EQ(lru.Stats().invalidations, 2u);
+TEST(PlanCacheTest, NewerVersionPurgesOlderVersionsOnly) {
+  cache::PlanCache cache(Bounds(100, 1000));
+  cache.Put(1, 1, Entry("v1"), 1);
+  cache.Put(2, 1, Entry("v1b"), 1);
+  cache.Put(3, 2, Entry("v2"), 1);
+  // The first lookup under version 2 drops both version-1 entries.
+  EXPECT_NE(cache.Get(3, 2), nullptr);
+  EXPECT_EQ(cache.Stats().invalidations, 2u);
+  EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Stats().bytes, 1u);
+  EXPECT_EQ(cache.Get(1, 2), nullptr);
+  EXPECT_EQ(cache.Get(2, 2), nullptr);
+  EXPECT_NE(cache.Get(3, 2), nullptr);
+  EXPECT_EQ(cache.Stats().invalidations, 2u);
 }
 
-TEST(ShardedLruTest, EraseAndClear) {
-  cache::ShardedLru<std::string> lru;
-  lru.Put(1, Str("a"), 5, 0);
-  lru.Put(2, Str("b"), 5, 0);
-  EXPECT_TRUE(lru.Erase(1));
-  EXPECT_FALSE(lru.Erase(1));
-  lru.Clear();
-  EXPECT_EQ(lru.Get(2), nullptr);
-  EXPECT_EQ(lru.Stats().entries, 0u);
-  EXPECT_EQ(lru.Stats().bytes, 0u);
+TEST(PlanCacheTest, ClearEmptiesTheCache) {
+  cache::PlanCache cache;
+  cache.Put(1, 0, Entry("a"), 5);
+  cache.Put(2, 0, Entry("b"), 5);
+  cache.Clear();
+  EXPECT_EQ(cache.Get(1, 0), nullptr);
+  EXPECT_EQ(cache.Get(2, 0), nullptr);
+  EXPECT_EQ(cache.Stats().entries, 0u);
+  EXPECT_EQ(cache.Stats().bytes, 0u);
+  // Usable again after a clear.
+  cache.Put(1, 0, Entry("a"), 5);
+  EXPECT_NE(cache.Get(1, 0), nullptr);
+}
+
+TEST(PlanCacheTest, CapacityBoundsTheWholeCache) {
+  // Eight keys that agree in their top 16 bits: `capacity` counts
+  // entries across the whole cache, so all eight stay.
+  cache::PlanCache cache(Bounds(8, 1000));
+  const uint64_t high = UINT64_C(0xabcd) << 48;
+  for (uint64_t i = 0; i < 8; ++i) cache.Put(high | i, 0, Entry("q"), 1);
+  EXPECT_EQ(cache.Stats().entries, 8u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+  for (uint64_t i = 0; i < 8; ++i) {
+    EXPECT_NE(cache.Get(high | i, 0), nullptr) << i;
+  }
+  // The ninth evicts exactly one: the least recently used, key 0.
+  cache.Put(high | 8, 0, Entry("q"), 1);
+  EXPECT_EQ(cache.Stats().entries, 8u);
+  EXPECT_EQ(cache.Get(high | 0, 0), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +304,41 @@ TEST(PlanCacheTest, VerifyToggleKeysSeparateEntries) {
   ASSERT_OK_AND_ASSIGN(PreparedQuery verified, optimizer.Prepare(sql));
   EXPECT_TRUE(verified.verified);
   optimizer.set_verify_plans(false);
-  // Different salt ⇒ the verified entry must not be served.
+  // Different mode bits ⇒ the verified entry must not be served.
   ASSERT_OK_AND_ASSIGN(PreparedQuery unverified, optimizer.Prepare(sql));
   EXPECT_FALSE(unverified.cache_hit);
   EXPECT_FALSE(unverified.verified);
+}
+
+TEST(PlanCacheTest, KeyCollisionIsServedAsAMiss) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  const std::string a = "SELECT DISTINCT SNO FROM SUPPLIER";
+  const std::string b = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry_a,
+                       optimizer.PrepareShared(a));
+  Optimizer reference(&db);
+  ASSERT_OK_AND_ASSIGN(PreparedQuery reference_b, reference.Prepare(b));
+  ASSERT_NE(entry_a->plan_hash, reference_b.plan_hash);
+  // A 64-bit key collision, forced: A's entry under the key that
+  // PrepareShared computes for B.
+  ASSERT_OK_AND_ASSIGN(cache::CanonicalSql canonical_b,
+                       cache::CanonicalizeSql(b));
+  const uint64_t version = db.catalog().version();
+  optimizer.plan_cache()->Put(optimizer.CacheKey(canonical_b, version),
+                              version, entry_a, 1);
+  bool hit = true;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> served,
+                       optimizer.PrepareShared(b, &hit));
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(served->sql, b);
+  EXPECT_EQ(served->plan_hash, reference_b.plan_hash);
+  // The cold prepare replaced A's entry: B now hits its own plan.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> again,
+                       optimizer.PrepareShared(b, &hit));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.get(), served.get());
 }
 
 TEST(PlanCacheTest, DdlInvalidatesStaleEntries) {
@@ -314,7 +374,6 @@ TEST(PlanCacheTest, EvictionUnderTinyCapacity) {
   Database db;
   ASSERT_OK(MakeTestSupplierDatabase(&db));
   cache::PlanCacheOptions options;
-  options.shards = 1;
   options.capacity = 2;
   Optimizer optimizer(&db, {}, /*use_cost_model=*/false, options);
   ASSERT_OK(optimizer.Prepare("SELECT SNO FROM SUPPLIER").status());

@@ -2,8 +2,9 @@
 // hit/miss workload against ONE Optimizer and every thread must see
 // exactly the plan a single-threaded optimizer produces, with zero
 // verifier violations. Runs under ThreadSanitizer in check.sh --tsan,
-// where any data race between the hit path (shared lock + atomics) and
-// the miss path (insert/evict under the exclusive lock) is fatal.
+// where any data race between the hit path (lookup and recency splice)
+// and the miss path (insert and evict, entries freed after the unlock)
+// is fatal, and under ASan/UBSan in every check.sh run.
 
 #include <atomic>
 #include <map>
