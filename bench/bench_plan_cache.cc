@@ -22,13 +22,18 @@
 //    BM_PrepareCold baseline runs prover-off so the number stays
 //    comparable with pre-prover baselines in bench/baselines/.
 //  - BM_PrepareWarmHit: the same corpus against a pre-warmed cache —
-//    fingerprint + one locked lookup. Latencies land in
+//    each statement byte-identical to the text it was prepared from, so
+//    a hit is one hash over the raw bytes, one locked lookup and a byte
+//    comparison, with no lexing. Latencies land in
 //    `bench.plan_cache.warm.ns`; check.sh --bench-gate asserts warm p50
 //    is ≥10× faster than cold p50 (BENCH_pr6.json).
 //  - BM_PrepareMixed/<hit_pct>: K threads hammering one Optimizer at a
 //    configurable hit ratio (misses are made unique via a fresh SNO
 //    literal per miss, so they never start hitting).
 //  - BM_PrepareBatch: PrepareBatch over the whole corpus on 8 threads.
+//  - BM_PointRequest: one whole point-lookup request, a PrepareShared
+//    hit plus Execute of a host-variable key lookup, on 2,000 suppliers
+//    with a rotating key — `bench.plan_cache.point_request.ns`. Ungated.
 
 #include <benchmark/benchmark.h>
 
@@ -235,6 +240,48 @@ void BM_PrepareBatch(benchmark::State& state) {
                           static_cast<int64_t>(corpus.size()));
 }
 BENCHMARK(BM_PrepareBatch);
+
+/// Supplier data at the scale of the request benchmark's point lookups;
+/// the bench reads only SUPPLIER.
+Database* PointLookupDb() {
+  static Database* db = [] {
+    auto* d = new Database();
+    SupplierSchemaOptions schema;
+    schema.max_sno = 2000;
+    Status st = CreateSupplierSchema(d, schema);
+    UNIQOPT_DCHECK_MSG(st.ok(), st.ToString().c_str());
+    SupplierDataOptions data;
+    data.num_suppliers = 2000;
+    data.parts_per_supplier = 1;
+    data.num_agents = 10;
+    st = PopulateSupplierDatabase(d, data);
+    UNIQOPT_DCHECK_MSG(st.ok(), st.ToString().c_str());
+    return d;
+  }();
+  return db;
+}
+
+void BM_PointRequest(benchmark::State& state) {
+  static Optimizer* optimizer = new Optimizer(PointLookupDb());
+  const std::string sql =
+      "SELECT SNAME, SCITY, BUDGET FROM SUPPLIER WHERE SNO = :S";
+  auto warm = optimizer->PrepareShared(sql);
+  UNIQOPT_DCHECK_MSG(warm.ok(), warm.status().ToString().c_str());
+  auto one = optimizer->Execute(**warm, {{"S", Value::Integer(7)}});
+  UNIQOPT_DCHECK_MSG(one.ok() && one->size() == 1, "point lookup failed");
+  obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
+      "bench.plan_cache.point_request.ns");
+  int64_t key = 0;
+  for (auto _ : state) {
+    obs::ScopedLatencyTimer timer(&latency);
+    auto prepared = optimizer->PrepareShared(sql);
+    auto rows = optimizer->Execute(
+        **prepared, {{"S", Value::Integer(key++ % 2000 + 1)}});
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PointRequest);
 
 }  // namespace
 }  // namespace bench

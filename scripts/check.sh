@@ -10,7 +10,11 @@
 # build input, including borrowed rows that their producer frees at
 # Close) and of the plan-cache tests (cache_test and
 # concurrent_prepare_test: the cache splices recency-list nodes under
-# its lock and destroys the entries it drops after the unlock).
+# its lock and destroys the entries it drops after the unlock). It also
+# builds the request benchmark (reqbench/, into build/reqbench-smoke) and
+# runs its own smoke tests, so a change to the library API reqbench
+# compiles against (PlanCache, PreparedQuery, QueryRecord, Optimizer)
+# fails here rather than in a benchmark run.
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -166,6 +170,9 @@ if [[ "$clean_dump" != "$violated_dump" ]]; then
 fi
 echo "dml smoke ok: duplicate-key INSERT rolled back, transcript byte-identical"
 ./build/tests/dml_test --gtest_filter='*RollsBack*' --gtest_brief=1
+
+echo "== reqbench smoke: the request benchmark builds against the library and runs =="
+CARGO_TARGET_DIR=build/reqbench-smoke python3 reqbench/test_reqbench.py
 
 run_equiv_sweep
 

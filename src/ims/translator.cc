@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <set>
 
 #include "analysis/shape.h"
@@ -398,18 +399,20 @@ GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
   result.stats = dli.stats();
 
   obs::QueryRecord rec;
-  rec.source = "ims.gateway";
-  rec.query = ProgramSummary(program);
-  rec.plan_hash = obs::FingerprintPlanText(program.ToString());
   rec.rows_out = result.rows.size();
   rec.rows_scanned =
       static_cast<uint64_t>(result.stats.segments_visited);
-  rec.proof_summary = result.stats.ToString();
   rec.total_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - run_start)
           .count());
-  rec.phase_ns.emplace_back("run", rec.total_ns);
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "ims.gateway";
+  part->query = ProgramSummary(program);
+  part->plan_hash = obs::FingerprintPlanText(program.ToString());
+  part->proof_summary = result.stats.ToString();
+  part->phase_ns.emplace_back("run", rec.total_ns);
+  rec.prepared = std::move(part);
   obs::QueryRecorder::Global().Record(std::move(rec));
   return result;
 }

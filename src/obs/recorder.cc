@@ -46,6 +46,13 @@ uint64_t NowSteadyNs() {
           .count());
 }
 
+/// A record's prepared part; an empty one when it has none.
+const PreparedRecord& PartOf(
+    const std::shared_ptr<const PreparedRecord>& part) {
+  static const PreparedRecord kEmpty;
+  return part != nullptr ? *part : kEmpty;
+}
+
 }  // namespace
 
 uint64_t FingerprintPlanText(const std::string& canonical_plan_text) {
@@ -60,15 +67,17 @@ uint64_t FingerprintPlanText(const std::string& canonical_plan_text) {
 }
 
 std::string QueryRecord::ToString() const {
+  const PreparedRecord& part = PartOf(prepared);
   char hash_buf[32];
   std::snprintf(hash_buf, sizeof(hash_buf), "%016llx",
-                static_cast<unsigned long long>(plan_hash));
+                static_cast<unsigned long long>(part.plan_hash));
   std::string when = FormatWallTimeUs(wall_time_us);
-  std::string out = "#" + std::to_string(id) + " [" + source + "] " +
+  std::string out = "#" + std::to_string(id) + " [" + part.source + "] " +
                     (ok ? "ok" : "ERROR") + " " +
                     std::to_string(total_ns / 1000) + "us" +
                     (cache_hit ? " (cached)" : "") +
-                    (when.empty() ? "" : " @" + when) + "  " + query + "\n";
+                    (when.empty() ? "" : " @" + when) + "  " + part.query +
+                    "\n";
   if (!ok) {
     out += "    error: " + error + "\n";
     return out;
@@ -79,32 +88,35 @@ std::string QueryRecord::ToString() const {
     out += " rows_scanned=" + std::to_string(rows_scanned);
   }
   out += "\n";
-  if (!phase_ns.empty()) {
+  if (!part.phase_ns.empty() || execute_ns.has_value()) {
     out += "    phases:";
-    for (const auto& [phase, ns] : phase_ns) {
+    for (const auto& [phase, ns] : part.phase_ns) {
       out += " " + phase + "=" + std::to_string(ns / 1000) + "us";
+    }
+    if (execute_ns.has_value()) {
+      out += " execute=" + std::to_string(*execute_ns / 1000) + "us";
     }
     out += "\n";
   }
-  if (!rewrites.empty()) {
-    for (const auto& [rule, description] : rewrites) {
+  if (!part.rewrites.empty()) {
+    for (const auto& [rule, description] : part.rewrites) {
       out += "    rewrite " + rule + ": " + description + "\n";
     }
   } else {
     out += "    rewrites: none\n";
   }
-  if (!proof_summary.empty()) {
-    out += "    analysis: " + proof_summary + "\n";
+  if (!part.proof_summary.empty()) {
+    out += "    analysis: " + part.proof_summary + "\n";
   }
-  if (!verify_summary.empty()) {
-    out += "    verify: " + verify_summary + "\n";
+  if (!part.verify_summary.empty()) {
+    out += "    verify: " + part.verify_summary + "\n";
   }
-  if (equiv_proven + equiv_unproven + equiv_refuted > 0) {
-    out += "    equiv: " + std::to_string(equiv_proven) + " proven / " +
-           std::to_string(equiv_unproven) + " unproven / " +
-           std::to_string(equiv_refuted) + " refuted\n";
+  if (part.equiv_proven + part.equiv_unproven + part.equiv_refuted > 0) {
+    out += "    equiv: " + std::to_string(part.equiv_proven) + " proven / " +
+           std::to_string(part.equiv_unproven) + " unproven / " +
+           std::to_string(part.equiv_refuted) + " refuted\n";
   }
-  for (const std::string& miss : near_misses) {
+  for (const std::string& miss : part.near_misses) {
     out += "    near-miss: " + miss + "\n";
   }
   return out;
@@ -123,11 +135,10 @@ uint64_t QueryRecorder::Record(QueryRecord record) {
   bool slow = threshold > 0 && record.total_ns >= threshold;
   uint64_t slow_id = 0;
   uint64_t slow_ns = record.total_ns;
-  std::string slow_source, slow_query;
-  if (slow) {
-    slow_source = record.source;
-    slow_query = record.query;
-  }
+  // The prepared part is immutable, so the log line can read it after
+  // the record has moved into the ring.
+  std::shared_ptr<const PreparedRecord> slow_part =
+      slow ? record.prepared : nullptr;
   {
     // The id is assigned under the ring lock so snapshot order (oldest
     // first) always agrees with id order, even with concurrent writers.
@@ -145,10 +156,11 @@ uint64_t QueryRecorder::Record(QueryRecord record) {
     }
   }
   if (slow) {
+    const PreparedRecord& part = PartOf(slow_part);
     UNIQOPT_LOG(kWarning) << "slow query #" << slow_id << " ["
-                          << slow_source << "] " << slow_ns / 1000000
+                          << part.source << "] " << slow_ns / 1000000
                           << "ms >= " << threshold / 1000000
-                          << "ms: " << slow_query;
+                          << "ms: " << part.query;
     MetricsRegistry::Global().GetCounter("recorder.slow_queries")
         .Increment();
   }
@@ -216,14 +228,15 @@ std::string QueryRecorder::ToJson() const {
   std::string out = "{\"queries\": [";
   bool first = true;
   for (const QueryRecord& r : records) {
+    const PreparedRecord& part = PartOf(r.prepared);
     out += first ? "\n" : ",\n";
     first = false;
     char hash_buf[32];
     std::snprintf(hash_buf, sizeof(hash_buf), "%016llx",
-                  static_cast<unsigned long long>(r.plan_hash));
+                  static_cast<unsigned long long>(part.plan_hash));
     out += "  {\"id\": " + std::to_string(r.id) + ", ";
-    out += "\"source\": \"" + JsonEscape(r.source) + "\", ";
-    out += "\"query\": \"" + JsonEscape(r.query) + "\", ";
+    out += "\"source\": \"" + JsonEscape(part.source) + "\", ";
+    out += "\"query\": \"" + JsonEscape(part.query) + "\", ";
     out += "\"ok\": " + std::string(r.ok ? "true" : "false") + ", ";
     if (!r.ok) out += "\"error\": \"" + JsonEscape(r.error) + "\", ";
     out += "\"plan_hash\": \"" + std::string(hash_buf) + "\", ";
@@ -238,14 +251,18 @@ std::string QueryRecorder::ToJson() const {
     out += "\"rows_scanned\": " + std::to_string(r.rows_scanned) + ", ";
     out += "\"phases\": {";
     bool pfirst = true;
-    for (const auto& [phase, ns] : r.phase_ns) {
+    for (const auto& [phase, ns] : part.phase_ns) {
       if (!pfirst) out += ", ";
       pfirst = false;
       out += "\"" + JsonEscape(phase) + "\": " + std::to_string(ns);
     }
+    if (r.execute_ns.has_value()) {
+      if (!pfirst) out += ", ";
+      out += "\"execute\": " + std::to_string(*r.execute_ns);
+    }
     out += "}, \"rewrites\": [";
     bool rfirst = true;
-    for (const auto& [rule, description] : r.rewrites) {
+    for (const auto& [rule, description] : part.rewrites) {
       if (!rfirst) out += ", ";
       rfirst = false;
       out += "{\"rule\": \"" + JsonEscape(rule) + "\", \"description\": \"" +
@@ -253,18 +270,18 @@ std::string QueryRecorder::ToJson() const {
     }
     out += "], \"near_misses\": [";
     bool nfirst = true;
-    for (const std::string& miss : r.near_misses) {
+    for (const std::string& miss : part.near_misses) {
       if (!nfirst) out += ", ";
       nfirst = false;
       out += "\"" + JsonEscape(miss) + "\"";
     }
-    out += "], \"analysis\": \"" + JsonEscape(r.proof_summary) + "\", ";
-    out += "\"verify\": \"" + JsonEscape(r.verify_summary) + "\", ";
-    out += "\"verify_violations\": " + std::to_string(r.verify_violations) +
-           ", ";
-    out += "\"equiv\": {\"proven\": " + std::to_string(r.equiv_proven) +
-           ", \"unproven\": " + std::to_string(r.equiv_unproven) +
-           ", \"refuted\": " + std::to_string(r.equiv_refuted) + "}}";
+    out += "], \"analysis\": \"" + JsonEscape(part.proof_summary) + "\", ";
+    out += "\"verify\": \"" + JsonEscape(part.verify_summary) + "\", ";
+    out += "\"verify_violations\": " +
+           std::to_string(part.verify_violations) + ", ";
+    out += "\"equiv\": {\"proven\": " + std::to_string(part.equiv_proven) +
+           ", \"unproven\": " + std::to_string(part.equiv_unproven) +
+           ", \"refuted\": " + std::to_string(part.equiv_refuted) + "}}";
   }
   out += first ? "]}\n" : "\n]}\n";
   return out;

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,22 +13,20 @@
 namespace uniqopt {
 namespace obs {
 
-/// Everything worth keeping about one query after the fact: what ran,
-/// what the optimizer decided (and why), what it cost. One record per
-/// Optimizer::Execute / gateway program / navigation strategy.
-struct QueryRecord {
-  uint64_t id = 0;          ///< assigned by the recorder, monotonically
+/// The part of a QueryRecord that is fixed before the query runs: what
+/// runs and what the optimizer decided (and why). Built once per
+/// prepared entry and shared, immutable, by the record of every
+/// execution of it, so recording a cached query copies one pointer; the
+/// gateway, the navigator and failure records build their own.
+struct PreparedRecord {
   std::string source;       ///< "optimizer", "ims.gateway", "oodb.nav"
   std::string query;        ///< SQL text or compiled-program summary
   /// FNV-1a over the optimized plan's canonical printed form; equal
   /// hashes ⇒ structurally identical plans (cache keys, \history dedup).
   uint64_t plan_hash = 0;
-  /// Whether preparation was served from the plan cache (its phase_ns
-  /// carries the original cold prepare's timings in that case) —
-  /// \slow and \history separate cold from cache-served prepares on it.
-  bool cache_hit = false;
-  /// Per-phase latencies, pipeline order (parse, bind, analyze,
-  /// rewrite, cost, execute — whichever ran).
+  /// Per-phase latencies before execution, pipeline order (parse, bind,
+  /// analyze, rewrite, cost, verify — whichever ran). A plan-cache hit
+  /// shares the original cold prepare's timings.
   std::vector<std::pair<std::string, uint64_t>> phase_ns;
   /// Rewrite verdicts: (rule name, description) per applied rewrite.
   std::vector<std::pair<std::string, std::string>> rewrites;
@@ -41,17 +41,33 @@ struct QueryRecord {
   uint64_t equiv_proven = 0;
   uint64_t equiv_unproven = 0;
   uint64_t equiv_refuted = 0;
+  /// Near-miss advisor lines ("table: fact (goal)") for proofs that
+  /// almost fired on this query; empty when every proof succeeded.
+  std::vector<std::string> near_misses;
+};
+
+/// Everything worth keeping about one query after the fact: the shared
+/// PreparedRecord plus what this run cost. One record per
+/// Optimizer::Execute / gateway program / navigation strategy.
+struct QueryRecord {
+  uint64_t id = 0;          ///< assigned by the recorder, monotonically
+  /// What ran and why; a null pointer renders as an empty part.
+  std::shared_ptr<const PreparedRecord> prepared;
+  /// Whether preparation was served from the plan cache (the prepared
+  /// phases are then the original cold prepare's timings) — \slow and
+  /// \history separate cold from cache-served prepares on it.
+  bool cache_hit = false;
+  /// This run's `execute` phase, listed after the prepared phases;
+  /// unset when the query failed before it ran.
+  std::optional<uint64_t> execute_ns;
   uint64_t rows_out = 0;
   uint64_t rows_scanned = 0;
   /// Per-operator profile text when the run was metered (EXPLAIN
   /// ANALYZE); empty otherwise.
   std::string profile_text;
-  /// Near-miss advisor lines ("table: fact (goal)") for proofs that
-  /// almost fired on this query; empty when every proof succeeded.
-  std::vector<std::string> near_misses;
   bool ok = true;
   std::string error;        ///< status text when !ok
-  uint64_t total_ns = 0;    ///< wall time, prepare + execute
+  uint64_t total_ns = 0;    ///< wall time, prepared phases + execute
   /// Wall-clock time of recording, microseconds since the Unix epoch.
   /// Assigned by the recorder when left 0 (callers may pre-stamp).
   uint64_t wall_time_us = 0;

@@ -1,6 +1,7 @@
 #include "oodb/navigator.h"
 
 #include <chrono>
+#include <memory>
 
 #include "obs/recorder.h"
 
@@ -14,18 +15,20 @@ namespace {
 void RecordStrategy(const char* strategy, const StrategyResult& result,
                     std::chrono::steady_clock::time_point start) {
   obs::QueryRecord rec;
-  rec.source = "oodb.nav";
-  rec.query = strategy;
-  rec.plan_hash = obs::FingerprintPlanText(strategy);
   rec.rows_out = result.rows.size();
   rec.rows_scanned =
       static_cast<uint64_t>(result.stats.objects_retrieved);
-  rec.proof_summary = result.stats.ToString();
   rec.total_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  rec.phase_ns.emplace_back("navigate", rec.total_ns);
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "oodb.nav";
+  part->query = strategy;
+  part->plan_hash = obs::FingerprintPlanText(strategy);
+  part->proof_summary = result.stats.ToString();
+  part->phase_ns.emplace_back("navigate", rec.total_ns);
+  rec.prepared = std::move(part);
   obs::QueryRecorder::Global().Record(std::move(rec));
 }
 

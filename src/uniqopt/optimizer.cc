@@ -1,5 +1,6 @@
 #include "uniqopt/optimizer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -31,18 +32,18 @@ PhaseDef MakePhaseDef(const char* name) {
                             std::string("optimizer.phase.") + name + ".ns")};
 }
 
-/// One optimizer phase: a latency histogram sample (atomics only). With
-/// `phase_sink` non-null the elapsed time is also appended there — that
-/// is how PreparedQuery carries its per-phase latencies to the flight
-/// recorder.
+/// One optimizer phase: a latency histogram sample (atomics only). The
+/// elapsed time is also appended to `phase_sink` — that is how
+/// PreparedQuery carries its per-phase latencies to the flight recorder
+/// — or stored in `ns_sink`, whichever is non-null.
 class Phase {
  public:
-  explicit Phase(const PhaseDef& def,
-                 std::vector<std::pair<std::string, uint64_t>>* phase_sink =
-                     nullptr)
-      : def_(def),
-        phase_sink_(phase_sink),
-        start_(std::chrono::steady_clock::now()) {}
+  using Sink = std::vector<std::pair<std::string, uint64_t>>;
+
+  Phase(const PhaseDef& def, Sink* phase_sink)
+      : Phase(def, phase_sink, nullptr) {}
+  Phase(const PhaseDef& def, uint64_t* ns_sink)
+      : Phase(def, nullptr, ns_sink) {}
 
   ~Phase() {
     auto elapsed = std::chrono::steady_clock::now() - start_;
@@ -51,11 +52,19 @@ class Phase {
             .count());
     def_.histogram->Record(ns);
     if (phase_sink_ != nullptr) phase_sink_->emplace_back(def_.name, ns);
+    if (ns_sink_ != nullptr) *ns_sink_ = ns;
   }
 
  private:
+  Phase(const PhaseDef& def, Sink* phase_sink, uint64_t* ns_sink)
+      : def_(def),
+        phase_sink_(phase_sink),
+        ns_sink_(ns_sink),
+        start_(std::chrono::steady_clock::now()) {}
+
   const PhaseDef& def_;
-  std::vector<std::pair<std::string, uint64_t>>* phase_sink_;
+  Sink* phase_sink_;
+  uint64_t* ns_sink_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -99,18 +108,85 @@ std::string AnalysisSummary(const UniquenessVerdict& v) {
   return "DISTINCT retained (unproven by " + detector + ")";
 }
 
+/// The flight-recorder part shared by every execution of `q`.
+std::shared_ptr<const obs::PreparedRecord> MakePreparedRecord(
+    const PreparedQuery& q) {
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "optimizer";
+  part->query = q.sql;
+  part->plan_hash = q.plan_hash;
+  part->phase_ns = q.phase_ns;
+  for (const AppliedRewrite& r : q.rewrites) {
+    part->rewrites.emplace_back(RewriteRuleIdToString(r.rule), r.description);
+  }
+  part->proof_summary = AnalysisSummary(q.analysis);
+  for (const obs::NearMiss& miss : q.near_misses) {
+    part->near_misses.push_back(miss.ToString());
+  }
+  if (q.verified) {
+    part->verify_summary = q.verification.Summary();
+    part->verify_violations = q.verification.violations.size();
+    part->equiv_proven = q.verification.equiv_proven;
+    part->equiv_unproven = q.verification.equiv_unproven;
+    part->equiv_refuted = q.verification.equiv_refuted;
+  }
+  return part;
+}
+
 /// Emits the record for a failed prepare/execute so \history shows
 /// erroring queries alongside successful ones.
 void RecordFailure(const std::string& sql, const Status& status,
                    std::vector<std::pair<std::string, uint64_t>> phases) {
   obs::QueryRecord rec;
-  rec.source = "optimizer";
-  rec.query = sql;
   rec.ok = false;
   rec.error = status.ToString();
-  rec.phase_ns = std::move(phases);
-  for (const auto& [name, ns] : rec.phase_ns) rec.total_ns += ns;
+  for (const auto& [name, ns] : phases) rec.total_ns += ns;
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "optimizer";
+  part->query = sql;
+  part->phase_ns = std::move(phases);
+  rec.prepared = std::move(part);
   obs::QueryRecorder::Global().Record(std::move(rec));
+}
+
+size_t CountPlanNodes(const PlanNode& node) {
+  size_t n = 1;
+  for (size_t i = 0; i < node.num_children(); ++i) {
+    n += CountPlanNodes(*node.child(i));
+  }
+  return n;
+}
+
+/// Approximate retained size of a prepared query for the cache's byte
+/// budget. Plans are charged per node at the optimized plan's printed
+/// bytes per node (`optimized_text_bytes`: PrepareUncached prints that
+/// plan once, for plan_hash); proof traces get a flat per-rewrite
+/// allowance.
+size_t EstimatePreparedQueryBytes(const PreparedQuery& q,
+                                  size_t optimized_text_bytes) {
+  const size_t bytes_per_node =
+      optimized_text_bytes /
+      std::max<size_t>(1, CountPlanNodes(*q.optimized_plan));
+  auto plan_bytes = [&](const PlanPtr& plan) -> size_t {
+    return plan == nullptr ? 0 : CountPlanNodes(*plan) * bytes_per_node;
+  };
+  size_t bytes =
+      sizeof(PreparedQuery) + q.sql.size() + q.canonical_sql.size();
+  bytes += (plan_bytes(q.original_plan) + optimized_text_bytes) * 2;
+  for (const AppliedRewrite& r : q.rewrites) {
+    bytes += 256 + r.description.size();
+    for (const std::string& fact : r.evidence.facts) bytes += fact.size();
+    bytes += plan_bytes(r.evidence.before) + plan_bytes(r.evidence.after);
+  }
+  for (const auto& [name, ns] : q.phase_ns) {
+    (void)ns;
+    bytes += 32 + name.size();
+  }
+  for (const obs::NearMiss& miss : q.near_misses) {
+    bytes += 64 + miss.goal.size() + miss.table.size() + miss.fact.size();
+  }
+  bytes += q.chosen_label.size();
+  return bytes;
 }
 
 }  // namespace
@@ -151,8 +227,8 @@ std::string PreparedQuery::Explain() const {
 }
 
 Result<PreparedQuery> Optimizer::PrepareUncached(
-    const std::string& sql,
-    const Result<cache::CanonicalSql>& canonical) const {
+    const std::string& sql, const Result<cache::CanonicalSql>& canonical,
+    size_t* retained_bytes) const {
   static obs::Counter& prepared_counter =
       obs::MetricsRegistry::Global().GetCounter("optimizer.queries_prepared");
   prepared_counter.Increment();
@@ -269,55 +345,27 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     out.verification = Verify(out);
     out.verified = true;
   }
-  out.plan_hash =
-      obs::FingerprintPlanText(out.optimized_plan->ToString());
+  const std::string optimized_text = out.optimized_plan->ToString();
+  out.plan_hash = obs::FingerprintPlanText(optimized_text);
+  out.record = MakePreparedRecord(out);
+  if (retained_bytes != nullptr) {
+    *retained_bytes =
+        EstimatePreparedQueryBytes(out, optimized_text.size());
+  }
   return out;
 }
 
-namespace {
-
-/// Approximate retained size of a prepared query for the cache's byte
-/// budget. Plans are measured by their printed form (proportional to
-/// node count); proof traces get a flat per-rewrite allowance.
-size_t EstimatePreparedQueryBytes(const PreparedQuery& q) {
-  size_t bytes =
-      sizeof(PreparedQuery) + q.sql.size() + q.canonical_sql.size();
-  if (q.original_plan != nullptr) {
-    bytes += q.original_plan->ToString().size() * 2;
-  }
-  if (q.optimized_plan != nullptr) {
-    bytes += q.optimized_plan->ToString().size() * 2;
-  }
-  for (const AppliedRewrite& r : q.rewrites) {
-    bytes += 256 + r.description.size();
-    for (const std::string& fact : r.evidence.facts) bytes += fact.size();
-    if (r.evidence.before != nullptr) {
-      bytes += r.evidence.before->ToString().size();
-    }
-    if (r.evidence.after != nullptr) {
-      bytes += r.evidence.after->ToString().size();
-    }
-  }
-  for (const auto& [name, ns] : q.phase_ns) {
-    (void)ns;
-    bytes += 32 + name.size();
-  }
-  for (const obs::NearMiss& miss : q.near_misses) {
-    bytes += 64 + miss.goal.size() + miss.table.size() + miss.fact.size();
-  }
-  bytes += q.chosen_label.size();
-  return bytes;
-}
-
-}  // namespace
-
 uint64_t Optimizer::CacheKey(const cache::CanonicalSql& canonical,
                              uint64_t catalog_version) const {
-  // The verify and equiv flags shape what a PreparedQuery contains
-  // (verification report and certificates present or not).
   cache::FingerprintOptions fopts;
-  fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 2 : 0);
+  fopts.salt = ModeBits();
   return cache::FingerprintSql(canonical, catalog_version, fopts);
+}
+
+cache::RawKey Optimizer::RawCacheKey(std::string_view sql,
+                                     uint64_t catalog_version) const {
+  uint64_t hash = cache::Fnv1aMix(cache::Fnv1a(sql), catalog_version);
+  return cache::RawKey{cache::Fnv1aMix(hash, ModeBits()), sql};
 }
 
 Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
@@ -339,37 +387,52 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
     plane.RecordClassSample(q.class_fingerprint, "prepare.ns", ns,
                             /*record_id=*/0, q.plan_hash);
   };
+  auto serve_hit = [&](cache::PlanCache::EntryPtr entry) {
+    if (cache_hit != nullptr) *cache_hit = true;
+    static obs::Counter& prepared_counter =
+        obs::MetricsRegistry::Global().GetCounter(
+            "optimizer.queries_prepared");
+    prepared_counter.Increment();
+    feed_sample(*entry);
+    return entry;
+  };
   // Read the catalog version before preparing: if DDL lands mid-flight
   // the entry is stored under the older version and can never be
   // served after the bump.
   const uint64_t version = db_->catalog().version();
+  const bool usable = CacheUsable();
+  // The front: the exact bytes some entry was prepared from skip the
+  // lexer. A slot filed under this hash for other bytes counts nothing.
+  cache::RawKey raw;
+  if (usable) {
+    raw = RawCacheKey(sql, version);
+    if (cache::PlanCache::EntryPtr entry = cache_->GetRaw(raw, version)) {
+      return serve_hit(std::move(entry));
+    }
+  }
   uint64_t fingerprint = 0;
   // SQL that does not lex skips the cache, so the normal pipeline
   // produces (and records) the real diagnostic.
   const Result<cache::CanonicalSql> canonical = cache::CanonicalizeSql(sql);
-  const bool cacheable = CacheUsable() && canonical.ok();
+  const bool cacheable = usable && canonical.ok();
   if (cacheable) {
     fingerprint = CacheKey(*canonical, version);
     cache::PlanCache::EntryPtr entry = cache_->Get(fingerprint, version);
     // A 64-bit key match alone does not prove the entry was prepared
     // from this statement: on a collision prepare cold and replace it.
     if (entry != nullptr && entry->canonical_sql == canonical->text) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      static obs::Counter& prepared_counter =
-          obs::MetricsRegistry::Global().GetCounter(
-              "optimizer.queries_prepared");
-      prepared_counter.Increment();
-      feed_sample(*entry);
-      return entry;
+      return serve_hit(std::move(entry));
     }
   }
+  size_t bytes = 0;
   UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PrepareUncached(sql, canonical));
+                           PrepareUncached(sql, canonical, &bytes));
   auto entry =
       std::make_shared<const PreparedQuery>(std::move(prepared));
   if (cacheable) {
-    cache_->Put(fingerprint, version, entry,
-                EstimatePreparedQueryBytes(*entry));
+    // The slot owns `entry`, so its raw key may view entry->sql.
+    cache_->Put(fingerprint, version, entry, bytes,
+                cache::RawKey{raw.hash, entry->sql});
   }
   feed_sample(*entry);
   return entry;
@@ -473,33 +536,14 @@ Result<std::vector<Row>> Optimizer::Execute(
   }
   const PhysicalOptions& effective =
       query.cost_based ? query.chosen_physical : physical;
-  obs::QueryRecord rec;
-  rec.source = "optimizer";
-  rec.query = query.sql;
-  rec.plan_hash = query.plan_hash;
-  rec.cache_hit = query.cache_hit;
-  rec.phase_ns = query.phase_ns;
-  for (const AppliedRewrite& r : query.rewrites) {
-    rec.rewrites.emplace_back(RewriteRuleIdToString(r.rule), r.description);
-  }
-  rec.proof_summary = AnalysisSummary(query.analysis);
-  for (const obs::NearMiss& miss : query.near_misses) {
-    rec.near_misses.push_back(miss.ToString());
-  }
-  if (query.verified) {
-    rec.verify_summary = query.verification.Summary();
-    rec.verify_violations = query.verification.violations.size();
-    rec.equiv_proven = query.verification.equiv_proven;
-    rec.equiv_unproven = query.verification.equiv_unproven;
-    rec.equiv_refuted = query.verification.equiv_refuted;
-  }
   std::vector<Row> rows;
   Status exec_status;
+  uint64_t execute_ns = 0;
   {
-    // The Phase destructor appends the execute timing to rec.phase_ns,
-    // so failure recording must wait until the block closes.
+    // The Phase destructor stores the execute timing, so recording must
+    // wait until the block closes.
     static const PhaseDef kExecute = MakePhaseDef("execute");
-    Phase phase(kExecute, &rec.phase_ns);
+    Phase phase(kExecute, &execute_ns);
     static obs::Counter& executed_counter =
         obs::MetricsRegistry::Global().GetCounter(
             "optimizer.queries_executed");
@@ -513,17 +557,24 @@ Result<std::vector<Row>> Optimizer::Execute(
     }
   }
   if (!exec_status.ok()) {
-    RecordFailure(query.sql, exec_status, std::move(rec.phase_ns));
+    std::vector<std::pair<std::string, uint64_t>> phases = query.phase_ns;
+    phases.emplace_back("execute", execute_ns);
+    RecordFailure(query.sql, exec_status, std::move(phases));
     return exec_status;
   }
   if (stats != nullptr) *stats = ctx.stats;
+  obs::QueryRecord rec;
+  // Every execution of a prepared entry shares its record part; only a
+  // PreparedQuery assembled by hand gets one built per call.
+  rec.prepared =
+      query.record != nullptr ? query.record : MakePreparedRecord(query);
+  rec.cache_hit = query.cache_hit;
+  rec.execute_ns = execute_ns;
   rec.rows_out = rows.size();
   rec.rows_scanned = ctx.stats.rows_scanned;
   if (profile != nullptr) rec.profile_text = profile->ToText();
-  for (const auto& [name, ns] : rec.phase_ns) rec.total_ns += ns;
-  // The Phase above appended this call's timing last; the entries before
-  // it are the prepared entry's parse..verify phases.
-  const uint64_t execute_ns = rec.phase_ns.back().second;
+  rec.total_ns = execute_ns;
+  for (const auto& [name, ns] : rec.prepared->phase_ns) rec.total_ns += ns;
   uint64_t record_id = obs::QueryRecorder::Global().Record(std::move(rec));
   // Per-class execute latency, exemplar-linked to the record just
   // written: an alert on this window resolves to that QueryRecord. The

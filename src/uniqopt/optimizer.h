@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,10 @@
 #include "verify/verify.h"
 
 namespace uniqopt {
+
+namespace obs {
+struct PreparedRecord;  // obs/recorder.h
+}  // namespace obs
 
 /// Whether Prepare runs the post-optimization verifier automatically.
 /// Debug and test builds (the CMake default, UNIQOPT_VERIFY_PLANS=ON)
@@ -77,6 +82,11 @@ struct PreparedQuery {
   /// by-value copies handed out by Prepare; the cached master stays
   /// false.
   bool cache_hit = false;
+  /// The flight-recorder part every Execute of this query shares: SQL,
+  /// plan hash, phases, rewrites and the analysis, verify and near-miss
+  /// lines, built once by PrepareUncached. Null on a PreparedQuery
+  /// assembled by hand; Execute then builds one per call.
+  std::shared_ptr<const obs::PreparedRecord> record;
 
   /// EXPLAIN-style report: both plans and the rewrite audit trail.
   std::string Explain() const;
@@ -107,9 +117,13 @@ class Optimizer {
 
   /// The zero-copy prepare: returns the immutable cached entry itself
   /// (or the freshly prepared one, which is simultaneously inserted).
-  /// This is the hot path — a hit costs one canonicalization, one key
-  /// and one locked lookup, no plan copies. `cache_hit`, when non-null,
-  /// reports whether the entry came from the cache.
+  /// This is the hot path. SQL byte-identical to the text an entry was
+  /// prepared from is served by its raw key (RawCacheKey) without
+  /// lexing: one hash over the bytes, one locked lookup and a byte
+  /// comparison. Other spellings of a cached statement are canonicalized
+  /// and served by the canonical key (CacheKey); only a miss on both
+  /// prepares cold. No plan copies either way. `cache_hit`, when
+  /// non-null, reports whether the entry came from the cache.
   ///
   /// Thread-safe: concurrent PrepareShared calls on one Optimizer are
   /// supported (concurrent DDL is not — same contract as Catalog).
@@ -169,9 +183,16 @@ class Optimizer {
   /// The plan-cache key of `canonical` under `catalog_version`: FNV-1a
   /// over the canonical text, the version and the verify/equiv mode
   /// bits — everything a prepared entry depends on. PrepareShared keys
-  /// its lookups and inserts with this and nothing else.
+  /// every entry with this; the raw key is a second way in.
   uint64_t CacheKey(const cache::CanonicalSql& canonical,
                     uint64_t catalog_version) const;
+
+  /// The plan-cache raw key of `sql` under `catalog_version`: FNV-1a
+  /// over the exact bytes, mixed with the version and the same mode bits
+  /// as CacheKey, with `sql` itself for the byte comparison that confirms
+  /// a hit. PrepareShared looks it up before it canonicalizes.
+  cache::RawKey RawCacheKey(std::string_view sql,
+                            uint64_t catalog_version) const;
 
   /// Always the default PhysicalOptions and 0: a prepared entry depends
   /// on neither (physical options are an Execute argument), so neither
@@ -192,12 +213,20 @@ class Optimizer {
  private:
   /// The full parse → bind → analyze → rewrite → [cost] → [verify]
   /// pipeline, no cache involvement. `canonical` is
-  /// cache::CanonicalizeSql(sql), which keys the query class.
+  /// cache::CanonicalizeSql(sql), which keys the query class. With
+  /// `retained_bytes` non-null it receives the entry's size estimate for
+  /// the cache's byte budget.
   Result<PreparedQuery> PrepareUncached(
-      const std::string& sql,
-      const Result<cache::CanonicalSql>& canonical) const;
+      const std::string& sql, const Result<cache::CanonicalSql>& canonical,
+      size_t* retained_bytes = nullptr) const;
 
   bool CacheUsable() const { return cache_->enabled() && !use_cost_model_; }
+  /// The verify and equiv flags shape what a PreparedQuery contains
+  /// (verification report and certificates present or not), so both
+  /// cache keys mix them in.
+  uint64_t ModeBits() const {
+    return (verify_plans_ ? 1 : 0) | (check_equiv_ ? 2 : 0);
+  }
 
   Database* db_;
   RewriteOptions rewrite_options_;

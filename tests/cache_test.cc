@@ -2,8 +2,11 @@
 // cache's exact LRU (recency eviction, byte budget, whole-cache
 // capacity, version purge), Optimizer cache hits (flag, identical
 // plans, EXPLAIN marker, recorder field), the canonical-text check that
-// turns a key collision into a miss, and the DDL-invalidation guarantee
-// — a catalog bump must make every previously cached plan unservable.
+// turns a key collision into a miss, the raw-byte front (exact repeats
+// skip the lexer, other spellings hit through the canonical key, a
+// raw-key collision is confirmed away, one count per prepare), and the
+// DDL-invalidation guarantee — a catalog bump must make every
+// previously cached plan unservable.
 
 #include <memory>
 #include <string>
@@ -12,6 +15,7 @@
 
 #include "cache/fingerprint.h"
 #include "cache/plan_cache.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "test_util.h"
 #include "uniqopt/uniqopt.h"
@@ -182,6 +186,46 @@ TEST(PlanCacheTest, CapacityBoundsTheWholeCache) {
   EXPECT_EQ(cache.Get(high | 0, 0), nullptr);
 }
 
+TEST(PlanCacheTest, RawKeyIsConfirmedAndLeavesWithItsSlot) {
+  cache::PlanCache cache(Bounds(2, 1000));
+  cache::PlanCache::EntryPtr a = Entry("a");
+  cache::PlanCache::EntryPtr b = Entry("b");
+  cache::PlanCache::EntryPtr c = Entry("c");
+  cache.Put(1, 0, a, 1, cache::RawKey{10, a->sql});
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 0), a);
+  // Other bytes or another version under the same hash count nothing.
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), nullptr);
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 1), nullptr);
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{11, "a"}, 0), nullptr);
+  cache::LruStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.raw_hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  // Slot 2 takes raw key 10 from slot 1; evicting slot 1 leaves it.
+  cache.Put(2, 0, b, 1, cache::RawKey{10, b->sql});
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 0), nullptr);
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), b);
+  cache.Put(3, 0, c, 1, cache::RawKey{30, c->sql});  // evicts slot 1
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), b);
+  // Replacing slot 2 drops its raw key with it.
+  cache.Put(2, 0, Entry("b2"), 1);
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), nullptr);
+  // The version purge drops raw keys with their slots.
+  cache::PlanCache::EntryPtr d = Entry("d");
+  cache.Put(4, 1, d, 1, cache::RawKey{40, d->sql});
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{40, "d"}, 1), d);
+  cache.Put(5, 2, Entry("e"), 1);
+  ASSERT_NE(cache.Get(5, 2), nullptr);  // purges version 1
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{40, "d"}, 1), nullptr);
+  // And Clear drops every raw key.
+  cache::PlanCache::EntryPtr f = Entry("f");
+  cache.Put(6, 2, f, 1, cache::RawKey{60, f->sql});
+  cache.Clear();
+  EXPECT_EQ(cache.GetRaw(cache::RawKey{60, "f"}, 2), nullptr);
+  EXPECT_EQ(cache.Stats().entries, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Optimizer integration
 // ---------------------------------------------------------------------------
@@ -339,6 +383,137 @@ TEST(PlanCacheTest, KeyCollisionIsServedAsAMiss) {
                        optimizer.PrepareShared(b, &hit));
   EXPECT_TRUE(hit);
   EXPECT_EQ(again.get(), served.get());
+}
+
+// ---------------------------------------------------------------------------
+// The raw-byte front: byte-identical SQL is served without lexing
+// ---------------------------------------------------------------------------
+
+/// PrepareShared that checks the one-count-per-prepare contract: every
+/// call moves exactly one of `hits` and `misses`.
+std::shared_ptr<const PreparedQuery> PrepareCounted(const Optimizer& optimizer,
+                                                    const std::string& sql,
+                                                    bool* hit) {
+  const cache::LruStats before = optimizer.plan_cache()->Stats();
+  auto r = optimizer.PrepareShared(sql, hit);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  const cache::LruStats after = optimizer.plan_cache()->Stats();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1)
+      << sql;
+  return r.ok() ? *r : nullptr;
+}
+
+TEST(PlanCacheTest, ExactRepeatIsARawHit) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  obs::Counter& raw_hits =
+      obs::MetricsRegistry::Global().GetCounter("cache.raw_hits");
+  const std::string sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
+  bool hit = true;
+  auto cold = PrepareCounted(optimizer, sql, &hit);
+  EXPECT_FALSE(hit);
+  const cache::LruStats before = optimizer.plan_cache()->Stats();
+  const uint64_t registry_before = raw_hits.value();
+  auto again = PrepareCounted(optimizer, sql, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.get(), cold.get());
+  const cache::LruStats after = optimizer.plan_cache()->Stats();
+  EXPECT_EQ(after.raw_hits, before.raw_hits + 1);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(raw_hits.value(), registry_before + 1);
+  EXPECT_NE(optimizer.plan_cache()->ToText().find("raw_hits=1"),
+            std::string::npos);
+}
+
+TEST(PlanCacheTest, OtherSpellingsHitThroughTheCanonicalKey) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  bool hit = true;
+  auto cold =
+      PrepareCounted(optimizer, "SELECT DISTINCT SNO FROM SUPPLIER", &hit);
+  EXPECT_FALSE(hit);
+  for (const std::string variant :
+       {"select distinct sno\nFROM supplier",
+        "SELECT DISTINCT SNO -- every supplier\nFROM SUPPLIER"}) {
+    const cache::LruStats before = optimizer.plan_cache()->Stats();
+    auto served = PrepareCounted(optimizer, variant, &hit);
+    EXPECT_TRUE(hit) << variant;
+    EXPECT_EQ(served.get(), cold.get()) << variant;
+    const cache::LruStats after = optimizer.plan_cache()->Stats();
+    EXPECT_EQ(after.hits, before.hits + 1) << variant;
+    EXPECT_EQ(after.raw_hits, before.raw_hits) << variant;
+  }
+  // One slot, one raw key: the variants did not add entries.
+  EXPECT_EQ(optimizer.plan_cache()->Stats().entries, 1u);
+}
+
+TEST(PlanCacheTest, RawKeyCollisionIsServedCorrectly) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  const std::string a = "SELECT DISTINCT SNO FROM SUPPLIER";
+  const std::string b = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
+  Optimizer reference(&db);
+  ASSERT_OK_AND_ASSIGN(PreparedQuery reference_a, reference.Prepare(a));
+  ASSERT_OK_AND_ASSIGN(PreparedQuery reference_b, reference.Prepare(b));
+  ASSERT_NE(reference_a.plan_hash, reference_b.plan_hash);
+  // A raw-key collision, forced: A's entry filed under its own canonical
+  // key and under the raw key PrepareShared computes for B.
+  Optimizer preparer(&db);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry_a,
+                       preparer.PrepareShared(a));
+  ASSERT_OK_AND_ASSIGN(cache::CanonicalSql canonical_a,
+                       cache::CanonicalizeSql(a));
+  const uint64_t version = db.catalog().version();
+  optimizer.plan_cache()->Put(
+      optimizer.CacheKey(canonical_a, version), version, entry_a, 1,
+      cache::RawKey{optimizer.RawCacheKey(b, version).hash, entry_a->sql});
+  // B's bytes differ from the slot's, so the raw lookup counts nothing
+  // and B is prepared cold.
+  bool hit = true;
+  auto served_b = PrepareCounted(optimizer, b, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(served_b->sql, b);
+  EXPECT_EQ(served_b->plan_hash, reference_b.plan_hash);
+  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 0u);
+  // B took the raw key: its repeat is a raw hit on its own plan.
+  auto again_b = PrepareCounted(optimizer, b, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again_b.get(), served_b.get());
+  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
+  // A is still served, by its canonical key.
+  auto served_a = PrepareCounted(optimizer, a, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(served_a.get(), entry_a.get());
+  EXPECT_EQ(served_a->plan_hash, reference_a.plan_hash);
+  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
+  EXPECT_EQ(optimizer.plan_cache()->Stats().entries, 2u);
+}
+
+TEST(PlanCacheTest, RawHitRefreshesRecency) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  cache::PlanCacheOptions options;
+  options.capacity = 2;
+  Optimizer optimizer(&db, {}, /*use_cost_model=*/false, options);
+  const std::string x = "SELECT SNO FROM SUPPLIER";
+  const std::string y = "SELECT SNAME FROM SUPPLIER";
+  const std::string z = "SELECT SCITY FROM SUPPLIER";
+  bool hit = true;
+  PrepareCounted(optimizer, x, &hit);
+  PrepareCounted(optimizer, y, &hit);
+  PrepareCounted(optimizer, x, &hit);  // exact repeat: X is now newest
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
+  PrepareCounted(optimizer, z, &hit);  // evicts the stalest: Y
+  EXPECT_EQ(optimizer.plan_cache()->Stats().evictions, 1u);
+  PrepareCounted(optimizer, x, &hit);
+  EXPECT_TRUE(hit);
+  PrepareCounted(optimizer, y, &hit);
+  EXPECT_FALSE(hit);
 }
 
 TEST(PlanCacheTest, DdlInvalidatesStaleEntries) {

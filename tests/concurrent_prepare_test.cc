@@ -49,6 +49,16 @@ TEST(ConcurrentPrepareTest, EightThreadsMixedCorpusIdenticalPlans) {
     expected_plan[sql] = q.optimized_plan->ToString();
     expected_hash[sql] = q.plan_hash;
   }
+  // A whitespace variant of every statement rides along: it shares its
+  // statement's slot through the canonical key, whichever spelling
+  // reaches the cache first and files its bytes as the raw key.
+  std::vector<std::string> inputs = corpus;
+  for (const std::string& sql : corpus) {
+    const std::string variant = "  " + sql + "\n";
+    expected_plan[variant] = expected_plan[sql];
+    expected_hash[variant] = expected_hash[sql];
+    inputs.push_back(variant);
+  }
 
   // Hammer a second, cold optimizer: the first thread to reach a query
   // takes the miss path (full prepare + insert) while others race it on
@@ -62,9 +72,9 @@ TEST(ConcurrentPrepareTest, EightThreadsMixedCorpusIdenticalPlans) {
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRoundsPerThread; ++round) {
-        for (size_t i = 0; i < corpus.size(); ++i) {
+        for (size_t i = 0; i < inputs.size(); ++i) {
           // Interleave differently per thread so hits and misses mix.
-          const std::string& sql = corpus[(i + t + round) % corpus.size()];
+          const std::string& sql = inputs[(i + t + round) % inputs.size()];
           auto r = hammered.PrepareShared(sql);
           if (!r.ok()) {
             failures.fetch_add(1);
@@ -88,7 +98,8 @@ TEST(ConcurrentPrepareTest, EightThreadsMixedCorpusIdenticalPlans) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(violations.load(), 0);
   // Every query prepared once cold at most a handful of times (racing
-  // first-misses may each compute), everything else served as a hit.
+  // first-misses may each compute), everything else served as a hit;
+  // each statement and its variant share one entry.
   cache::LruStats stats = hammered.plan_cache()->Stats();
   EXPECT_EQ(stats.entries, corpus.size());
   EXPECT_GT(stats.hits, stats.misses);

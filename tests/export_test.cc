@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -189,19 +190,23 @@ TEST(MetricsJsonTest, StableSchemaIsValidJson) {
 
 TEST(RecorderJsonTest, QueriesDumpIsValidJson) {
   obs::QueryRecorder recorder;
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "optimizer";
+  part->query = "SELECT \"S\".SNO\nFROM SUPPLIER \"S\"";
+  part->plan_hash = obs::FingerprintPlanText("plan");
+  part->phase_ns.emplace_back("parse", 1200);
+  part->rewrites.emplace_back("RemoveRedundantDistinct",
+                              "DISTINCT proven redundant");
   obs::QueryRecord rec;
-  rec.source = "optimizer";
-  rec.query = "SELECT \"S\".SNO\nFROM SUPPLIER \"S\"";
-  rec.plan_hash = obs::FingerprintPlanText("plan");
-  rec.phase_ns.emplace_back("parse", 1200);
-  rec.rewrites.emplace_back("RemoveRedundantDistinct",
-                            "DISTINCT proven redundant");
+  rec.prepared = std::move(part);
   rec.ok = true;
   recorder.Record(std::move(rec));
 
+  auto bad_part = std::make_shared<obs::PreparedRecord>();
+  bad_part->source = "optimizer";
+  bad_part->query = "SELECT nope";
   obs::QueryRecord bad;
-  bad.source = "optimizer";
-  bad.query = "SELECT nope";
+  bad.prepared = std::move(bad_part);
   bad.ok = false;
   bad.error = "binder: unknown table \"NOPE\"";
   recorder.Record(std::move(bad));

@@ -69,10 +69,12 @@ class HttpEndpointTest : public ::testing::Test {
         .GetHistogram("optimizer.phase.parse.ns")
         .Record(1234);
     recorder_.SetCapacity(8);
+    auto part = std::make_shared<obs::PreparedRecord>();
+    part->source = "optimizer";
+    part->query = "SELECT SNO FROM SUPPLIER";
+    part->plan_hash = obs::FingerprintPlanText("Scan SUPPLIER");
     obs::QueryRecord rec;
-    rec.source = "optimizer";
-    rec.query = "SELECT SNO FROM SUPPLIER";
-    rec.plan_hash = obs::FingerprintPlanText("Scan SUPPLIER");
+    rec.prepared = std::move(part);
     rec.ok = true;
     recorder_.Record(std::move(rec));
 

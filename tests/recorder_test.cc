@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,10 +24,14 @@
 namespace uniqopt {
 namespace {
 
-obs::QueryRecord MakeRecord(const std::string& query, uint64_t total_ns) {
+obs::QueryRecord MakeRecord(const std::string& query, uint64_t total_ns,
+                            std::vector<std::string> near_misses = {}) {
+  auto part = std::make_shared<obs::PreparedRecord>();
+  part->source = "test";
+  part->query = query;
+  part->near_misses = std::move(near_misses);
   obs::QueryRecord rec;
-  rec.source = "test";
-  rec.query = query;
+  rec.prepared = std::move(part);
   rec.total_ns = total_ns;
   return rec;
 }
@@ -39,8 +44,8 @@ TEST(RecorderTest, RetainsLastKOldestFirst) {
   EXPECT_EQ(recorder.total_recorded(), 10u);
   std::vector<obs::QueryRecord> history = recorder.History();
   ASSERT_EQ(history.size(), 4u);
-  EXPECT_EQ(history[0].query, "q7");
-  EXPECT_EQ(history[3].query, "q10");
+  EXPECT_EQ(history[0].prepared->query, "q7");
+  EXPECT_EQ(history[3].prepared->query, "q10");
   // Ids are assigned monotonically and survive eviction.
   EXPECT_EQ(history[0].id + 3, history[3].id);
 }
@@ -53,8 +58,8 @@ TEST(RecorderTest, SetCapacityKeepsNewest) {
   recorder.SetCapacity(2);
   std::vector<obs::QueryRecord> history = recorder.History();
   ASSERT_EQ(history.size(), 2u);
-  EXPECT_EQ(history[0].query, "q5");
-  EXPECT_EQ(history[1].query, "q6");
+  EXPECT_EQ(history[0].prepared->query, "q5");
+  EXPECT_EQ(history[1].prepared->query, "q6");
   // Growing again keeps the retained records and admits new ones.
   recorder.SetCapacity(4);
   recorder.Record(MakeRecord("q7", 100));
@@ -70,8 +75,8 @@ TEST(RecorderTest, SlowQueriesHonorThreshold) {
   recorder.Record(MakeRecord("slow2", 1000000));
   std::vector<obs::QueryRecord> slow = recorder.SlowQueries();
   ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].query, "slow1");
-  EXPECT_EQ(slow[1].query, "slow2");
+  EXPECT_EQ(slow[0].prepared->query, "slow1");
+  EXPECT_EQ(slow[1].prepared->query, "slow2");
   // Threshold 0 disables slow tracking entirely.
   recorder.SetSlowThresholdNs(0);
   EXPECT_TRUE(recorder.SlowQueries().empty());
@@ -142,10 +147,8 @@ TEST(RecorderTest, StampsSteadyClockAndReturnsAssignedId) {
 
 TEST(RecorderTest, RendersNearMissSummaries) {
   obs::QueryRecorder recorder;
-  obs::QueryRecord rec = MakeRecord("SELECT DISTINCT SNO FROM SUPPLIER", 1);
-  rec.near_misses.push_back(
-      "SUPPLIER: UNIQUE (SNO) (theorem1.distinct)");
-  recorder.Record(std::move(rec));
+  recorder.Record(MakeRecord("SELECT DISTINCT SNO FROM SUPPLIER", 1,
+                             {"SUPPLIER: UNIQUE (SNO) (theorem1.distinct)"}));
 
   std::string text = recorder.ToText();
   EXPECT_NE(text.find("near-miss: SUPPLIER: UNIQUE (SNO)"),
@@ -156,6 +159,188 @@ TEST(RecorderTest, RendersNearMissSummaries) {
   EXPECT_NE(json.find("UNIQUE (SNO)"), std::string::npos) << json;
   Status valid = obs::ValidateJson(json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
+// The records the optimizer, failures and the gateway emit, and one from a
+// hand-built query. Their \history and /queries text is pinned byte for
+// byte: readers parse it, so the record's layout must not move it.
+std::vector<obs::QueryRecord> GoldenRecords() {
+  auto optimized = std::make_shared<obs::PreparedRecord>();
+  optimized->source = "optimizer";
+  optimized->query =
+      "SELECT DISTINCT S.SNO, P.PNO\nFROM SUPPLIER S, PARTS P WHERE S.SNAME = "
+      "'x\"y'";
+  optimized->plan_hash = UINT64_C(0x0123456789abcdef);
+  optimized->phase_ns = {{"parse", 12345},  {"bind", 23456},
+                         {"analyze", 3456}, {"rewrite", 45678},
+                         {"verify", 56789}};
+  optimized->rewrites = {
+      {"RemoveRedundantDistinct",
+       "DISTINCT removed: key {S.SNO, P.PNO} covered"},
+      {"SubqueryToJoin", "EXISTS -> join on \"SNO\""}};
+  optimized->proof_summary = "DISTINCT proven redundant (algorithm1)";
+  optimized->verify_summary =
+      "1 violation(s) (7 node(s), 1 proof(s), 0 correlation(s), equiv 1 "
+      "proven / 1 unproven / 0 refuted)";
+  optimized->verify_violations = 1;
+  optimized->equiv_proven = 1;
+  optimized->equiv_unproven = 1;
+  optimized->near_misses = {"SUPPLIER: UNIQUE (SNAME) (theorem1.distinct)",
+                            "PARTS: NOT NULL (OEM_PNO) (theorem2.subquery)"};
+  obs::QueryRecord a;
+  a.prepared = optimized;
+  a.cache_hit = true;
+  a.execute_ns = 678901;
+  a.rows_out = 230;
+  a.rows_scanned = 1100;
+  a.profile_text = "HashJoin rows_out=230\n";
+  a.total_ns = 12345 + 23456 + 3456 + 45678 + 56789 + 678901;
+  a.wall_time_us = UINT64_C(1700000000123456);
+  a.steady_ns = 987654321;
+
+  auto failed = std::make_shared<obs::PreparedRecord>();
+  failed->source = "optimizer";
+  failed->query = "SELECT FROM WHERE";
+  failed->phase_ns = {{"parse", 4321}};
+  obs::QueryRecord b;
+  b.prepared = failed;
+  b.ok = false;
+  b.error = "InvalidArgument: expected \"column\"";
+  b.total_ns = 4321;
+  b.wall_time_us = UINT64_C(1700000001000000);
+  b.steady_ns = 987654999;
+
+  auto gateway = std::make_shared<obs::PreparedRecord>();
+  gateway->source = "ims.gateway";
+  gateway->query = "GU SUPPLIER; GNP PARTS";
+  gateway->plan_hash = 42;
+  gateway->proof_summary = "GU=1 GN=0 GNP=4 segments=5";
+  gateway->phase_ns = {{"run", 2500}};
+  obs::QueryRecord c;
+  c.prepared = gateway;
+  c.rows_out = 3;
+  c.total_ns = 2500;
+  c.wall_time_us = UINT64_C(1700000002000000);
+  c.steady_ns = 987655999;
+
+  // A hand-built query: no prepare phases, only this run's.
+  auto by_hand = std::make_shared<obs::PreparedRecord>();
+  by_hand->source = "optimizer";
+  by_hand->query = "SELECT SNO FROM SUPPLIER";
+  by_hand->plan_hash = 7;
+  obs::QueryRecord d;
+  d.prepared = by_hand;
+  d.execute_ns = 1500;
+  d.rows_out = 100;
+  d.rows_scanned = 100;
+  d.total_ns = 1500;
+  d.wall_time_us = UINT64_C(1700000003000000);
+  d.steady_ns = 987656999;
+  return {a, b, c, d};
+}
+
+TEST(RecorderTest, RenderingIsPinned) {
+  obs::QueryRecorder recorder;
+  for (const obs::QueryRecord& rec : GoldenRecords()) recorder.Record(rec);
+  std::vector<obs::QueryRecord> history = recorder.History();
+  ASSERT_EQ(history.size(), 4u);
+  EXPECT_EQ(history[0].id, 1u);
+  EXPECT_EQ(history[0].ToString(),
+      "#1 [optimizer] ok 820us (cached) @2023-11-14T22:13:20Z  SELECT "
+      "DISTINCT S.SNO, P.PNO\n"
+      "FROM SUPPLIER S, PARTS P WHERE S.SNAME = 'x\"y'\n"
+      "    plan_hash=0123456789abcdef rows_out=230 rows_scanned=1100\n"
+      "    phases: parse=12us bind=23us analyze=3us rewrite=45us "
+      "verify=56us execute=678us\n"
+      "    rewrite RemoveRedundantDistinct: DISTINCT removed: key "
+      "{S.SNO, P.PNO} covered\n"
+      "    rewrite SubqueryToJoin: EXISTS -> join on \"SNO\"\n"
+      "    analysis: DISTINCT proven redundant (algorithm1)\n"
+      "    verify: 1 violation(s) (7 node(s), 1 proof(s), 0 "
+      "correlation(s), equiv 1 proven / 1 unproven / 0 refuted)\n"
+      "    equiv: 1 proven / 1 unproven / 0 refuted\n"
+      "    near-miss: SUPPLIER: UNIQUE (SNAME) (theorem1.distinct)\n"
+      "    near-miss: PARTS: NOT NULL (OEM_PNO) (theorem2.subquery)\n");
+  EXPECT_EQ(recorder.ToText(),
+      "#1 [optimizer] ok 820us (cached) @2023-11-14T22:13:20Z  SELECT "
+      "DISTINCT S.SNO, P.PNO\n"
+      "FROM SUPPLIER S, PARTS P WHERE S.SNAME = 'x\"y'\n"
+      "    plan_hash=0123456789abcdef rows_out=230 rows_scanned=1100\n"
+      "    phases: parse=12us bind=23us analyze=3us rewrite=45us "
+      "verify=56us execute=678us\n"
+      "    rewrite RemoveRedundantDistinct: DISTINCT removed: key "
+      "{S.SNO, P.PNO} covered\n"
+      "    rewrite SubqueryToJoin: EXISTS -> join on \"SNO\"\n"
+      "    analysis: DISTINCT proven redundant (algorithm1)\n"
+      "    verify: 1 violation(s) (7 node(s), 1 proof(s), 0 "
+      "correlation(s), equiv 1 proven / 1 unproven / 0 refuted)\n"
+      "    equiv: 1 proven / 1 unproven / 0 refuted\n"
+      "    near-miss: SUPPLIER: UNIQUE (SNAME) (theorem1.distinct)\n"
+      "    near-miss: PARTS: NOT NULL (OEM_PNO) (theorem2.subquery)\n"
+      "#2 [optimizer] ERROR 4us @2023-11-14T22:13:21Z  SELECT FROM "
+      "WHERE\n"
+      "    error: InvalidArgument: expected \"column\"\n"
+      "#3 [ims.gateway] ok 2us @2023-11-14T22:13:22Z  GU SUPPLIER; GNP "
+      "PARTS\n"
+      "    plan_hash=000000000000002a rows_out=3\n"
+      "    phases: run=2us\n"
+      "    rewrites: none\n"
+      "    analysis: GU=1 GN=0 GNP=4 segments=5\n"
+      "#4 [optimizer] ok 1us @2023-11-14T22:13:23Z  SELECT SNO FROM "
+      "SUPPLIER\n"
+      "    plan_hash=0000000000000007 rows_out=100 rows_scanned=100\n"
+      "    phases: execute=1us\n"
+      "    rewrites: none\n"
+      "(4 of 4 recorded queries retained)\n");
+  EXPECT_EQ(recorder.ToJson(),
+      "{\"queries\": [\n"
+      "  {\"id\": 1, \"source\": \"optimizer\", \"query\": \"SELECT "
+      "DISTINCT S.SNO, P.PNO\\nFROM SUPPLIER S, PARTS P WHERE S.SNAME = "
+      "'x\\\"y'\", \"ok\": true, \"plan_hash\": \"0123456789abcdef\", "
+      "\"cache_hit\": true, \"total_ns\": 820625, \"wall_time_us\": "
+      "1700000000123456, \"wall_time\": \"2023-11-14T22:13:20Z\", "
+      "\"steady_ns\": 987654321, \"rows_out\": 230, \"rows_scanned\": "
+      "1100, \"phases\": {\"parse\": 12345, \"bind\": 23456, "
+      "\"analyze\": 3456, \"rewrite\": 45678, \"verify\": 56789, "
+      "\"execute\": 678901}, \"rewrites\": [{\"rule\": "
+      "\"RemoveRedundantDistinct\", \"description\": \"DISTINCT removed: "
+      "key {S.SNO, P.PNO} covered\"}, {\"rule\": \"SubqueryToJoin\", "
+      "\"description\": \"EXISTS -> join on \\\"SNO\\\"\"}], "
+      "\"near_misses\": [\"SUPPLIER: UNIQUE (SNAME) "
+      "(theorem1.distinct)\", \"PARTS: NOT NULL (OEM_PNO) "
+      "(theorem2.subquery)\"], \"analysis\": \"DISTINCT proven redundant "
+      "(algorithm1)\", \"verify\": \"1 violation(s) (7 node(s), 1 "
+      "proof(s), 0 correlation(s), equiv 1 proven / 1 unproven / 0 "
+      "refuted)\", \"verify_violations\": 1, \"equiv\": {\"proven\": 1, "
+      "\"unproven\": 1, \"refuted\": 0}},\n"
+      "  {\"id\": 2, \"source\": \"optimizer\", \"query\": \"SELECT FROM "
+      "WHERE\", \"ok\": false, \"error\": \"InvalidArgument: expected "
+      "\\\"column\\\"\", \"plan_hash\": \"0000000000000000\", "
+      "\"cache_hit\": false, \"total_ns\": 4321, \"wall_time_us\": "
+      "1700000001000000, \"wall_time\": \"2023-11-14T22:13:21Z\", "
+      "\"steady_ns\": 987654999, \"rows_out\": 0, \"rows_scanned\": 0, "
+      "\"phases\": {\"parse\": 4321}, \"rewrites\": [], \"near_misses\": "
+      "[], \"analysis\": \"\", \"verify\": \"\", \"verify_violations\": "
+      "0, \"equiv\": {\"proven\": 0, \"unproven\": 0, \"refuted\": 0}},\n"
+      "  {\"id\": 3, \"source\": \"ims.gateway\", \"query\": \"GU "
+      "SUPPLIER; GNP PARTS\", \"ok\": true, \"plan_hash\": "
+      "\"000000000000002a\", \"cache_hit\": false, \"total_ns\": 2500, "
+      "\"wall_time_us\": 1700000002000000, \"wall_time\": "
+      "\"2023-11-14T22:13:22Z\", \"steady_ns\": 987655999, \"rows_out\": "
+      "3, \"rows_scanned\": 0, \"phases\": {\"run\": 2500}, "
+      "\"rewrites\": [], \"near_misses\": [], \"analysis\": \"GU=1 GN=0 "
+      "GNP=4 segments=5\", \"verify\": \"\", \"verify_violations\": 0, "
+      "\"equiv\": {\"proven\": 0, \"unproven\": 0, \"refuted\": 0}},\n"
+      "  {\"id\": 4, \"source\": \"optimizer\", \"query\": \"SELECT SNO "
+      "FROM SUPPLIER\", \"ok\": true, \"plan_hash\": "
+      "\"0000000000000007\", \"cache_hit\": false, \"total_ns\": 1500, "
+      "\"wall_time_us\": 1700000003000000, \"wall_time\": "
+      "\"2023-11-14T22:13:23Z\", \"steady_ns\": 987656999, \"rows_out\": "
+      "100, \"rows_scanned\": 100, \"phases\": {\"execute\": 1500}, "
+      "\"rewrites\": [], \"near_misses\": [], \"analysis\": \"\", "
+      "\"verify\": \"\", \"verify_violations\": 0, \"equiv\": "
+      "{\"proven\": 0, \"unproven\": 0, \"refuted\": 0}}\n"
+      "]}\n");
 }
 
 TEST(FingerprintTest, StableAndDiscriminating) {
@@ -191,24 +376,68 @@ TEST_F(RecorderIntegrationTest, ExecuteRecordsPlanHashAndVerdicts) {
       obs::QueryRecorder::Global().History();
   ASSERT_EQ(history.size(), 1u);
   const obs::QueryRecord& rec = history[0];
-  EXPECT_EQ(rec.source, "optimizer");
+  ASSERT_NE(rec.prepared, nullptr);
+  const obs::PreparedRecord& part = *rec.prepared;
+  EXPECT_EQ(part.source, "optimizer");
   EXPECT_TRUE(rec.ok);
-  EXPECT_EQ(rec.plan_hash,
+  EXPECT_EQ(part.plan_hash,
             obs::FingerprintPlanText(prepared.optimized_plan->ToString()));
-  EXPECT_NE(rec.plan_hash, 0u);
+  EXPECT_NE(part.plan_hash, 0u);
   bool saw_distinct_removal = false;
-  for (const auto& [rule, description] : rec.rewrites) {
+  for (const auto& [rule, description] : part.rewrites) {
     if (rule == "RemoveRedundantDistinct") saw_distinct_removal = true;
   }
   EXPECT_TRUE(saw_distinct_removal);
-  EXPECT_NE(rec.proof_summary.find("redundant"), std::string::npos)
-      << rec.proof_summary;
-  // The pipeline phases all landed, execute last.
-  ASSERT_FALSE(rec.phase_ns.empty());
-  EXPECT_EQ(rec.phase_ns.front().first, "parse");
-  EXPECT_EQ(rec.phase_ns.back().first, "execute");
+  EXPECT_NE(part.proof_summary.find("redundant"), std::string::npos)
+      << part.proof_summary;
+  // The pipeline phases all landed, parse first; execute is this run's.
+  ASSERT_FALSE(part.phase_ns.empty());
+  EXPECT_EQ(part.phase_ns.front().first, "parse");
+  ASSERT_TRUE(rec.execute_ns.has_value());
+  EXPECT_NE(rec.ToString().find(" execute="), std::string::npos);
   EXPECT_GT(rec.total_ns, 0u);
   EXPECT_GT(rec.rows_out, 0u);
+}
+
+TEST_F(RecorderIntegrationTest, ExecutionsOfOneEntryShareItsPreparedPart) {
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> entry,
+      optimizer_->PrepareShared("SELECT SNAME FROM SUPPLIER WHERE SNO = 7"));
+  ASSERT_NE(entry->record, nullptr);
+  ASSERT_OK(optimizer_->Execute(*entry).status());
+  ASSERT_OK(optimizer_->Execute(*entry).status());
+  std::vector<obs::QueryRecord> history =
+      obs::QueryRecorder::Global().History();
+  ASSERT_EQ(history.size(), 2u);
+  // One immutable part, shared by both records and the entry.
+  EXPECT_EQ(history[0].prepared.get(), entry->record.get());
+  EXPECT_EQ(history[1].prepared.get(), entry->record.get());
+  EXPECT_NE(history[0].id, history[1].id);
+}
+
+TEST_F(RecorderIntegrationTest, HandBuiltQueryRecordsTheSameFacts) {
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery prepared,
+      optimizer_->Prepare("SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, "
+                          "PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED'"));
+  PreparedQuery by_hand = prepared;
+  by_hand.record = nullptr;
+  ASSERT_OK(optimizer_->Execute(prepared).status());
+  ASSERT_OK(optimizer_->Execute(by_hand).status());
+  std::vector<obs::QueryRecord> history =
+      obs::QueryRecorder::Global().History();
+  ASSERT_EQ(history.size(), 2u);
+  ASSERT_NE(history[1].prepared, nullptr);
+  EXPECT_NE(history[1].prepared.get(), prepared.record.get());
+  // Same facts: with this run's numbers aligned, both render alike.
+  obs::QueryRecord aligned = history[1];
+  aligned.id = history[0].id;
+  aligned.execute_ns = history[0].execute_ns;
+  aligned.total_ns = history[0].total_ns;
+  aligned.wall_time_us = history[0].wall_time_us;
+  aligned.steady_ns = history[0].steady_ns;
+  EXPECT_EQ(aligned.ToString(), history[0].ToString());
+  EXPECT_EQ(history[1].rows_out, history[0].rows_out);
 }
 
 TEST_F(RecorderIntegrationTest, FailuresAreRecordedWithError) {
@@ -261,9 +490,10 @@ TEST_F(RecorderIntegrationTest, ConcurrentWorkloadKeepsLastK) {
         EXPECT_LT(snapshot[i - 1].id, snapshot[i].id);
       }
       for (const obs::QueryRecord& rec : snapshot) {
-        EXPECT_FALSE(rec.query.empty());
-        if (rec.ok && rec.source == "optimizer") {
-          EXPECT_NE(rec.plan_hash, 0u);
+        ASSERT_NE(rec.prepared, nullptr);
+        EXPECT_FALSE(rec.prepared->query.empty());
+        if (rec.ok && rec.prepared->source == "optimizer") {
+          EXPECT_NE(rec.prepared->plan_hash, 0u);
         }
       }
       (void)recorder.SlowQueries();
@@ -308,9 +538,10 @@ TEST_F(RecorderIntegrationTest, ConcurrentWorkloadKeepsLastK) {
   Optimizer verify_optimizer(&db_);
   for (const obs::QueryRecord& rec : history) {
     ASSERT_TRUE(rec.ok) << rec.error;
-    auto reprepared = verify_optimizer.Prepare(rec.query);
+    auto reprepared = verify_optimizer.Prepare(rec.prepared->query);
     ASSERT_TRUE(reprepared.ok());
-    EXPECT_EQ(rec.plan_hash, reprepared->plan_hash) << rec.query;
+    EXPECT_EQ(rec.prepared->plan_hash, reprepared->plan_hash)
+        << rec.prepared->query;
   }
   recorder.Clear();
   recorder.SetCapacity(obs::QueryRecorder::kDefaultCapacity);

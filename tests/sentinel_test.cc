@@ -339,7 +339,7 @@ TEST(SentinelPlaneTest, TickHammerAgainstPrepareBatch) {
 
 // The class `execute.ns` series is per-execute latency: each Execute
 // samples its own `execute` phase, not the parse..verify phases its
-// QueryRecord copies from the prepared entry (PrepareShared samples
+// QueryRecord shares with the prepared entry (PrepareShared samples
 // those as `prepare.ns`).
 TEST(SentinelPlaneTest, ExecuteClassSampleIsTheExecutePhase) {
   Database db;
@@ -365,9 +365,8 @@ TEST(SentinelPlaneTest, ExecuteClassSampleIsTheExecutePhase) {
       obs::QueryRecorder::Global().History();
   ASSERT_EQ(history.size(), 2u);
   for (const obs::QueryRecord& rec : history) {
-    for (const auto& [phase, ns] : rec.phase_ns) {
-      if (phase == "execute") execute_ns += ns;
-    }
+    ASSERT_TRUE(rec.execute_ns.has_value());
+    execute_ns += *rec.execute_ns;
   }
   const obs::SeriesSnapshot* series = nullptr;
   std::vector<obs::SeriesSnapshot> snapshot = plane.Snapshot();
