@@ -28,7 +28,11 @@
 #                 PrepareBatch + Execute, the differential tuple-vs-batch
 #                 sweep), plus the DML plane hammers: dml_test and
 #                 dml_oracle_test (8 threads of single-writer commits
-#                 racing snapshot readers over the COW table versions)
+#                 racing snapshot readers over the COW table versions),
+#                 plus index_exec_test (the index operators, which
+#                 borrow the lowering decisions a cached entry keeps;
+#                 concurrent_prepare_test builds them from 8 threads
+#                 while a writer commits)
 #   --bench-gate  run the gated benchmarks with --metrics-json, compare
 #                 against bench/baselines/*.json via
 #                 scripts/bench_compare.py, and write the summary to
@@ -218,7 +222,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j --target obs_test recorder_test \
     cache_test concurrent_prepare_test advisor_test \
     timeseries_test sentinel_test equiv_test cost_model_test \
-    batch_exec_test dml_test dml_oracle_test
+    batch_exec_test dml_test dml_oracle_test index_exec_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/recorder_test
   ./build-tsan/tests/cache_test
@@ -231,6 +235,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/batch_exec_test
   ./build-tsan/tests/dml_test
   ./build-tsan/tests/dml_oracle_test
+  ./build-tsan/tests/index_exec_test
 fi
 
 if [[ "$RUN_BENCH_GATE" == 1 ]]; then

@@ -207,33 +207,23 @@ std::string KeyDisplayName(const TableDef& def, size_t key_index) {
 // ---------------------------------------------------------------------------
 // IndexLookupOp
 
-IndexLookupOp::IndexLookupOp(const Table* table, Schema schema,
-                             size_t key_index,
-                             std::vector<IndexProbe> probes, ExprPtr residual,
-                             std::string key_name)
-    : Operator(std::move(schema)),
-      table_(table),
-      key_index_(key_index),
-      probes_(std::move(probes)),
-      residual_(std::move(residual)),
-      key_name_(std::move(key_name)) {}
-
 Status IndexLookupOp::Open(ExecContext* ctx) {
   match_.reset();
-  snapshot_ = table_->Snapshot();
+  snapshot_ = spec_.table->Snapshot();
   std::vector<Value> values;
-  for (const IndexProbe& probe : probes_) {
+  values.reserve(spec_.probes.size());
+  for (const IndexProbe& probe : spec_.probes) {
     values.push_back(probe.Resolve(ctx->params));
   }
   std::optional<Row> key =
-      ProbeKey(table_->def(), key_index_, std::move(values));
+      ProbeKey(spec_.table->def(), spec_.key_index, std::move(values));
   if (!key.has_value()) return Status::OK();
   ctx->stats.index_probes++;
-  std::optional<size_t> ordinal = snapshot_->Lookup(key_index_, *key);
+  std::optional<size_t> ordinal = snapshot_->Lookup(spec_.key_index, *key);
   if (!ordinal.has_value()) return Status::OK();
   const Row& row = snapshot_->rows[*ordinal];
-  if (residual_ != nullptr &&
-      residual_->EvaluatePredicate(row, ctx->params) != Tribool::kTrue) {
+  if (spec_.residual != nullptr &&
+      spec_.residual->EvaluatePredicate(row, ctx->params) != Tribool::kTrue) {
     return Status::OK();
   }
   match_ = row;
@@ -253,30 +243,8 @@ void IndexLookupOp::Close() { match_.reset(); }
 // ---------------------------------------------------------------------------
 // UniqueIndexJoinOp
 
-UniqueIndexJoinOp::UniqueIndexJoinOp(
-    OperatorPtr left, const Table* right_table, const Schema& right_schema,
-    size_t key_index, std::vector<size_t> left_keys, ExprPtr right_filter,
-    ExprPtr residual, std::string key_name,
-    std::vector<size_t> output_columns)
-    : Operator(JoinProjection::OutputSchema(left->schema(), right_schema,
-                                            output_columns)),
-      left_(std::move(left)),
-      right_table_(right_table),
-      key_index_(key_index),
-      left_keys_(std::move(left_keys)),
-      right_filter_(std::move(right_filter)),
-      residual_(std::move(residual)),
-      key_name_(std::move(key_name)),
-      output_(left_->schema().num_columns(), right_schema.num_columns(),
-              std::move(output_columns)) {
-  const TableDef& def = right_table_->def();
-  for (size_t col : def.keys().at(key_index_).columns) {
-    key_types_.push_back(def.schema().column(col).type);
-  }
-}
-
 Status UniqueIndexJoinOp::Open(ExecContext* ctx) {
-  snapshot_ = right_table_->Snapshot();
+  snapshot_ = spec_.right_table->Snapshot();
   probe_batch_ = RowBatch(ctx->batch_size > 0 ? ctx->batch_size
                                               : RowBatch::kDefaultBatchSize);
   return left_->Open(ctx);
@@ -284,34 +252,37 @@ Status UniqueIndexJoinOp::Open(ExecContext* ctx) {
 
 const Row* UniqueIndexJoinOp::Match(const Row& left_row,
                                     ExecContext* ctx) const {
+  const std::vector<size_t>& left_keys = spec_.left_keys;
   bool coerce = false;
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    const Value& v = left_row[left_keys_[i]];
+  for (size_t i = 0; i < left_keys.size(); ++i) {
+    const Value& v = left_row[left_keys[i]];
     if (v.is_null()) return nullptr;  // SQL `=` never matches NULL
-    coerce |= v.type() != key_types_[i];
+    coerce |= v.type() != spec_.key_types[i];
   }
   std::optional<size_t> ordinal;
   if (coerce) {
     std::vector<Value> values;
-    values.reserve(left_keys_.size());
-    for (size_t col : left_keys_) values.push_back(left_row[col]);
-    std::optional<Row> key =
-        ProbeKey(right_table_->def(), key_index_, std::move(values));
+    values.reserve(left_keys.size());
+    for (size_t col : left_keys) values.push_back(left_row[col]);
+    std::optional<Row> key = ProbeKey(spec_.right_table->def(),
+                                      spec_.key_index, std::move(values));
     if (!key.has_value()) return nullptr;
     ctx->stats.index_probes++;
-    ordinal = snapshot_->Lookup(key_index_, *key);
+    ordinal = snapshot_->Lookup(spec_.key_index, *key);
   } else {
     ctx->stats.index_probes++;
-    ordinal = snapshot_->LookupColumns(key_index_, left_row, left_keys_);
+    ordinal = snapshot_->LookupColumns(spec_.key_index, left_row, left_keys);
   }
   if (!ordinal.has_value()) return nullptr;
   const Row& right_row = snapshot_->rows[*ordinal];
-  if (right_filter_ != nullptr &&
-      right_filter_->EvaluatePredicate(right_row, ctx->params) !=
+  if (spec_.right_filter != nullptr &&
+      spec_.right_filter->EvaluatePredicate(right_row, ctx->params) !=
           Tribool::kTrue) {
     return nullptr;
   }
-  if (!ResidualHolds(residual_, left_row, right_row, *ctx)) return nullptr;
+  if (!ResidualHolds(spec_.residual, left_row, right_row, *ctx)) {
+    return nullptr;
+  }
   return &right_row;
 }
 
@@ -321,7 +292,7 @@ Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row));
     if (!more) return false;
     if (const Row* right_row = Match(left_row, ctx)) {
-      *row = output_.Make(left_row, *right_row);
+      *row = spec_.output.Make(left_row, *right_row);
       return true;
     }
   }
@@ -341,7 +312,7 @@ Result<bool> UniqueIndexJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
     }
     for (size_t i = 0; i < probe_batch_.size(); ++i) {
       if (matches_[i] != nullptr) {
-        out->Append(output_.Make(probe_batch_.row(i), *matches_[i]));
+        out->Append(spec_.output.Make(probe_batch_.row(i), *matches_[i]));
       }
     }
     if (!out->empty()) return true;  // else probe the next batch

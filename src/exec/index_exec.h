@@ -100,51 +100,71 @@ std::optional<IndexJoinMatch> MatchUniqueIndexJoin(
 /// EXPLAIN ANALYZE shows which index carried the probe.
 std::string KeyDisplayName(const TableDef& def, size_t key_index);
 
+/// Everything a point lookup reads besides the data, decided once per
+/// plan: a PhysicalPlan keeps it and every IndexLookupOp built from the
+/// plan borrows it.
+struct IndexLookupSpec {
+  const Table* table = nullptr;
+  const Schema* schema = nullptr;  ///< the Get's, kept alive by the plan
+  size_t key_index = 0;
+  std::vector<IndexProbe> probes;  ///< in the key's column order
+  ExprPtr residual;                ///< unprobed conjuncts; null when none
+  std::string key_name;            ///< KeyDisplayName
+};
+
 /// Point lookup: probes the table's unique index `key_index` once and
 /// emits at most one row (filtered through `residual` when present).
 /// A NULL probe value emits nothing — SQL `=` never matches NULL, even
 /// though the index itself files NULL keys under `=!`.
 class IndexLookupOp final : public Operator {
  public:
-  IndexLookupOp(const Table* table, Schema schema, size_t key_index,
-                std::vector<IndexProbe> probes, ExprPtr residual,
-                std::string key_name);
+  /// Borrows `spec`, which outlives the operator.
+  explicit IndexLookupOp(const IndexLookupSpec& spec)
+      : Operator(spec.schema), spec_(spec) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
   void Close() override;
   std::string name() const override {
-    return "IndexLookup(" + key_name_ + ")";
+    return "IndexLookup(" + spec_.key_name + ")";
   }
 
  private:
-  const Table* table_;
-  size_t key_index_;
-  std::vector<IndexProbe> probes_;
-  ExprPtr residual_;
-  std::string key_name_;
+  const IndexLookupSpec& spec_;
   /// Pinned for the lifetime of the operator so a borrowed matched row
   /// stays valid across a concurrent writer's commit.
   TableSnapshot snapshot_;
   std::optional<Row> match_;
 };
 
+/// Everything a unique-index join reads besides the data, decided once
+/// per plan like IndexLookupSpec.
+struct IndexJoinSpec {
+  const Table* right_table = nullptr;
+  const Schema* schema = nullptr;  ///< the output's, kept by the plan
+  size_t key_index = 0;
+  std::vector<size_t> left_keys;   ///< probe columns, in key order
+  std::vector<TypeId> key_types;   ///< the key columns' types
+  ExprPtr right_filter;            ///< right coordinates; null when none
+  ExprPtr residual;                ///< over left ⊕ right; null when none
+  std::string key_name;            ///< KeyDisplayName
+  JoinProjection output;
+};
+
 /// Join probing the build side's unique index instead of building a hash
 /// table: for each left row, probe the index with the row's key columns
 /// read in place (coerced through ProbeKey only when a value's type
-/// differs from its key column's) and emit `output_columns` of left ⊕
-/// right (empty: the whole concatenation — the π above the join, fused
-/// into it). Output is identical to HashJoinOp when the right
-/// equi-columns are a declared key (at most one match per probe).
-/// `right_filter` holds pushed-down right-side conjuncts in right
-/// coordinates; `residual` is evaluated over left ⊕ right.
+/// differs from its key column's) and emit the spec's `output` columns
+/// of left ⊕ right (the π above the join, fused into it). Output is
+/// identical to HashJoinOp when the right equi-columns are a declared
+/// key (at most one match per probe). `right_filter` holds pushed-down
+/// right-side conjuncts in right coordinates; `residual` is evaluated
+/// over left ⊕ right.
 class UniqueIndexJoinOp final : public Operator {
  public:
-  UniqueIndexJoinOp(OperatorPtr left, const Table* right_table,
-                    const Schema& right_schema, size_t key_index,
-                    std::vector<size_t> left_keys, ExprPtr right_filter,
-                    ExprPtr residual, std::string key_name,
-                    std::vector<size_t> output_columns = {});
+  /// Borrows `spec`, which outlives the operator.
+  UniqueIndexJoinOp(OperatorPtr left, const IndexJoinSpec& spec)
+      : Operator(spec.schema), left_(std::move(left)), spec_(spec) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -152,7 +172,7 @@ class UniqueIndexJoinOp final : public Operator {
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
-    return "UniqueIndexJoin(" + key_name_ + ")";
+    return "UniqueIndexJoin(" + spec_.key_name + ")";
   }
 
  private:
@@ -161,14 +181,7 @@ class UniqueIndexJoinOp final : public Operator {
   const Row* Match(const Row& left_row, ExecContext* ctx) const;
 
   OperatorPtr left_;
-  const Table* right_table_;
-  size_t key_index_;
-  std::vector<size_t> left_keys_;
-  std::vector<TypeId> key_types_;  ///< the key columns' types
-  ExprPtr right_filter_;
-  ExprPtr residual_;
-  std::string key_name_;
-  JoinProjection output_;
+  const IndexJoinSpec& spec_;
   TableSnapshot snapshot_;
   RowBatch probe_batch_;
   std::vector<const Row*> matches_;  ///< per probe-batch row

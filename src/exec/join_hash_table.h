@@ -110,6 +110,9 @@ class JoinProjection {
 
   Row Make(const Row& probe, const Row& build) const;
 
+  /// The listed columns (all of them, in order, when built from none).
+  const std::vector<size_t>& columns() const { return columns_; }
+
  private:
   size_t left_width_;
   std::vector<size_t> columns_;

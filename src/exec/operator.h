@@ -60,13 +60,25 @@ struct ExecContext {
 /// one of the two modes per execution.
 class Operator {
  public:
-  explicit Operator(Schema schema) : schema_(std::move(schema)) {}
+  /// An operator producing rows of `schema`, which it owns.
+  explicit Operator(Schema schema)
+      : owned_schema_(std::move(schema)), schema_(&owned_schema_) {}
+  /// An operator producing rows of `*schema`, which it borrows: from its
+  /// input, or from the PhysicalPlan its tree was built from (which the
+  /// tree keeps alive).
+  explicit Operator(const Schema* schema) : schema_(schema) {}
   virtual ~Operator() = default;
 
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return *schema_; }
+
+  /// Keeps `owner` alive as long as this operator: the root of a tree
+  /// built from a PhysicalPlan holds the plan its operators borrow from.
+  void set_owner(std::shared_ptr<const void> owner) {
+    owner_ = std::move(owner);
+  }
 
   virtual Status Open(ExecContext* ctx) = 0;
   /// Produces the next row into `*row`; returns false at end of stream.
@@ -90,8 +102,18 @@ class Operator {
   /// Operator name for EXPLAIN-style output.
   virtual std::string name() const = 0;
 
+ protected:
+  /// Owns `schema` from now on: a constructor that derives its schema
+  /// when none is lent to it passes a null one to Operator, then this.
+  void OwnSchema(Schema schema) {
+    owned_schema_ = std::move(schema);
+    schema_ = &owned_schema_;
+  }
+
  private:
-  Schema schema_;
+  Schema owned_schema_;  ///< empty when the schema is borrowed
+  const Schema* schema_;
+  std::shared_ptr<const void> owner_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -93,10 +93,13 @@ Result<bool> TableScanOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 void TableScanOp::Close() {}
 
 // ------------------------------------------------------------------- Filter
-Status FilterOp::Open(ExecContext* ctx) {
-  if (ctx->batch_size > 0) program_ = PredicateProgram::Compile(predicate_);
-  return child_->Open(ctx);
+FilterOp::FilterOp(OperatorPtr child, ExprPtr predicate)
+    : FilterOp(std::move(child), predicate.get(), &owned_program_) {
+  owned_program_ = PredicateProgram::Compile(predicate);
+  owned_predicate_ = std::move(predicate);
 }
+
+Status FilterOp::Open(ExecContext* ctx) { return child_->Open(ctx); }
 
 Result<bool> FilterOp::Next(ExecContext* ctx, Row* row) {
   while (true) {
@@ -112,7 +115,7 @@ Result<bool> FilterOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, out));
     if (!more) return false;
-    program_.FilterSel(out->data(), &out->selection(), ctx->params);
+    program_->FilterSel(out->data(), &out->selection(), ctx->params);
     if (!out->selection().empty()) return true;  // else pull the next batch
   }
 }
@@ -120,6 +123,12 @@ Result<bool> FilterOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 void FilterOp::Close() { child_->Close(); }
 
 // ------------------------------------------------------------------ Project
+ProjectOp::ProjectOp(OperatorPtr child, std::vector<size_t> columns)
+    : ProjectOp(std::move(child), &owned_columns_, nullptr) {
+  OwnSchema(child_->schema().Project(columns));
+  owned_columns_ = std::move(columns);
+}
+
 Status ProjectOp::Open(ExecContext* ctx) {
   input_batch_ = RowBatch(BatchCapacity(ctx));
   return child_->Open(ctx);
@@ -129,7 +138,7 @@ Result<bool> ProjectOp::Next(ExecContext* ctx, Row* row) {
   Row input;
   UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, &input));
   if (!more) return false;
-  *row = input.Project(columns_);
+  *row = input.Project(*columns_);
   return true;
 }
 
@@ -138,7 +147,7 @@ Result<bool> ProjectOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_batch_));
   if (!more) return false;
   for (size_t i = 0; i < input_batch_.size(); ++i) {
-    out->Append(input_batch_.row(i).Project(columns_));
+    out->Append(input_batch_.row(i).Project(*columns_));
   }
   return true;
 }
@@ -255,16 +264,21 @@ void NestedLoopProductOp::Close() {
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
                        std::vector<size_t> left_keys,
                        std::vector<size_t> right_keys, ExprPtr residual,
-                       std::vector<size_t> output_columns)
-    : Operator(JoinProjection::OutputSchema(left->schema(), right->schema(),
-                                            output_columns)),
+                       std::vector<size_t> output_columns,
+                       const Schema* schema)
+    : Operator(schema),
       left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       residual_(std::move(residual)),
       output_(left_->schema().num_columns(), right_->schema().num_columns(),
               std::move(output_columns)),
-      build_(std::move(right_keys)) {}
+      build_(std::move(right_keys)) {
+  if (schema == nullptr) {
+    OwnSchema(JoinProjection::OutputSchema(left_->schema(), right_->schema(),
+                                           output_.columns()));
+  }
+}
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   UNIQOPT_RETURN_NOT_OK(build_.Build(right_.get(), ctx));

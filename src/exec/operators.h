@@ -20,6 +20,9 @@ class TableScanOp final : public Operator {
  public:
   TableScanOp(const Table* table, Schema schema)
       : Operator(std::move(schema)), table_(table) {}
+  /// Borrows `*schema` (see Operator).
+  TableScanOp(const Table* table, const Schema* schema)
+      : Operator(schema), table_(table) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -41,6 +44,7 @@ class TableScanOp final : public Operator {
 class EmptySourceOp final : public Operator {
  public:
   explicit EmptySourceOp(Schema schema) : Operator(std::move(schema)) {}
+  explicit EmptySourceOp(const Schema* schema) : Operator(schema) {}
 
   Status Open(ExecContext*) override { return Status::OK(); }
   Result<bool> Next(ExecContext*, Row*) override { return false; }
@@ -51,10 +55,16 @@ class EmptySourceOp final : public Operator {
 /// σ[C]: passes rows whose predicate evaluates to TRUE.
 class FilterOp final : public Operator {
  public:
-  FilterOp(OperatorPtr child, ExprPtr predicate)
-      : Operator(child->schema()),
+  /// Filters by `predicate`, compiled once into a PredicateProgram.
+  FilterOp(OperatorPtr child, ExprPtr predicate);
+  /// Filters by a borrowed predicate and its compiled program: a tree
+  /// built from a PhysicalPlan borrows both from it.
+  FilterOp(OperatorPtr child, const Expr* predicate,
+           const PredicateProgram* program)
+      : Operator(&child->schema()),
         child_(std::move(child)),
-        predicate_(std::move(predicate)) {}
+        predicate_(predicate),
+        program_(program) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -68,17 +78,20 @@ class FilterOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  ExprPtr predicate_;
-  PredicateProgram program_;
+  ExprPtr owned_predicate_;
+  PredicateProgram owned_program_;
+  const Expr* predicate_;
+  const PredicateProgram* program_;
 };
 
 /// π_All onto a column list (no duplicate elimination).
 class ProjectOp final : public Operator {
  public:
-  ProjectOp(OperatorPtr child, std::vector<size_t> columns)
-      : Operator(child->schema().Project(columns)),
-        child_(std::move(child)),
-        columns_(std::move(columns)) {}
+  ProjectOp(OperatorPtr child, std::vector<size_t> columns);
+  /// Borrows `*columns` and `*schema` from a PhysicalPlan (see Operator).
+  ProjectOp(OperatorPtr child, const std::vector<size_t>* columns,
+            const Schema* schema)
+      : Operator(schema), child_(std::move(child)), columns_(columns) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -88,7 +101,8 @@ class ProjectOp final : public Operator {
 
  private:
   OperatorPtr child_;
-  std::vector<size_t> columns_;
+  std::vector<size_t> owned_columns_;
+  const std::vector<size_t>* columns_;
   RowBatch input_batch_;
 };
 
@@ -98,7 +112,7 @@ class ProjectOp final : public Operator {
 class SortDistinctOp final : public Operator {
  public:
   explicit SortDistinctOp(OperatorPtr child)
-      : Operator(child->schema()), child_(std::move(child)) {}
+      : Operator(&child->schema()), child_(std::move(child)) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext*, Row* row) override;
@@ -117,7 +131,7 @@ class SortDistinctOp final : public Operator {
 class HashDistinctOp final : public Operator {
  public:
   explicit HashDistinctOp(OperatorPtr child)
-      : Operator(child->schema()), child_(std::move(child)) {}
+      : Operator(&child->schema()), child_(std::move(child)) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -134,10 +148,14 @@ class HashDistinctOp final : public Operator {
 /// Extended Cartesian product; materializes the right input.
 class NestedLoopProductOp final : public Operator {
  public:
-  NestedLoopProductOp(OperatorPtr left, OperatorPtr right)
-      : Operator(Schema::Concat(left->schema(), right->schema())),
-        left_(std::move(left)),
-        right_(std::move(right)) {}
+  /// `schema` lends the output schema (see Operator); null derives it.
+  NestedLoopProductOp(OperatorPtr left, OperatorPtr right,
+                      const Schema* schema = nullptr)
+      : Operator(schema), left_(std::move(left)), right_(std::move(right)) {
+    if (schema == nullptr) {
+      OwnSchema(Schema::Concat(left_->schema(), right_->schema()));
+    }
+  }
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -158,11 +176,13 @@ class NestedLoopProductOp final : public Operator {
 /// predicate (over left ⊕ right) is applied to each candidate pair, and
 /// each surviving pair is emitted as `output_columns` of left ⊕ right —
 /// the π above the join, fused into it (empty: the whole concatenation).
+/// `schema` lends the output schema (see Operator); null derives it.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual, std::vector<size_t> output_columns = {});
+             ExprPtr residual, std::vector<size_t> output_columns = {},
+             const Schema* schema = nullptr);
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(ExecContext* ctx, Row* row) override;
@@ -191,7 +211,7 @@ class NestedLoopSemiJoinOp final : public Operator {
  public:
   NestedLoopSemiJoinOp(OperatorPtr outer, OperatorPtr inner,
                        ExprPtr correlation, bool negated)
-      : Operator(outer->schema()),
+      : Operator(&outer->schema()),
         outer_(std::move(outer)),
         inner_(std::move(inner)),
         correlation_(std::move(correlation)),
@@ -220,7 +240,7 @@ class HashSemiJoinOp final : public Operator {
                  std::vector<size_t> outer_keys,
                  std::vector<size_t> inner_keys, ExprPtr residual,
                  bool negated)
-      : Operator(outer->schema()),
+      : Operator(&outer->schema()),
         outer_(std::move(outer)),
         inner_(std::move(inner)),
         outer_keys_(std::move(outer_keys)),
@@ -255,7 +275,7 @@ class SetOpOp final : public Operator {
  public:
   SetOpOp(SetOpAlgebra op, DuplicateMode mode, OperatorPtr left,
           OperatorPtr right)
-      : Operator(left->schema()),
+      : Operator(&left->schema()),
         op_(op),
         mode_(mode),
         left_(std::move(left)),
@@ -284,7 +304,15 @@ class HashAggregateOp final : public Operator {
   HashAggregateOp(OperatorPtr child, Schema schema,
                   std::vector<size_t> group_columns,
                   std::vector<AggregateItem> aggregates)
-      : Operator(std::move(schema)),
+      : HashAggregateOp(std::move(child), nullptr, std::move(group_columns),
+                        std::move(aggregates)) {
+    OwnSchema(std::move(schema));
+  }
+  /// Borrows `*schema` (see Operator).
+  HashAggregateOp(OperatorPtr child, const Schema* schema,
+                  std::vector<size_t> group_columns,
+                  std::vector<AggregateItem> aggregates)
+      : Operator(schema),
         child_(std::move(child)),
         group_columns_(std::move(group_columns)),
         aggregates_(std::move(aggregates)) {}
@@ -310,7 +338,7 @@ class HashAggregateOp final : public Operator {
 class SortMergeIntersectOp final : public Operator {
  public:
   SortMergeIntersectOp(OperatorPtr left, OperatorPtr right)
-      : Operator(left->schema()),
+      : Operator(&left->schema()),
         left_(std::move(left)),
         right_(std::move(right)) {}
 

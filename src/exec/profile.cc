@@ -73,7 +73,7 @@ std::string ExecProfile::ToText() const {
 }
 
 ProfileOp::ProfileOp(OperatorPtr child, ExecProfile* profile, size_t slot)
-    : Operator(child->schema()),
+    : Operator(&child->schema()),
       child_(std::move(child)),
       profile_(profile),
       slot_(slot) {}

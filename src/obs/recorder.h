@@ -25,8 +25,8 @@ struct PreparedRecord {
   /// hashes ⇒ structurally identical plans (cache keys, \history dedup).
   uint64_t plan_hash = 0;
   /// Per-phase latencies before execution, pipeline order (parse, bind,
-  /// analyze, rewrite, cost, verify — whichever ran). A plan-cache hit
-  /// shares the original cold prepare's timings.
+  /// analyze, rewrite, cost, verify, lower — whichever ran). A plan-cache
+  /// hit shares the original cold prepare's timings.
   std::vector<std::pair<std::string, uint64_t>> phase_ns;
   /// Rewrite verdicts: (rule name, description) per applied rewrite.
   std::vector<std::pair<std::string, std::string>> rewrites;

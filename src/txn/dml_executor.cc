@@ -170,7 +170,6 @@ Result<DmlResult> DmlExecutor::Execute(const BoundDml& stmt,
       DmlResult result;
       result.kind = DmlKind::kCreateIndex;
       result.rows_affected = validated;
-      result.catalog_version = db_->catalog().version();
       return result;
     }
   }
@@ -235,7 +234,6 @@ Result<DmlResult> DmlExecutor::ExecuteInsert(const BoundInsert& stmt,
   DmlResult result;
   result.kind = DmlKind::kInsert;
   result.rows_affected = new_rows.size();
-  result.catalog_version = db_->catalog().version();
   return result;
 }
 
@@ -265,7 +263,6 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
   DmlResult result;
   result.kind = DmlKind::kUpdate;
   if (changes.empty()) {
-    result.catalog_version = db_->catalog().version();
     return result;  // no-op: nothing published, no version bump
   }
   result.rows_affected = changes.size();
@@ -295,7 +292,6 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
   table->CommitVersion(std::move(next));
   PublishWriteCounts(counts);
   db_->catalog().BumpVersion();
-  result.catalog_version = db_->catalog().version();
   return result;
 }
 
@@ -310,7 +306,6 @@ Result<DmlResult> DmlExecutor::ExecuteDelete(const BoundDelete& stmt,
   DmlResult result;
   result.kind = DmlKind::kDelete;
   if (deleted.empty()) {
-    result.catalog_version = db_->catalog().version();
     return result;
   }
   result.rows_affected = deleted.size();
@@ -332,7 +327,6 @@ Result<DmlResult> DmlExecutor::ExecuteDelete(const BoundDelete& stmt,
   table->CommitVersion(std::move(next));
   PublishWriteCounts(counts);
   db_->catalog().BumpVersion();
-  result.catalog_version = db_->catalog().version();
   return result;
 }
 

@@ -11,14 +11,13 @@
 namespace uniqopt {
 namespace txn {
 
-/// Outcome of one committed (or no-op) DML statement.
+/// Outcome of one committed (or no-op) DML statement. A statement that
+/// commits a new table version bumps Catalog::version() (so the plan
+/// cache provably invalidates); a no-op (0-row UPDATE/DELETE) leaves it
+/// unchanged.
 struct DmlResult {
   DmlKind kind = DmlKind::kInsert;
   size_t rows_affected = 0;
-  /// Catalog version after the statement: bumped iff the statement
-  /// committed a new table version (so the plan cache provably
-  /// invalidates), unchanged for a no-op (0-row UPDATE/DELETE).
-  uint64_t catalog_version = 0;
 
   /// "INSERT 3" / "UPDATE 0" / "CREATE UNIQUE INDEX (12 rows validated)".
   std::string ToString() const;

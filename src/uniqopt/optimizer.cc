@@ -33,9 +33,9 @@ PhaseDef MakePhaseDef(const char* name) {
 }
 
 /// One optimizer phase: a latency histogram sample (atomics only). The
-/// elapsed time is also appended to `phase_sink` — that is how
-/// PreparedQuery carries its per-phase latencies to the flight recorder
-/// — or stored in `ns_sink`, whichever is non-null.
+/// elapsed time is also appended to `phase_sink` — that is how a
+/// prepare's per-phase latencies reach its flight-recorder part — or
+/// stored in `ns_sink`, whichever is non-null.
 class Phase {
  public:
   using Sink = std::vector<std::pair<std::string, uint64_t>>;
@@ -108,14 +108,15 @@ std::string AnalysisSummary(const UniquenessVerdict& v) {
   return "DISTINCT retained (unproven by " + detector + ")";
 }
 
-/// The flight-recorder part shared by every execution of `q`.
+/// The flight-recorder part shared by every execution of `q`, which
+/// keeps the prepare's `phases`.
 std::shared_ptr<const obs::PreparedRecord> MakePreparedRecord(
-    const PreparedQuery& q) {
+    const PreparedQuery& q, Phase::Sink phases) {
   auto part = std::make_shared<obs::PreparedRecord>();
   part->source = "optimizer";
   part->query = q.sql;
   part->plan_hash = q.plan_hash;
-  part->phase_ns = q.phase_ns;
+  part->phase_ns = std::move(phases);
   for (const AppliedRewrite& r : q.rewrites) {
     part->rewrites.emplace_back(RewriteRuleIdToString(r.rule), r.description);
   }
@@ -136,7 +137,7 @@ std::shared_ptr<const obs::PreparedRecord> MakePreparedRecord(
 /// Emits the record for a failed prepare/execute so \history shows
 /// erroring queries alongside successful ones.
 void RecordFailure(const std::string& sql, const Status& status,
-                   std::vector<std::pair<std::string, uint64_t>> phases) {
+                   Phase::Sink phases) {
   obs::QueryRecord rec;
   rec.ok = false;
   rec.error = status.ToString();
@@ -149,6 +150,30 @@ void RecordFailure(const std::string& sql, const Status& status,
   obs::QueryRecorder::Global().Record(std::move(rec));
 }
 
+/// A fresh operator tree for `query` under `options`: built from the
+/// stored decisions while they hold, else decided afresh with the same
+/// code (non-default options, a catalog change since the prepare, a plan
+/// replaced by hand, or no stored decisions).
+Result<OperatorPtr> BuildTree(const PreparedQuery& query, const Database& db,
+                              const PhysicalOptions& options,
+                              ExecProfile* profile) {
+  const uint64_t version = db.catalog().version();
+  if (query.physical != nullptr &&
+      query.physical->Holds(query.optimized_plan, options, version)) {
+    return query.physical->Build(profile);
+  }
+  UNIQOPT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PhysicalPlan> decided,
+      PhysicalPlan::Decide(query.optimized_plan, db, options, version));
+  return decided->Build(profile);
+}
+
+/// The prepare phases `query`'s record part keeps (none on a query
+/// assembled by hand).
+Phase::Sink PreparePhases(const PreparedQuery& query) {
+  return query.record != nullptr ? query.record->phase_ns : Phase::Sink{};
+}
+
 size_t CountPlanNodes(const PlanNode& node) {
   size_t n = 1;
   for (size_t i = 0; i < node.num_children(); ++i) {
@@ -157,11 +182,27 @@ size_t CountPlanNodes(const PlanNode& node) {
   return n;
 }
 
+/// The size of the record part `q` keeps.
+size_t EstimateRecordBytes(const obs::PreparedRecord& part) {
+  size_t bytes = sizeof(obs::PreparedRecord) + part.source.size() +
+                 part.query.size() + part.proof_summary.size() +
+                 part.verify_summary.size();
+  for (const auto& [name, ns] : part.phase_ns) {
+    (void)ns;
+    bytes += 32 + name.size();
+  }
+  for (const auto& [rule, description] : part.rewrites) {
+    bytes += 64 + rule.size() + description.size();
+  }
+  for (const std::string& line : part.near_misses) bytes += 32 + line.size();
+  return bytes;
+}
+
 /// Approximate retained size of a prepared query for the cache's byte
-/// budget. Plans are charged per node at the optimized plan's printed
-/// bytes per node (`optimized_text_bytes`: PrepareUncached prints that
-/// plan once, for plan_hash); proof traces get a flat per-rewrite
-/// allowance.
+/// budget: the query, its record part and its stored decisions. Plans
+/// are charged per node at the optimized plan's printed bytes per node
+/// (`optimized_text_bytes`: PrepareUncached prints that plan once, for
+/// plan_hash); proof traces get a flat per-rewrite allowance.
 size_t EstimatePreparedQueryBytes(const PreparedQuery& q,
                                   size_t optimized_text_bytes) {
   const size_t bytes_per_node =
@@ -178,14 +219,12 @@ size_t EstimatePreparedQueryBytes(const PreparedQuery& q,
     for (const std::string& fact : r.evidence.facts) bytes += fact.size();
     bytes += plan_bytes(r.evidence.before) + plan_bytes(r.evidence.after);
   }
-  for (const auto& [name, ns] : q.phase_ns) {
-    (void)ns;
-    bytes += 32 + name.size();
-  }
   for (const obs::NearMiss& miss : q.near_misses) {
     bytes += 64 + miss.goal.size() + miss.table.size() + miss.fact.size();
   }
   bytes += q.chosen_label.size();
+  if (q.record != nullptr) bytes += EstimateRecordBytes(*q.record);
+  if (q.physical != nullptr) bytes += q.physical->ApproxBytes();
   return bytes;
 }
 
@@ -228,19 +267,20 @@ std::string PreparedQuery::Explain() const {
 
 Result<PreparedQuery> Optimizer::PrepareUncached(
     const std::string& sql, const Result<cache::CanonicalSql>& canonical,
-    size_t* retained_bytes) const {
+    uint64_t catalog_version, size_t* retained_bytes) const {
   static obs::Counter& prepared_counter =
       obs::MetricsRegistry::Global().GetCounter("optimizer.queries_prepared");
   prepared_counter.Increment();
 
   PreparedQuery out;
+  Phase::Sink phases;
   QueryPtr parsed;
   {
     static const PhaseDef kParse = MakePhaseDef("parse");
-    Phase phase(kParse, &out.phase_ns);
+    Phase phase(kParse, &phases);
     auto r = ParseQuery(sql);
     if (!r.ok()) {
-      RecordFailure(sql, r.status(), std::move(out.phase_ns));
+      RecordFailure(sql, r.status(), std::move(phases));
       return r.status();
     }
     parsed = std::move(*r);
@@ -248,11 +288,11 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   BoundQuery bound;
   {
     static const PhaseDef kBind = MakePhaseDef("bind");
-    Phase phase(kBind, &out.phase_ns);
+    Phase phase(kBind, &phases);
     Binder binder(&db_->catalog());
     auto r = binder.Bind(*parsed);
     if (!r.ok()) {
-      RecordFailure(sql, r.status(), std::move(out.phase_ns));
+      RecordFailure(sql, r.status(), std::move(phases));
       return r.status();
     }
     bound = std::move(*r);
@@ -269,16 +309,16 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
     // its proof) ride along on the PreparedQuery for EXPLAIN, whatever
     // the rewriter later decides to do with it.
     static const PhaseDef kAnalyze = MakePhaseDef("analyze");
-    Phase phase(kAnalyze, &out.phase_ns);
+    Phase phase(kAnalyze, &phases);
     out.analysis = AnalyzeDistinct(bound.plan, effective_options.analysis);
   }
   RewriteResult rewritten;
   {
     static const PhaseDef kRewrite = MakePhaseDef("rewrite");
-    Phase phase(kRewrite, &out.phase_ns);
+    Phase phase(kRewrite, &phases);
     auto r = RewritePlan(bound.plan, effective_options, &out.analysis);
     if (!r.ok()) {
-      RecordFailure(sql, r.status(), std::move(out.phase_ns));
+      RecordFailure(sql, r.status(), std::move(phases));
       return r.status();
     }
     rewritten = std::move(*r);
@@ -327,7 +367,7 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   }
   if (use_cost_model_) {
     static const PhaseDef kCost = MakePhaseDef("cost");
-    Phase phase(kCost, &out.phase_ns);
+    Phase phase(kCost, &phases);
     CostEstimator estimator(db_);
     std::vector<PlanAlternative> alternatives =
         StandardAlternatives(out.original_plan, out.optimized_plan);
@@ -341,13 +381,25 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   if (verify_plans_) {
     // After cost selection: verify the plan that will actually execute.
     static const PhaseDef kVerify = MakePhaseDef("verify");
-    Phase phase(kVerify, &out.phase_ns);
+    Phase phase(kVerify, &phases);
     out.verification = Verify(out);
     out.verified = true;
   }
+  {
+    // Lower once: every Execute under these options and this catalog
+    // version only builds operators from the decisions. A failure here
+    // stores none, and Execute then fails as it would have.
+    static const PhaseDef kLower = MakePhaseDef("lower");
+    Phase phase(kLower, &phases);
+    auto r = PhysicalPlan::Decide(
+        out.optimized_plan, *db_,
+        out.cost_based ? out.chosen_physical : PhysicalOptions{},
+        catalog_version);
+    if (r.ok()) out.physical = std::move(*r);
+  }
   const std::string optimized_text = out.optimized_plan->ToString();
   out.plan_hash = obs::FingerprintPlanText(optimized_text);
-  out.record = MakePreparedRecord(out);
+  out.record = MakePreparedRecord(out, std::move(phases));
   if (retained_bytes != nullptr) {
     *retained_bytes =
         EstimatePreparedQueryBytes(out, optimized_text.size());
@@ -426,7 +478,7 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
   }
   size_t bytes = 0;
   UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PrepareUncached(sql, canonical, &bytes));
+                           PrepareUncached(sql, canonical, version, &bytes));
   auto entry =
       std::make_shared<const PreparedQuery>(std::move(prepared));
   if (cacheable) {
@@ -440,7 +492,8 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
 
 Result<PreparedQuery> Optimizer::Prepare(const std::string& sql) const {
   if (!CacheUsable()) {
-    return PrepareUncached(sql, cache::CanonicalizeSql(sql));
+    const uint64_t version = db_->catalog().version();
+    return PrepareUncached(sql, cache::CanonicalizeSql(sql), version);
   }
   bool hit = false;
   UNIQOPT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,
@@ -522,7 +575,7 @@ Result<std::vector<Row>> Optimizer::Execute(
     }
     if (!found) {
       Status st = Status::InvalidArgument("unknown host variable: " + name);
-      RecordFailure(query.sql, st, query.phase_ns);
+      RecordFailure(query.sql, st, PreparePhases(query));
       return st;
     }
   }
@@ -530,12 +583,13 @@ Result<std::vector<Row>> Optimizer::Execute(
     if (!bound[i]) {
       Status st = Status::InvalidArgument("host variable not bound: :" +
                                           query.host_vars[i].name);
-      RecordFailure(query.sql, st, query.phase_ns);
+      RecordFailure(query.sql, st, PreparePhases(query));
       return st;
     }
   }
   const PhysicalOptions& effective =
       query.cost_based ? query.chosen_physical : physical;
+  ctx.batch_size = effective.batch_size;
   std::vector<Row> rows;
   Status exec_status;
   uint64_t execute_ns = 0;
@@ -548,8 +602,10 @@ Result<std::vector<Row>> Optimizer::Execute(
         obs::MetricsRegistry::Global().GetCounter(
             "optimizer.queries_executed");
     executed_counter.Increment();
-    auto r = ExecutePlan(query.optimized_plan, *db_, &ctx, effective,
-                         profile);
+    Result<OperatorPtr> root = BuildTree(query, *db_, effective, profile);
+    Result<std::vector<Row>> r =
+        root.ok() ? ExecuteToVector(root->get(), &ctx)
+                  : Result<std::vector<Row>>(root.status());
     if (r.ok()) {
       rows = std::move(*r);
     } else {
@@ -557,7 +613,7 @@ Result<std::vector<Row>> Optimizer::Execute(
     }
   }
   if (!exec_status.ok()) {
-    std::vector<std::pair<std::string, uint64_t>> phases = query.phase_ns;
+    Phase::Sink phases = PreparePhases(query);
     phases.emplace_back("execute", execute_ns);
     RecordFailure(query.sql, exec_status, std::move(phases));
     return exec_status;
@@ -567,7 +623,7 @@ Result<std::vector<Row>> Optimizer::Execute(
   // Every execution of a prepared entry shares its record part; only a
   // PreparedQuery assembled by hand gets one built per call.
   rec.prepared =
-      query.record != nullptr ? query.record : MakePreparedRecord(query);
+      query.record != nullptr ? query.record : MakePreparedRecord(query, {});
   rec.cache_hit = query.cache_hit;
   rec.execute_ns = execute_ns;
   rec.rows_out = rows.size();

@@ -62,10 +62,8 @@ struct PreparedQuery {
   PhysicalOptions chosen_physical;
   std::string chosen_label;
   PlanEstimate chosen_estimate;
-  /// Flight-recorder payload: per-phase preparation latencies in
-  /// pipeline order, and the FNV-1a fingerprint of the optimized plan's
-  /// canonical printed form (equal hash ⇒ structurally equal plan).
-  std::vector<std::pair<std::string, uint64_t>> phase_ns;
+  /// FNV-1a fingerprint of the optimized plan's canonical printed form
+  /// (equal hash ⇒ structurally equal plan).
   uint64_t plan_hash = 0;
   /// Canonical-shape fingerprint of the SQL (literals parameterized,
   /// catalog-version independent) — the query *class* key shared with
@@ -83,10 +81,19 @@ struct PreparedQuery {
   /// false.
   bool cache_hit = false;
   /// The flight-recorder part every Execute of this query shares: SQL,
-  /// plan hash, phases, rewrites and the analysis, verify and near-miss
-  /// lines, built once by PrepareUncached. Null on a PreparedQuery
-  /// assembled by hand; Execute then builds one per call.
+  /// plan hash, the per-phase preparation latencies (it alone keeps
+  /// them), rewrites and the analysis, verify and near-miss lines, built
+  /// once by PrepareUncached. Null on a PreparedQuery assembled by hand;
+  /// Execute then builds one per call.
   std::shared_ptr<const obs::PreparedRecord> record;
+  /// The physical-plan decisions for `optimized_plan`, made once by
+  /// PrepareUncached under the default PhysicalOptions (`chosen_physical`
+  /// when cost-based) at the catalog version PrepareShared read before
+  /// preparing. Execute builds its operator tree from them while they
+  /// still hold (PhysicalPlan::Holds: the same plan object, options and
+  /// catalog version) and decides afresh otherwise. Null when deciding
+  /// failed at prepare time.
+  std::shared_ptr<const PhysicalPlan> physical;
 
   /// EXPLAIN-style report: both plans and the rewrite audit trail.
   std::string Explain() const;
@@ -136,10 +143,13 @@ class Optimizer {
   Result<std::vector<std::shared_ptr<const PreparedQuery>>> PrepareBatch(
       std::span<const std::string> sqls, unsigned threads = 0) const;
 
-  /// Executes a prepared query's optimized plan. `params` supplies host
-  /// variables by name (case-insensitive); all declared host variables
-  /// must be bound. With `profile` non-null, every operator is metered
-  /// into it (rows in/out and time per operator).
+  /// Executes a prepared query's optimized plan: builds a fresh operator
+  /// tree from the query's stored decisions (`physical`) while they hold,
+  /// or decides afresh (non-default options, a catalog change since the
+  /// prepare, a plan edited by hand), then runs it. `params` supplies
+  /// host variables by name (case-insensitive); all declared host
+  /// variables must be bound. With `profile` non-null, every operator is
+  /// metered into it (rows in/out and time per operator).
   Result<std::vector<Row>> Execute(
       const PreparedQuery& query,
       const std::vector<std::pair<std::string, Value>>& params = {},
@@ -211,14 +221,15 @@ class Optimizer {
   cache::PlanCache* plan_cache() const { return cache_.get(); }
 
  private:
-  /// The full parse → bind → analyze → rewrite → [cost] → [verify]
-  /// pipeline, no cache involvement. `canonical` is
-  /// cache::CanonicalizeSql(sql), which keys the query class. With
-  /// `retained_bytes` non-null it receives the entry's size estimate for
-  /// the cache's byte budget.
+  /// The full parse → bind → analyze → rewrite → [cost] → [verify] →
+  /// lower pipeline, no cache involvement. `canonical` is
+  /// cache::CanonicalizeSql(sql), which keys the query class;
+  /// `catalog_version` is the version read before preparing, which the
+  /// stored decisions record. With `retained_bytes` non-null it receives
+  /// the entry's size estimate for the cache's byte budget.
   Result<PreparedQuery> PrepareUncached(
       const std::string& sql, const Result<cache::CanonicalSql>& canonical,
-      size_t* retained_bytes = nullptr) const;
+      uint64_t catalog_version, size_t* retained_bytes = nullptr) const;
 
   bool CacheUsable() const { return cache_->enabled() && !use_cost_model_; }
   /// The verify and equiv flags shape what a PreparedQuery contains

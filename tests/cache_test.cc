@@ -530,7 +530,7 @@ TEST(PlanCacheTest, DdlInvalidatesStaleEntries) {
   EXPECT_TRUE(cached.cache_hit);
   // DDL: recreate Z without the key. The catalog version bumps twice.
   uint64_t before = db.catalog().version();
-  ASSERT_OK(db.catalog().DropTable("Z"));
+  ASSERT_OK(db.DropTable("Z"));
   ASSERT_OK(db.ExecuteDdl("CREATE TABLE Z (K INTEGER, V INTEGER)"));
   EXPECT_EQ(db.catalog().version(), before + 2);
   // The stale plan (DISTINCT removed) must never be served: the new

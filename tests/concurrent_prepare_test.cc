@@ -7,6 +7,7 @@
 // is fatal, and under ASan/UBSan in every check.sh run.
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "txn/dml_executor.h"
 #include "uniqopt/uniqopt.h"
 #include "workload/query_corpus.h"
 #include "workload/supplier_schema.h"
@@ -143,8 +145,9 @@ TEST(ConcurrentPrepareTest, PrepareBatchReportsLowestIndexError) {
 }
 
 TEST(ConcurrentPrepareTest, ConcurrentExecuteOfSharedEntries) {
-  // Hits share one immutable PreparedQuery across threads; executing it
-  // concurrently must be safe (ExecContext is per-call).
+  // Hits share one immutable PreparedQuery, and with it its stored
+  // lowering decisions, across threads; executing it concurrently must
+  // be safe (ExecContext and the operator tree are per call).
   Database db;
   ASSERT_OK(MakeTestSupplierDatabase(&db));
   Optimizer optimizer(&db);
@@ -173,6 +176,72 @@ TEST(ConcurrentPrepareTest, ConcurrentExecuteOfSharedEntries) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(bad.load(), 0);
+
+  // A host-variable point lookup read from every thread while one writer
+  // commits UPDATEs of the row it looks up: each read sees one committed
+  // value, and never an older one than the same thread saw before. Each
+  // commit moves the catalog version, so readers mix builds from shared
+  // stored decisions (entries prepared since the last commit) with fresh
+  // decisions (the entry held from before the writer started).
+  const std::string lookup = "SELECT SNAME FROM SUPPLIER WHERE SNO = :S";
+  const std::vector<std::pair<std::string, Value>> params = {
+      {"S", Value::Integer(7)}};
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> held,
+                       optimizer.PrepareShared(lookup));
+  txn::DmlExecutor executor(&db);
+  ASSERT_OK(executor
+                .ExecuteSql("UPDATE SUPPLIER SET SNAME = 'v0' WHERE SNO = 7")
+                .status());
+  constexpr int kCommits = 40;
+  // The committed value's index: "v<k>" → k.
+  auto version_of = [](const Result<std::vector<Row>>& rows) -> int {
+    if (!rows.ok() || rows->size() != 1) return -1;
+    const std::string name = (*rows)[0][0].AsString();
+    if (name.size() < 2 || name[0] != 'v') return -1;
+    return std::stoi(name.substr(1));
+  };
+  std::atomic<bool> writing{true};
+  std::atomic<int> stale{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      int seen = 0;
+      for (int i = 0; writing.load() || i < 8; ++i) {
+        std::shared_ptr<const PreparedQuery> query = held;
+        if ((i + t) % 2 == 1) {
+          auto shared = optimizer.PrepareShared(lookup);
+          if (!shared.ok()) {
+            torn.fetch_add(1);
+            continue;
+          }
+          query = std::move(*shared);
+        }
+        const int version = version_of(optimizer.Execute(*query, params));
+        if (version < 0 || version > kCommits) {
+          torn.fetch_add(1);
+        } else if (version < seen) {
+          stale.fetch_add(1);
+        } else {
+          seen = version;
+        }
+      }
+    });
+  }
+  for (int k = 1; k <= kCommits; ++k) {
+    Status committed = executor
+                           .ExecuteSql("UPDATE SUPPLIER SET SNAME = 'v" +
+                                       std::to_string(k) + "' WHERE SNO = 7")
+                           .status();
+    EXPECT_OK(committed);
+    if (!committed.ok()) break;  // the readers still need joining
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  writing.store(false);
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(version_of(optimizer.Execute(*held, params)), kCommits);
 }
 
 }  // namespace

@@ -2,15 +2,21 @@
 // unique-index joins must (a) be chosen exactly when a declared key is
 // covered, (b) produce the same rows as the scan-based lowering, and
 // (c) surface in EXPLAIN ANALYZE names, ExecStats::index_probes, and
-// the plan-cache salt.
+// the plan-cache salt. A prepared entry keeps its lowering decisions:
+// Execute only builds operators from them while the plan, the physical
+// options and the catalog version still match, and a built tree keeps
+// no table version alive once it is gone.
 
+#include <memory>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/index_exec.h"
+#include "obs/metrics.h"
 #include "txn/dml_executor.h"
 #include "uniqopt/uniqopt.h"
 #include "workload/supplier_schema.h"
@@ -24,6 +30,17 @@ PhysicalOptions NoIndexes() {
   PhysicalOptions p;
   p.use_indexes = false;
   return p;
+}
+
+/// Lowerings so far: PhysicalPlan::Decide calls, process-wide.
+uint64_t Lowerings() {
+  return obs::MetricsRegistry::Global().GetCounter("exec.lowerings").value();
+}
+
+/// An EXPLAIN ANALYZE operator tree with the timings cut off each line.
+std::string MaskedProfile(const std::string& report) {
+  return std::regex_replace(ProfileSection(report), std::regex(" time=.*"),
+                            "");
 }
 
 TEST(IndexExecTest, PointLookupProbesInsteadOfScanning) {
@@ -349,6 +366,205 @@ TEST(IndexExecTest, UniqueIndexJoinEmitsTheProjectionItself) {
             std::string::npos)
       << report;
   EXPECT_EQ(profile.find("Project"), std::string::npos) << report;
+}
+
+TEST(IndexExecTest, PreparedEntryLowersOnce) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  const std::string sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = :S";
+  uint64_t before = Lowerings();
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry,
+                       optimizer.PrepareShared(sql));
+  EXPECT_EQ(Lowerings() - before, 1u);  // decided once, at prepare time
+  before = Lowerings();
+  for (int64_t sno = 1; sno <= 5; ++sno) {
+    ExecStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Row> rows,
+        optimizer.Execute(*entry, {{"S", Value::Integer(sno)}}, {}, &stats));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(stats.index_probes, 1u);
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> hit,
+                         optimizer.PrepareShared(sql));
+    EXPECT_EQ(hit.get(), entry.get());
+  }
+  EXPECT_EQ(Lowerings() - before, 0u);  // hits only build operators
+}
+
+TEST(IndexExecTest, NonDefaultOptionsDecideAfresh) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> entry,
+      optimizer.PrepareShared("SELECT P.PNAME, S.SNAME FROM PARTS P, "
+                              "SUPPLIER S WHERE P.SNO = S.SNO AND "
+                              "P.COLOR = 'RED' AND S.SNO = :S"));
+  const ParamBindings params = {{"S", Value::Integer(3)}};
+  PhysicalOptions tuple_at_a_time;
+  tuple_at_a_time.batch_size = 0;
+  for (const PhysicalOptions& physical : {NoIndexes(), tuple_at_a_time}) {
+    ExecContext ctx;
+    ctx.params = {Value::Integer(3)};
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Row> expected,
+        ExecutePlan(entry->optimized_plan, db, &ctx, physical));
+    const uint64_t before = Lowerings();
+    ExecStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Row> rows,
+        optimizer.Execute(*entry, params, physical, &stats));
+    EXPECT_EQ(Lowerings() - before, 1u);
+    EXPECT_TRUE(MultisetEquals(rows, expected));
+    EXPECT_FALSE(rows.empty());
+    EXPECT_EQ(stats.index_probes, ctx.stats.index_probes);
+    EXPECT_EQ(stats.rows_scanned, ctx.stats.rows_scanned);
+    if (!physical.use_indexes) {
+      EXPECT_EQ(stats.index_probes, 0u);
+    }
+  }
+}
+
+TEST(IndexExecTest, ReplacedPlanDecidesAfresh) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery edited,
+      optimizer.Prepare("SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, "
+                        "PARTS P WHERE S.SNO = P.SNO"));
+  ASSERT_FALSE(edited.rewrites.empty());  // the DISTINCT was removed
+  // The stored decisions lowered the optimized plan, not this one.
+  edited.optimized_plan = edited.original_plan;
+  const uint64_t before = Lowerings();
+  ExecStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                       optimizer.Execute(edited, {}, {}, &stats));
+  EXPECT_EQ(Lowerings() - before, 1u);
+  EXPECT_GT(stats.rows_sorted, 0u);  // the original plan's SortDistinct
+  EXPECT_FALSE(rows.empty());
+}
+
+TEST(IndexExecTest, HeldQueryDecidesAfreshAfterACommit) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> held,
+      optimizer.PrepareShared("SELECT SNAME FROM SUPPLIER WHERE SNO = :S"));
+  const ParamBindings params = {{"S", Value::Integer(7)}};
+  txn::DmlExecutor executor(&db);
+  ASSERT_OK(executor
+                .ExecuteSql("UPDATE SUPPLIER SET SNAME = 'Renamed' "
+                            "WHERE SNO = 7")
+                .status());
+  const uint64_t before = Lowerings();
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                       optimizer.Execute(*held, params));
+  EXPECT_EQ(Lowerings() - before, 1u);  // the catalog moved on
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsString(), "Renamed");
+}
+
+TEST(IndexExecTest, HeldQueryDecidesAfreshAfterCreateUniqueIndex) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> held,
+      optimizer.PrepareShared("SELECT ANO FROM AGENTS WHERE ANAME = :N"));
+  const ParamBindings params = {{"N", Value::String("AGENT-5")}};
+  ExecStats scanned;
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> before_index,
+                       optimizer.Execute(*held, params, {}, &scanned));
+  EXPECT_EQ(scanned.index_probes, 0u);
+  EXPECT_GT(scanned.rows_scanned, 0u);
+  ASSERT_OK(db.ExecuteDdl("CREATE UNIQUE INDEX agents_aname ON AGENTS "
+                          "(ANAME)"));
+  const uint64_t before = Lowerings();
+  ExecStats probed;
+  ASSERT_OK_AND_ASSIGN(std::vector<Row> after_index,
+                       optimizer.Execute(*held, params, {}, &probed));
+  EXPECT_EQ(Lowerings() - before, 1u);
+  EXPECT_EQ(probed.index_probes, 1u);  // the new key is an access path
+  EXPECT_EQ(probed.rows_scanned, 0u);
+  ASSERT_EQ(after_index.size(), 1u);
+  EXPECT_TRUE(MultisetEquals(after_index, before_index));
+}
+
+TEST(IndexExecTest, ExecutingACachedEntryKeepsNoTableVersionAlive) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  ASSERT_OK_AND_ASSIGN(const Table* supplier, db.GetTable("SUPPLIER"));
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PreparedQuery> entry,
+      optimizer.PrepareShared("SELECT SNAME FROM SUPPLIER WHERE SNO = :S"));
+  std::weak_ptr<const TableVersion> version = supplier->Snapshot();
+  for (int64_t sno = 1; sno <= 3; ++sno) {
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Row> rows,
+        optimizer.Execute(*entry, {{"S", Value::Integer(sno)}}));
+    ASSERT_EQ(rows.size(), 1u);
+  }
+  EXPECT_FALSE(version.expired());  // still the committed version
+  txn::DmlExecutor executor(&db);
+  ASSERT_OK(executor
+                .ExecuteSql("UPDATE SUPPLIER SET SNAME = 'Renamed' "
+                            "WHERE SNO = 2")
+                .status());
+  EXPECT_TRUE(version.expired());
+}
+
+TEST(IndexExecTest, CachedEntryProfilesTheSameOperatorTree) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  struct Case {
+    std::string sql;
+    ParamBindings params;
+    std::string tree;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT SNAME, SCITY, BUDGET FROM SUPPLIER WHERE SNO = :S",
+       {{"S", Value::Integer(7)}},
+       "-- execution profile --\n"
+       "  Project  rows_in=1 rows_out=1\n"
+       "    IndexLookup(pk_SUPPLIER_sno)  rows_in=0 rows_out=1\n"},
+      {"SELECT A.ANAME, S.SNAME FROM AGENTS A, SUPPLIER S "
+       "WHERE A.ANO = :A AND S.SNO = A.SNO",
+       {{"A", Value::Integer(17)}},
+       "-- execution profile --\n"
+       "  UniqueIndexJoin(pk_SUPPLIER_sno)  rows_in=1 rows_out=1\n"
+       "    IndexLookup(pk_AGENTS_ano)  rows_in=0 rows_out=1\n"},
+      {"SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+       "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
+       {},
+       "-- execution profile --\n"
+       "  HashJoin  rows_in=330 rows_out=230\n"
+       "    TableScan  rows_in=0 rows_out=100\n"
+       "    Filter  rows_in=1000 rows_out=230\n"
+       "      TableScan  rows_in=0 rows_out=1000\n"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry,
+                         optimizer.PrepareShared(c.sql));
+    // The first run builds from the decisions the prepare stored, the
+    // second from the entry a hit serves; both equal a fresh lowering's.
+    for (int run = 0; run < 2; ++run) {
+      const uint64_t before = Lowerings();
+      ASSERT_OK_AND_ASSIGN(std::string report,
+                           optimizer.ExplainAnalyze(*entry, c.params));
+      EXPECT_EQ(Lowerings() - before, 0u);
+      EXPECT_EQ(MaskedProfile(report), c.tree) << report;
+    }
+    PreparedQuery fresh = *entry;
+    fresh.physical = nullptr;
+    ASSERT_OK_AND_ASSIGN(std::string report,
+                         optimizer.ExplainAnalyze(fresh, c.params));
+    EXPECT_EQ(MaskedProfile(report), c.tree) << report;
+  }
 }
 
 TEST(IndexExecTest, CacheSaltSeparatesIndexModes) {

@@ -429,8 +429,14 @@ TEST_F(RecorderIntegrationTest, HandBuiltQueryRecordsTheSameFacts) {
   ASSERT_EQ(history.size(), 2u);
   ASSERT_NE(history[1].prepared, nullptr);
   EXPECT_NE(history[1].prepared.get(), prepared.record.get());
+  // The prepare's phases live on the record part alone, so a query
+  // without one has none to report.
+  EXPECT_TRUE(history[1].prepared->phase_ns.empty());
   // Same facts: with this run's numbers aligned, both render alike.
   obs::QueryRecord aligned = history[1];
+  auto part = std::make_shared<obs::PreparedRecord>(*history[1].prepared);
+  part->phase_ns = history[0].prepared->phase_ns;
+  aligned.prepared = std::move(part);
   aligned.id = history[0].id;
   aligned.execute_ns = history[0].execute_ns;
   aligned.total_ns = history[0].total_ns;
