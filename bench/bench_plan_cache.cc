@@ -23,8 +23,8 @@
 //    comparable with pre-prover baselines in bench/baselines/.
 //  - BM_PrepareWarmHit: the same corpus against a pre-warmed cache —
 //    each statement byte-identical to the text it was prepared from, so
-//    a hit is one hash over the raw bytes, one locked lookup and a byte
-//    comparison, with no lexing. Latencies land in
+//    a hit is one hash over the bytes (the cache's one key), one locked
+//    lookup and a byte comparison, with no lexing. Latencies land in
 //    `bench.plan_cache.warm.ns`; check.sh --bench-gate asserts warm p50
 //    is ≥10× faster than cold p50 (BENCH_pr6.json).
 //  - BM_PrepareMixed/<hit_pct>: K threads hammering one Optimizer at a

@@ -26,8 +26,10 @@ struct CanonicalSql {
 };
 
 /// Tokenizes and canonicalizes `sql`. Fails exactly when the lexer
-/// fails; a statement that cannot be canonicalized cannot be prepared
-/// either, so callers skip the cache and let Prepare surface the error.
+/// fails, so a statement that parses always canonicalizes. The
+/// optimizer canonicalizes once per cold prepare, for the query-class
+/// fingerprint and the advisor's replay sample; its plan cache keys on
+/// the exact bytes instead (Optimizer::CacheKey) and never lexes a hit.
 Result<CanonicalSql> CanonicalizeSql(std::string_view sql);
 
 /// 64-bit FNV-1a over `s`, continuing from `seed` (chainable).
@@ -42,17 +44,20 @@ struct FingerprintOptions {
   /// When set, the fingerprint hashes the parameterized `shape` instead
   /// of the literal-inclusive `text`, so statements differing only in
   /// literals collide deliberately. Only sound for consumers whose
-  /// cached artifact is literal-independent (the plan cache keys on
-  /// `text` because prepared plans bake constants in; recorders and
-  /// dedup views key on `shape`).
+  /// artifact is literal-independent (the query class, which the
+  /// advisor and the time-series plane key on; a cached plan bakes
+  /// constants in and must key on `text`).
   bool parameterize_literals = false;
-  /// Extra salt folded into the key (optimizer mode flags, so one
-  /// cache never serves a plan prepared under different modes).
+  /// Extra salt folded into the key (a caller's mode flags, so one
+  /// cache never serves an entry prepared under different modes).
   uint64_t salt = 0;
 };
 
-/// The cache key: FNV-1a over the canonical statement combined with the
-/// catalog version. Any DDL bumps the version, so every fingerprint
+/// FNV-1a over the canonical statement combined with the catalog
+/// version and the salt. The optimizer keys query classes with it
+/// (`shape`, version 0: PreparedQuery::class_fingerprint), and
+/// reqbench's traced replay keys its own plan cache with it (`text`,
+/// the live version). Any DDL bumps the version, so every fingerprint
 /// computed afterwards differs from every fingerprint computed before —
 /// stale entries can never be served, even before they are purged.
 uint64_t FingerprintSql(const CanonicalSql& canonical,

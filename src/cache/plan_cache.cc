@@ -12,7 +12,6 @@ namespace cache {
 PlanCache::PlanCache(PlanCacheOptions options) : options_(options) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   hits_ = &reg.GetCounter("cache.hits");
-  raw_hits_ = &reg.GetCounter("cache.raw_hits");
   misses_ = &reg.GetCounter("cache.misses");
   evictions_ = &reg.GetCounter("cache.evictions");
   invalidations_ = &reg.GetCounter("cache.invalidations");
@@ -24,13 +23,6 @@ void PlanCache::RemoveLocked(SlotList::iterator it, SlotList* dropped) {
   counts_.bytes -= it->bytes;
   --counts_.entries;
   index_.erase(it->fingerprint);
-  if (it->raw.has_value()) {
-    // Another slot may have taken the raw key since; it keeps it.
-    auto front = raw_index_.find(it->raw->hash);
-    if (front != raw_index_.end() && front->second == it) {
-      raw_index_.erase(front);
-    }
-  }
   dropped->splice(dropped->end(), lru_, it);
 }
 
@@ -72,56 +64,20 @@ PlanCache::EntryPtr PlanCache::Get(uint64_t fingerprint,
   return entry;
 }
 
-PlanCache::EntryPtr PlanCache::GetRaw(const RawKey& key,
-                                      uint64_t catalog_version) {
-  if (!options_.enabled) return nullptr;
-  EntryPtr entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto found = raw_index_.find(key.hash);
-    if (found == raw_index_.end()) return nullptr;
-    const Slot& slot = *found->second;
-    if (slot.version != catalog_version || slot.raw->sql != key.sql) {
-      return nullptr;
-    }
-    lru_.splice(lru_.begin(), lru_, found->second);
-    entry = slot.entry;
-    ++counts_.hits;
-    ++counts_.raw_hits;
-  }
-  hits_->Increment();
-  raw_hits_->Increment();
-  return entry;
-}
-
 void PlanCache::Put(uint64_t fingerprint, uint64_t catalog_version,
                     EntryPtr entry, size_t bytes) {
-  PutSlot(Slot{fingerprint, catalog_version, bytes, std::move(entry),
-               std::nullopt});
-}
-
-void PlanCache::Put(uint64_t fingerprint, uint64_t catalog_version,
-                    EntryPtr entry, size_t bytes, const RawKey& raw) {
-  PutSlot(Slot{fingerprint, catalog_version, bytes, std::move(entry), raw});
-}
-
-void PlanCache::PutSlot(Slot slot) {
-  if (!options_.enabled || slot.entry == nullptr) return;
+  if (!options_.enabled || entry == nullptr) return;
   SlotList node;
-  node.push_back(std::move(slot));
-  const Slot& added = node.front();
+  node.push_back(Slot{fingerprint, catalog_version, bytes, std::move(entry)});
   SlotList dropped;
   size_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto found = index_.find(added.fingerprint);
+    auto found = index_.find(fingerprint);
     if (found != index_.end()) RemoveLocked(found->second, &dropped);
     lru_.splice(lru_.begin(), node);
-    index_.emplace(added.fingerprint, lru_.begin());
-    if (added.raw.has_value()) {
-      raw_index_.insert_or_assign(added.raw->hash, lru_.begin());
-    }
-    counts_.bytes += added.bytes;
+    index_.emplace(fingerprint, lru_.begin());
+    counts_.bytes += bytes;
     ++counts_.entries;
     // The new entry sits at the front, so it is never its own victim.
     while (lru_.size() > 1 && (lru_.size() > options_.capacity ||
@@ -140,7 +96,6 @@ void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   dropped.swap(lru_);
   index_.clear();
-  raw_index_.clear();
   counts_.entries = 0;
   counts_.bytes = 0;
   PublishGaugesLocked();
@@ -166,7 +121,6 @@ std::string PlanCache::ToText() const {
                       static_cast<double>(lookups));
   }
   out += "  hits=" + std::to_string(s.hits) +
-         " raw_hits=" + std::to_string(s.raw_hits) +
          " misses=" + std::to_string(s.misses) + " (hit ratio " + ratio +
          ")\n";
   out += "  entries=" + std::to_string(s.entries) +

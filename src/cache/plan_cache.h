@@ -5,9 +5,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 namespace uniqopt {
@@ -33,7 +31,6 @@ struct PlanCacheOptions {
 
 struct LruStats {
   uint64_t hits = 0;
-  uint64_t raw_hits = 0;  ///< the hits served by a raw key (GetRaw)
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;
@@ -41,44 +38,29 @@ struct LruStats {
   uint64_t bytes = 0;    ///< current, approximate
 };
 
-/// A slot's second key: a hash of the exact SQL bytes an entry was
-/// prepared from (Optimizer::RawCacheKey mixes in the catalog version and
-/// the mode bits) and the bytes themselves, which confirm a match.
-struct RawKey {
-  uint64_t hash = 0;
-  std::string_view sql;
-};
-
 /// Fingerprint-keyed cache of immutable prepared queries. A hit returns
 /// the `shared_ptr<const PreparedQuery>` stored by some earlier prepare
 /// — plans, rewrite evidence and the verification report included — so
 /// the caller skips parse, bind, Algorithm 1, rewriting *and*
-/// verification. Keys mix in the catalog version (Optimizer::CacheKey),
-/// so any catalog bump makes every older key unreachable; Get also
-/// purges the superseded entries the first time it sees a newer
-/// version.
-///
-/// Each slot has up to two keys. The fingerprint is the canonical key
-/// (Optimizer::CacheKey). The optional raw key is the exact spelling the
-/// entry was prepared from, so a byte-identical request is served
-/// without lexing; GetRaw confirms it against the slot's version and
-/// bytes. A slot keeps one raw key, not one per spelling, so `capacity`
-/// and `byte_budget` still count prepared entries; other spellings hit
-/// through the fingerprint.
+/// verification. The caller computes each entry's one key (the
+/// optimizer's is Optimizer::CacheKey: FNV-1a over the exact SQL bytes,
+/// the catalog version and the mode bits) and confirms a hit: the cache
+/// never looks inside an entry, and a 64-bit match alone proves nothing
+/// (PrepareShared compares the entry's SQL with the request's). Keys
+/// mix in the catalog version, so any catalog bump makes every older key
+/// unreachable; Get also purges the superseded entries the first time
+/// it sees a newer version.
 ///
 /// One mutex guards an exact LRU: a recency list (front = most recent)
-/// plus a hash index per key into it, so a hit, an insert and each
-/// eviction are O(1). `capacity` and `byte_budget` bound the whole
-/// cache; an entry larger than the budget is still admitted, alone. A
-/// slot leaves with both its keys (eviction, replacement, Clear, the
-/// version purge); entries leave the cache under the lock but are
-/// destroyed after it is released.
+/// plus a hash index into it, so a hit, an insert and each eviction are
+/// O(1). `capacity` and `byte_budget` bound the whole cache; an entry
+/// larger than the budget is still admitted, alone. Entries leave the
+/// cache under the lock but are destroyed after it is released.
 ///
 /// Event counts are mirrored into the global metrics registry
-/// (cache.hits / cache.raw_hits / cache.misses / cache.evictions /
-/// cache.invalidations as counters, cache.bytes / cache.entries as
-/// gauges) so `\metrics`, `/metrics` and bench --metrics-json all see
-/// the cache.
+/// (cache.hits / cache.misses / cache.evictions / cache.invalidations
+/// as counters, cache.bytes / cache.entries as gauges) so `\metrics`,
+/// `/metrics` and bench --metrics-json all see the cache.
 class PlanCache {
  public:
   using EntryPtr = std::shared_ptr<const PreparedQuery>;
@@ -94,24 +76,11 @@ class PlanCache {
   /// never be served again).
   EntryPtr Get(uint64_t fingerprint, uint64_t catalog_version);
 
-  /// Raw-key lookup: the entry filed under `key.hash`, served only when
-  /// its slot was stored under `catalog_version` and from exactly the
-  /// bytes `key.sql`. A hit counts in `hits` and `raw_hits` and becomes
-  /// the most recently used entry; anything else counts nothing, so the
-  /// canonical Get the caller falls back to counts the lookup once.
-  EntryPtr GetRaw(const RawKey& key, uint64_t catalog_version);
-
   /// Stores (or replaces) a prepared query under its fingerprint, then
   /// evicts least recently used entries while the cache is over its
   /// capacity or byte budget. `bytes` is the caller's size estimate.
   void Put(uint64_t fingerprint, uint64_t catalog_version, EntryPtr entry,
            size_t bytes);
-
-  /// Put that also files the slot under `raw.hash`, taking that key from
-  /// any slot that held it. `raw.sql` must view bytes `entry` owns
-  /// (PreparedQuery::sql): the slot keeps the view as long as the entry.
-  void Put(uint64_t fingerprint, uint64_t catalog_version, EntryPtr entry,
-           size_t bytes, const RawKey& raw);
 
   void Clear();
 
@@ -128,14 +97,11 @@ class PlanCache {
     uint64_t version = 0;
     size_t bytes = 0;
     EntryPtr entry;
-    /// `raw->sql` views bytes that `entry` owns.
-    std::optional<RawKey> raw;
   };
   using SlotList = std::list<Slot>;
 
-  void PutSlot(Slot slot);
-  /// Moves `it` from the cache into `dropped`, with its keys; the caller
-  /// destroys `dropped` once it has released mu_.
+  /// Moves `it` from the cache into `dropped`; the caller destroys
+  /// `dropped` once it has released mu_.
   void RemoveLocked(SlotList::iterator it, SlotList* dropped);
   void PublishGaugesLocked();
 
@@ -144,12 +110,10 @@ class PlanCache {
   // All guarded by mu_.
   SlotList lru_;
   std::unordered_map<uint64_t, SlotList::iterator> index_;
-  std::unordered_map<uint64_t, SlotList::iterator> raw_index_;
   uint64_t newest_version_ = 0;
   LruStats counts_;
   // Interned registry handles — per-event cost is the metric's atomics.
   obs::Counter* hits_;
-  obs::Counter* raw_hits_;
   obs::Counter* misses_;
   obs::Counter* evictions_;
   obs::Counter* invalidations_;

@@ -8,15 +8,10 @@
 namespace uniqopt {
 namespace equiv {
 
-/// Compile-time default for the equivalence prover, set by the
-/// UNIQOPT_CHECK_EQUIV cmake option (default ON, mirroring
-/// UNIQOPT_VERIFY_PLANS). Runtime code paths consult the per-optimizer
-/// toggle, which is initialized from this constant.
-#if defined(UNIQOPT_CHECK_EQUIV_DEFAULT)
-inline constexpr bool kCheckEquivByDefault = UNIQOPT_CHECK_EQUIV_DEFAULT != 0;
-#else
+/// Default for the equivalence prover: every build certifies every
+/// applied rewrite. Runtime code paths consult the per-optimizer toggle
+/// (Optimizer::set_check_equiv), which is initialized from this constant.
 inline constexpr bool kCheckEquivByDefault = true;
-#endif
 
 /// The verdict lattice. kProven: the before/after plans denote the same
 /// multiset of rows under the declared constraints, re-derived here from

@@ -192,8 +192,14 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  Catalog& catalog() { return catalog_; }
+  /// Read-only: only Database changes its catalog, so every table
+  /// instance stays in step with its definition (DropTable frees both).
   const Catalog& catalog() const { return catalog_; }
+
+  /// Bumps the catalog version for a committed DML statement
+  /// (DmlExecutor calls it on every commit); the plan-cache key mixes
+  /// the version in, so no plan cached before the write is served after.
+  void BumpVersionOnCommit() { catalog_.BumpVersion(); }
 
   /// Registers a definition and creates an empty instance.
   Status CreateTable(TableDef def);

@@ -229,7 +229,7 @@ Result<DmlResult> DmlExecutor::ExecuteInsert(const BoundInsert& stmt,
   }
   table->CommitVersion(std::move(next));
   PublishWriteCounts(counts);
-  db_->catalog().BumpVersion();
+  db_->BumpVersionOnCommit();
 
   DmlResult result;
   result.kind = DmlKind::kInsert;
@@ -291,7 +291,7 @@ Result<DmlResult> DmlExecutor::ExecuteUpdate(const BoundUpdate& stmt,
 
   table->CommitVersion(std::move(next));
   PublishWriteCounts(counts);
-  db_->catalog().BumpVersion();
+  db_->BumpVersionOnCommit();
   return result;
 }
 
@@ -326,7 +326,7 @@ Result<DmlResult> DmlExecutor::ExecuteDelete(const BoundDelete& stmt,
 
   table->CommitVersion(std::move(next));
   PublishWriteCounts(counts);
-  db_->catalog().BumpVersion();
+  db_->BumpVersionOnCommit();
   return result;
 }
 

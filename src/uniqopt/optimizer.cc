@@ -211,8 +211,7 @@ size_t EstimatePreparedQueryBytes(const PreparedQuery& q,
   auto plan_bytes = [&](const PlanPtr& plan) -> size_t {
     return plan == nullptr ? 0 : CountPlanNodes(*plan) * bytes_per_node;
   };
-  size_t bytes =
-      sizeof(PreparedQuery) + q.sql.size() + q.canonical_sql.size();
+  size_t bytes = sizeof(PreparedQuery) + q.sql.size();
   bytes += (plan_bytes(q.original_plan) + optimized_text_bytes) * 2;
   for (const AppliedRewrite& r : q.rewrites) {
     bytes += 256 + r.description.size();
@@ -266,8 +265,8 @@ std::string PreparedQuery::Explain() const {
 }
 
 Result<PreparedQuery> Optimizer::PrepareUncached(
-    const std::string& sql, const Result<cache::CanonicalSql>& canonical,
-    uint64_t catalog_version, size_t* retained_bytes) const {
+    const std::string& sql, uint64_t catalog_version,
+    size_t* retained_bytes) const {
   static obs::Counter& prepared_counter =
       obs::MetricsRegistry::Global().GetCounter("optimizer.queries_prepared");
   prepared_counter.Increment();
@@ -348,21 +347,22 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   // The canonical *shape* fingerprint — catalog-version independent
   // with literals parameterized, so canonically-equal SQL counts as one
   // query class. The advisor dedups suggestions on it and the
-  // time-series plane buckets per-class latencies under it.
+  // time-series plane buckets per-class latencies under it. The SQL
+  // parsed, so it lexes.
+  const Result<cache::CanonicalSql> canonical = cache::CanonicalizeSql(sql);
   if (canonical.ok()) {
     cache::FingerprintOptions fopts;
     fopts.parameterize_literals = true;
     out.class_fingerprint =
         cache::FingerprintSql(*canonical, /*catalog_version=*/0, fopts);
-    out.canonical_sql = canonical->text;
-  }
-  if (advise_ && !out.near_misses.empty() &&
-      obs::AdvisorStore::Global().enabled()) {
-    // The canonical text (literals intact, re-preparable) is kept as a
-    // replay sample alongside each suggestion.
-    for (const obs::NearMiss& miss : out.near_misses) {
-      obs::AdvisorStore::Global().Record(miss, out.class_fingerprint,
-                                         out.canonical_sql);
+    if (advise_ && !out.near_misses.empty() &&
+        obs::AdvisorStore::Global().enabled()) {
+      // The canonical text (literals intact, re-preparable) is kept as a
+      // replay sample alongside each suggestion.
+      for (const obs::NearMiss& miss : out.near_misses) {
+        obs::AdvisorStore::Global().Record(miss, out.class_fingerprint,
+                                           canonical->text);
+      }
     }
   }
   if (use_cost_model_) {
@@ -407,17 +407,13 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   return out;
 }
 
-uint64_t Optimizer::CacheKey(const cache::CanonicalSql& canonical,
+uint64_t Optimizer::CacheKey(std::string_view sql,
                              uint64_t catalog_version) const {
-  cache::FingerprintOptions fopts;
-  fopts.salt = ModeBits();
-  return cache::FingerprintSql(canonical, catalog_version, fopts);
-}
-
-cache::RawKey Optimizer::RawCacheKey(std::string_view sql,
-                                     uint64_t catalog_version) const {
-  uint64_t hash = cache::Fnv1aMix(cache::Fnv1a(sql), catalog_version);
-  return cache::RawKey{cache::Fnv1aMix(hash, ModeBits()), sql};
+  // The verify and equiv flags shape what a PreparedQuery contains
+  // (verification report and certificates present or not).
+  const uint64_t mode = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 2 : 0);
+  return cache::Fnv1aMix(cache::Fnv1aMix(cache::Fnv1a(sql), catalog_version),
+                         mode);
 }
 
 Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
@@ -439,61 +435,40 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
     plane.RecordClassSample(q.class_fingerprint, "prepare.ns", ns,
                             /*record_id=*/0, q.plan_hash);
   };
-  auto serve_hit = [&](cache::PlanCache::EntryPtr entry) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    static obs::Counter& prepared_counter =
-        obs::MetricsRegistry::Global().GetCounter(
-            "optimizer.queries_prepared");
-    prepared_counter.Increment();
-    feed_sample(*entry);
-    return entry;
-  };
   // Read the catalog version before preparing: if DDL lands mid-flight
   // the entry is stored under the older version and can never be
   // served after the bump.
   const uint64_t version = db_->catalog().version();
-  const bool usable = CacheUsable();
-  // The front: the exact bytes some entry was prepared from skip the
-  // lexer. A slot filed under this hash for other bytes counts nothing.
-  cache::RawKey raw;
-  if (usable) {
-    raw = RawCacheKey(sql, version);
-    if (cache::PlanCache::EntryPtr entry = cache_->GetRaw(raw, version)) {
-      return serve_hit(std::move(entry));
-    }
-  }
-  uint64_t fingerprint = 0;
-  // SQL that does not lex skips the cache, so the normal pipeline
-  // produces (and records) the real diagnostic.
-  const Result<cache::CanonicalSql> canonical = cache::CanonicalizeSql(sql);
-  const bool cacheable = usable && canonical.ok();
+  const bool cacheable = CacheUsable();
+  uint64_t key = 0;
   if (cacheable) {
-    fingerprint = CacheKey(*canonical, version);
-    cache::PlanCache::EntryPtr entry = cache_->Get(fingerprint, version);
+    key = CacheKey(sql, version);
+    cache::PlanCache::EntryPtr entry = cache_->Get(key, version);
     // A 64-bit key match alone does not prove the entry was prepared
-    // from this statement: on a collision prepare cold and replace it.
-    if (entry != nullptr && entry->canonical_sql == canonical->text) {
-      return serve_hit(std::move(entry));
+    // from these bytes: on a collision prepare cold and replace it.
+    if (entry != nullptr && entry->sql == sql) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      static obs::Counter& prepared_counter =
+          obs::MetricsRegistry::Global().GetCounter(
+              "optimizer.queries_prepared");
+      prepared_counter.Increment();
+      feed_sample(*entry);
+      return entry;
     }
   }
   size_t bytes = 0;
   UNIQOPT_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PrepareUncached(sql, canonical, version, &bytes));
+                           PrepareUncached(sql, version, &bytes));
   auto entry =
       std::make_shared<const PreparedQuery>(std::move(prepared));
-  if (cacheable) {
-    // The slot owns `entry`, so its raw key may view entry->sql.
-    cache_->Put(fingerprint, version, entry, bytes,
-                cache::RawKey{raw.hash, entry->sql});
-  }
+  if (cacheable) cache_->Put(key, version, entry, bytes);
   feed_sample(*entry);
   return entry;
 }
 
 Result<PreparedQuery> Optimizer::Prepare(const std::string& sql) const {
   if (!CacheUsable()) {
-    const uint64_t version = db_->catalog().version();
-    return PrepareUncached(sql, cache::CanonicalizeSql(sql), version);
+    return PrepareUncached(sql, db_->catalog().version());
   }
   bool hit = false;
   UNIQOPT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/uniqueness.h"
-#include "cache/fingerprint.h"
 #include "cache/plan_cache.h"
 #include "common/result.h"
 #include "exec/cost_model.h"
@@ -26,25 +25,18 @@ namespace obs {
 struct PreparedRecord;  // obs/recorder.h
 }  // namespace obs
 
-/// Whether Prepare runs the post-optimization verifier automatically.
-/// Debug and test builds (the CMake default, UNIQOPT_VERIFY_PLANS=ON)
-/// verify every plan; builds configured with -DUNIQOPT_VERIFY_PLANS=OFF
-/// leave it to the sweep tests, Optimizer::set_verify_plans(true), or
-/// an explicit Verify() call.
-#if defined(UNIQOPT_VERIFY_PLANS_DEFAULT) && UNIQOPT_VERIFY_PLANS_DEFAULT == 0
-inline constexpr bool kVerifyPlansByDefault = false;
-#else
+/// Whether Prepare runs the post-optimization verifier automatically:
+/// every build verifies every plan unless Optimizer::set_verify_plans
+/// turns it off.
 inline constexpr bool kVerifyPlansByDefault = true;
-#endif
 
 /// A fully prepared query: logical plan before/after rewriting, the
 /// rewrites that fired, and the host-variable signature.
 struct PreparedQuery {
+  /// The exact bytes this entry was prepared from. A plan-cache hit is
+  /// served only when they equal the request's, so two statements whose
+  /// 64-bit keys collide never share a plan.
   std::string sql;
-  /// cache::CanonicalizeSql(sql).text, empty when the SQL did not lex.
-  /// A plan-cache hit is served only when it equals the request's, so
-  /// two statements whose 64-bit keys collide never share a plan.
-  std::string canonical_sql;
   PlanPtr original_plan;
   PlanPtr optimized_plan;
   std::vector<AppliedRewrite> rewrites;
@@ -66,10 +58,10 @@ struct PreparedQuery {
   /// (equal hash ⇒ structurally equal plan).
   uint64_t plan_hash = 0;
   /// Canonical-shape fingerprint of the SQL (literals parameterized,
-  /// catalog-version independent) — the query *class* key shared with
-  /// the advisor and the plan cache's canonical form. The time-series
-  /// plane buckets per-class prepare/execute latencies under it. 0 when
-  /// the SQL did not lex.
+  /// catalog-version independent) — the query *class* key, which the
+  /// advisor dedups suggestions on. The time-series plane buckets
+  /// per-class prepare/execute latencies under it. 0 when the SQL did
+  /// not lex.
   uint64_t class_fingerprint = 0;
   /// Post-optimization static verification (plan lint, proof checker,
   /// null-semantics audit). `verified` tells whether the pass ran.
@@ -117,20 +109,21 @@ class Optimizer {
         cache_(std::make_unique<cache::PlanCache>(cache_options)) {}
 
   /// Parses, binds and rewrites `sql` (and cost-chooses, when enabled).
-  /// Served from the plan cache when a prepare of the same canonical
-  /// SQL under the same catalog version is cached (`cache_hit` set on
-  /// the returned copy).
+  /// Served from the plan cache when a prepare of the same SQL bytes
+  /// under the same catalog version is cached (`cache_hit` set on the
+  /// returned copy).
   Result<PreparedQuery> Prepare(const std::string& sql) const;
 
   /// The zero-copy prepare: returns the immutable cached entry itself
   /// (or the freshly prepared one, which is simultaneously inserted).
   /// This is the hot path. SQL byte-identical to the text an entry was
-  /// prepared from is served by its raw key (RawCacheKey) without
-  /// lexing: one hash over the bytes, one locked lookup and a byte
-  /// comparison. Other spellings of a cached statement are canonicalized
-  /// and served by the canonical key (CacheKey); only a miss on both
-  /// prepares cold. No plan copies either way. `cache_hit`, when
-  /// non-null, reports whether the entry came from the cache.
+  /// prepared from is served without lexing: one hash over the bytes
+  /// (CacheKey), one locked lookup and a byte comparison. Anything else,
+  /// a respelling of a cached statement included, prepares cold once
+  /// and takes its own entry. While the cache is in use each call counts
+  /// exactly one hit or miss, and no plan is copied either way.
+  /// `cache_hit`, when non-null, reports whether the entry came from the
+  /// cache.
   ///
   /// Thread-safe: concurrent PrepareShared calls on one Optimizer are
   /// supported (concurrent DDL is not — same contract as Catalog).
@@ -173,8 +166,8 @@ class Optimizer {
   /// off). Prepare calls this internally when verify_plans() is set.
   verify::VerifyReport Verify(const PreparedQuery& query) const;
 
-  /// Toggles automatic verification inside Prepare (defaults to
-  /// kVerifyPlansByDefault: on in debug builds, off in release).
+  /// Toggles automatic verification inside Prepare (on by default in
+  /// every build, Release included).
   void set_verify_plans(bool on) { verify_plans_ = on; }
   bool verify_plans() const { return verify_plans_; }
 
@@ -183,26 +176,17 @@ class Optimizer {
   void set_advise(bool on) { advise_ = on; }
   bool advise() const { return advise_; }
 
-  /// Toggles the symbolic equivalence prover inside verification
-  /// (defaults to equiv::kCheckEquivByDefault, the CMake
-  /// UNIQOPT_CHECK_EQUIV option). Only consulted when verification
-  /// runs at all.
+  /// Toggles the symbolic equivalence prover inside verification (on
+  /// by default). Only consulted when verification runs at all.
   void set_check_equiv(bool on) { check_equiv_ = on; }
   bool check_equiv() const { return check_equiv_; }
 
-  /// The plan-cache key of `canonical` under `catalog_version`: FNV-1a
-  /// over the canonical text, the version and the verify/equiv mode
+  /// The plan-cache key of `sql` under `catalog_version`: FNV-1a over
+  /// the exact bytes, mixed with the version and the verify/equiv mode
   /// bits — everything a prepared entry depends on. PrepareShared keys
-  /// every entry with this; the raw key is a second way in.
-  uint64_t CacheKey(const cache::CanonicalSql& canonical,
-                    uint64_t catalog_version) const;
-
-  /// The plan-cache raw key of `sql` under `catalog_version`: FNV-1a
-  /// over the exact bytes, mixed with the version and the same mode bits
-  /// as CacheKey, with `sql` itself for the byte comparison that confirms
-  /// a hit. PrepareShared looks it up before it canonicalizes.
-  cache::RawKey RawCacheKey(std::string_view sql,
-                            uint64_t catalog_version) const;
+  /// every entry with this and serves a hit only when the entry's `sql`
+  /// equals `sql`.
+  uint64_t CacheKey(std::string_view sql, uint64_t catalog_version) const;
 
   /// Always the default PhysicalOptions and 0: a prepared entry depends
   /// on neither (physical options are an Execute argument), so neither
@@ -222,22 +206,15 @@ class Optimizer {
 
  private:
   /// The full parse → bind → analyze → rewrite → [cost] → [verify] →
-  /// lower pipeline, no cache involvement. `canonical` is
-  /// cache::CanonicalizeSql(sql), which keys the query class;
-  /// `catalog_version` is the version read before preparing, which the
-  /// stored decisions record. With `retained_bytes` non-null it receives
-  /// the entry's size estimate for the cache's byte budget.
+  /// lower pipeline, no cache involvement. `catalog_version` is the
+  /// version read before preparing, which the stored decisions record.
+  /// With `retained_bytes` non-null it receives the entry's size
+  /// estimate for the cache's byte budget.
   Result<PreparedQuery> PrepareUncached(
-      const std::string& sql, const Result<cache::CanonicalSql>& canonical,
-      uint64_t catalog_version, size_t* retained_bytes = nullptr) const;
+      const std::string& sql, uint64_t catalog_version,
+      size_t* retained_bytes = nullptr) const;
 
   bool CacheUsable() const { return cache_->enabled() && !use_cost_model_; }
-  /// The verify and equiv flags shape what a PreparedQuery contains
-  /// (verification report and certificates present or not), so both
-  /// cache keys mix them in.
-  uint64_t ModeBits() const {
-    return (verify_plans_ ? 1 : 0) | (check_equiv_ ? 2 : 0);
-  }
 
   Database* db_;
   RewriteOptions rewrite_options_;

@@ -1,12 +1,12 @@
-// Plan cache unit coverage: SQL canonicalization + fingerprinting, the
-// cache's exact LRU (recency eviction, byte budget, whole-cache
-// capacity, version purge), Optimizer cache hits (flag, identical
-// plans, EXPLAIN marker, recorder field), the canonical-text check that
-// turns a key collision into a miss, the raw-byte front (exact repeats
-// skip the lexer, other spellings hit through the canonical key, a
-// raw-key collision is confirmed away, one count per prepare), and the
-// DDL-invalidation guarantee — a catalog bump must make every
-// previously cached plan unservable.
+// Plan cache unit coverage: SQL canonicalization + fingerprinting (the
+// query-class key), the cache's exact LRU (recency eviction, byte
+// budget, whole-cache capacity, version purge), Optimizer cache hits
+// under the one key over the exact SQL bytes (flag, identical plans,
+// EXPLAIN marker, recorder field; an exact repeat hits the same entry, a
+// respelling prepares cold once and then hits its own entry, the byte
+// check turns a forced key collision into a miss, one count per prepare
+// even for SQL that does not lex), and the DDL-invalidation guarantee —
+// a catalog bump must make every previously cached plan unservable.
 
 #include <memory>
 #include <string>
@@ -186,46 +186,6 @@ TEST(PlanCacheTest, CapacityBoundsTheWholeCache) {
   EXPECT_EQ(cache.Get(high | 0, 0), nullptr);
 }
 
-TEST(PlanCacheTest, RawKeyIsConfirmedAndLeavesWithItsSlot) {
-  cache::PlanCache cache(Bounds(2, 1000));
-  cache::PlanCache::EntryPtr a = Entry("a");
-  cache::PlanCache::EntryPtr b = Entry("b");
-  cache::PlanCache::EntryPtr c = Entry("c");
-  cache.Put(1, 0, a, 1, cache::RawKey{10, a->sql});
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 0), a);
-  // Other bytes or another version under the same hash count nothing.
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), nullptr);
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 1), nullptr);
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{11, "a"}, 0), nullptr);
-  cache::LruStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.raw_hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
-  // Slot 2 takes raw key 10 from slot 1; evicting slot 1 leaves it.
-  cache.Put(2, 0, b, 1, cache::RawKey{10, b->sql});
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "a"}, 0), nullptr);
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), b);
-  cache.Put(3, 0, c, 1, cache::RawKey{30, c->sql});  // evicts slot 1
-  EXPECT_EQ(cache.Stats().evictions, 1u);
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), b);
-  // Replacing slot 2 drops its raw key with it.
-  cache.Put(2, 0, Entry("b2"), 1);
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{10, "b"}, 0), nullptr);
-  // The version purge drops raw keys with their slots.
-  cache::PlanCache::EntryPtr d = Entry("d");
-  cache.Put(4, 1, d, 1, cache::RawKey{40, d->sql});
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{40, "d"}, 1), d);
-  cache.Put(5, 2, Entry("e"), 1);
-  ASSERT_NE(cache.Get(5, 2), nullptr);  // purges version 1
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{40, "d"}, 1), nullptr);
-  // And Clear drops every raw key.
-  cache::PlanCache::EntryPtr f = Entry("f");
-  cache.Put(6, 2, f, 1, cache::RawKey{60, f->sql});
-  cache.Clear();
-  EXPECT_EQ(cache.GetRaw(cache::RawKey{60, "f"}, 2), nullptr);
-  EXPECT_EQ(cache.Stats().entries, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Optimizer integration
 // ---------------------------------------------------------------------------
@@ -242,13 +202,8 @@ TEST(PlanCacheTest, SecondPrepareIsAHitWithIdenticalPlan) {
   EXPECT_EQ(cold.plan_hash, warm.plan_hash);
   EXPECT_EQ(cold.optimized_plan->ToString(),
             warm.optimized_plan->ToString());
-  // Whitespace/case variants hit the same entry.
-  ASSERT_OK_AND_ASSIGN(PreparedQuery variant,
-                       optimizer.Prepare("select distinct sno\nFROM supplier"));
-  EXPECT_TRUE(variant.cache_hit);
-  EXPECT_EQ(variant.plan_hash, cold.plan_hash);
   cache::LruStats stats = optimizer.plan_cache()->Stats();
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
@@ -354,39 +309,8 @@ TEST(PlanCacheTest, VerifyToggleKeysSeparateEntries) {
   EXPECT_FALSE(unverified.verified);
 }
 
-TEST(PlanCacheTest, KeyCollisionIsServedAsAMiss) {
-  Database db;
-  ASSERT_OK(MakeTestSupplierDatabase(&db));
-  Optimizer optimizer(&db);
-  const std::string a = "SELECT DISTINCT SNO FROM SUPPLIER";
-  const std::string b = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry_a,
-                       optimizer.PrepareShared(a));
-  Optimizer reference(&db);
-  ASSERT_OK_AND_ASSIGN(PreparedQuery reference_b, reference.Prepare(b));
-  ASSERT_NE(entry_a->plan_hash, reference_b.plan_hash);
-  // A 64-bit key collision, forced: A's entry under the key that
-  // PrepareShared computes for B.
-  ASSERT_OK_AND_ASSIGN(cache::CanonicalSql canonical_b,
-                       cache::CanonicalizeSql(b));
-  const uint64_t version = db.catalog().version();
-  optimizer.plan_cache()->Put(optimizer.CacheKey(canonical_b, version),
-                              version, entry_a, 1);
-  bool hit = true;
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> served,
-                       optimizer.PrepareShared(b, &hit));
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(served->sql, b);
-  EXPECT_EQ(served->plan_hash, reference_b.plan_hash);
-  // The cold prepare replaced A's entry: B now hits its own plan.
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> again,
-                       optimizer.PrepareShared(b, &hit));
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(again.get(), served.get());
-}
-
 // ---------------------------------------------------------------------------
-// The raw-byte front: byte-identical SQL is served without lexing
+// The one key: the exact SQL bytes, confirmed on every hit
 // ---------------------------------------------------------------------------
 
 /// PrepareShared that checks the one-count-per-prepare contract: every
@@ -407,27 +331,23 @@ TEST(PlanCacheTest, ExactRepeatIsARawHit) {
   Database db;
   ASSERT_OK(MakeTestSupplierDatabase(&db));
   Optimizer optimizer(&db);
-  obs::Counter& raw_hits =
-      obs::MetricsRegistry::Global().GetCounter("cache.raw_hits");
+  obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter("cache.hits");
   const std::string sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
   bool hit = true;
   auto cold = PrepareCounted(optimizer, sql, &hit);
   EXPECT_FALSE(hit);
   const cache::LruStats before = optimizer.plan_cache()->Stats();
-  const uint64_t registry_before = raw_hits.value();
+  const uint64_t registry_before = hits.value();
   auto again = PrepareCounted(optimizer, sql, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(again.get(), cold.get());
   const cache::LruStats after = optimizer.plan_cache()->Stats();
-  EXPECT_EQ(after.raw_hits, before.raw_hits + 1);
   EXPECT_EQ(after.hits, before.hits + 1);
   EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(raw_hits.value(), registry_before + 1);
-  EXPECT_NE(optimizer.plan_cache()->ToText().find("raw_hits=1"),
-            std::string::npos);
+  EXPECT_EQ(hits.value(), registry_before + 1);
 }
 
-TEST(PlanCacheTest, OtherSpellingsHitThroughTheCanonicalKey) {
+TEST(PlanCacheTest, RespelledStatementGetsItsOwnEntry) {
   Database db;
   ASSERT_OK(MakeTestSupplierDatabase(&db));
   Optimizer optimizer(&db);
@@ -438,16 +358,54 @@ TEST(PlanCacheTest, OtherSpellingsHitThroughTheCanonicalKey) {
   for (const std::string variant :
        {"select distinct sno\nFROM supplier",
         "SELECT DISTINCT SNO -- every supplier\nFROM SUPPLIER"}) {
-    const cache::LruStats before = optimizer.plan_cache()->Stats();
-    auto served = PrepareCounted(optimizer, variant, &hit);
+    // The first request prepares cold into the variant's own entry...
+    auto first = PrepareCounted(optimizer, variant, &hit);
+    EXPECT_FALSE(hit) << variant;
+    EXPECT_NE(first.get(), cold.get()) << variant;
+    EXPECT_EQ(first->sql, variant);
+    EXPECT_EQ(first->plan_hash, cold->plan_hash) << variant;
+    // ...and every repeat hits it.
+    auto again = PrepareCounted(optimizer, variant, &hit);
     EXPECT_TRUE(hit) << variant;
-    EXPECT_EQ(served.get(), cold.get()) << variant;
-    const cache::LruStats after = optimizer.plan_cache()->Stats();
-    EXPECT_EQ(after.hits, before.hits + 1) << variant;
-    EXPECT_EQ(after.raw_hits, before.raw_hits) << variant;
+    EXPECT_EQ(again.get(), first.get()) << variant;
+    // The request is recorded under the bytes its client sent.
+    obs::QueryRecorder::Global().Clear();
+    ASSERT_OK(optimizer.Execute(*again).status());
+    std::vector<obs::QueryRecord> history =
+        obs::QueryRecorder::Global().History();
+    ASSERT_EQ(history.size(), 1u);
+    EXPECT_EQ(history[0].prepared->query, variant);
   }
-  // One slot, one raw key: the variants did not add entries.
-  EXPECT_EQ(optimizer.plan_cache()->Stats().entries, 1u);
+  EXPECT_EQ(optimizer.plan_cache()->Stats().entries, 3u);
+}
+
+TEST(PlanCacheTest, KeyCollisionIsServedAsAMiss) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  const std::string a = "SELECT DISTINCT SNO FROM SUPPLIER";
+  const std::string b = "SELECT SNAME FROM SUPPLIER WHERE SNO = 3";
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry_a,
+                       optimizer.PrepareShared(a));
+  Optimizer reference(&db);
+  ASSERT_OK_AND_ASSIGN(PreparedQuery reference_b, reference.Prepare(b));
+  ASSERT_NE(entry_a->plan_hash, reference_b.plan_hash);
+  // A 64-bit key collision, forced: A's entry under the key that
+  // PrepareShared computes for B.
+  const uint64_t version = db.catalog().version();
+  optimizer.plan_cache()->Put(optimizer.CacheKey(b, version), version,
+                              entry_a, 1);
+  bool hit = true;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> served,
+                       optimizer.PrepareShared(b, &hit));
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(served->sql, b);
+  EXPECT_EQ(served->plan_hash, reference_b.plan_hash);
+  // The cold prepare replaced A's entry: B now hits its own plan.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> again,
+                       optimizer.PrepareShared(b, &hit));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.get(), served.get());
 }
 
 TEST(PlanCacheTest, RawKeyCollisionIsServedCorrectly) {
@@ -460,37 +418,53 @@ TEST(PlanCacheTest, RawKeyCollisionIsServedCorrectly) {
   ASSERT_OK_AND_ASSIGN(PreparedQuery reference_a, reference.Prepare(a));
   ASSERT_OK_AND_ASSIGN(PreparedQuery reference_b, reference.Prepare(b));
   ASSERT_NE(reference_a.plan_hash, reference_b.plan_hash);
-  // A raw-key collision, forced: A's entry filed under its own canonical
-  // key and under the raw key PrepareShared computes for B.
+  // A collision on the byte key, forced: A's entry, prepared by another
+  // optimizer, filed under its own key and under the key PrepareShared
+  // computes for B's bytes.
   Optimizer preparer(&db);
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PreparedQuery> entry_a,
                        preparer.PrepareShared(a));
-  ASSERT_OK_AND_ASSIGN(cache::CanonicalSql canonical_a,
-                       cache::CanonicalizeSql(a));
   const uint64_t version = db.catalog().version();
-  optimizer.plan_cache()->Put(
-      optimizer.CacheKey(canonical_a, version), version, entry_a, 1,
-      cache::RawKey{optimizer.RawCacheKey(b, version).hash, entry_a->sql});
-  // B's bytes differ from the slot's, so the raw lookup counts nothing
-  // and B is prepared cold.
+  optimizer.plan_cache()->Put(optimizer.CacheKey(a, version), version,
+                              entry_a, 1);
+  optimizer.plan_cache()->Put(optimizer.CacheKey(b, version), version,
+                              entry_a, 1);
+  // B's bytes differ from the entry's, so B is prepared cold, with one
+  // count.
   bool hit = true;
   auto served_b = PrepareCounted(optimizer, b, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(served_b->sql, b);
   EXPECT_EQ(served_b->plan_hash, reference_b.plan_hash);
-  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 0u);
-  // B took the raw key: its repeat is a raw hit on its own plan.
+  // B took the key: its repeat hits its own plan.
   auto again_b = PrepareCounted(optimizer, b, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(again_b.get(), served_b.get());
-  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
-  // A is still served, by its canonical key.
+  // A is still served, by its own key.
   auto served_a = PrepareCounted(optimizer, a, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(served_a.get(), entry_a.get());
   EXPECT_EQ(served_a->plan_hash, reference_a.plan_hash);
-  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
   EXPECT_EQ(optimizer.plan_cache()->Stats().entries, 2u);
+}
+
+TEST(PlanCacheTest, SqlThatDoesNotLexCountsOneMiss) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  obs::Counter& misses =
+      obs::MetricsRegistry::Global().GetCounter("cache.misses");
+  const uint64_t registry_before = misses.value();
+  const cache::LruStats before = optimizer.plan_cache()->Stats();
+  bool hit = true;
+  auto r = optimizer.PrepareShared("SELECT 'oops FROM SUPPLIER", &hit);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(hit);
+  const cache::LruStats after = optimizer.plan_cache()->Stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(misses.value(), registry_before + 1);
 }
 
 TEST(PlanCacheTest, RawHitRefreshesRecency) {
@@ -507,7 +481,6 @@ TEST(PlanCacheTest, RawHitRefreshesRecency) {
   PrepareCounted(optimizer, y, &hit);
   PrepareCounted(optimizer, x, &hit);  // exact repeat: X is now newest
   EXPECT_TRUE(hit);
-  EXPECT_EQ(optimizer.plan_cache()->Stats().raw_hits, 1u);
   PrepareCounted(optimizer, z, &hit);  // evicts the stalest: Y
   EXPECT_EQ(optimizer.plan_cache()->Stats().evictions, 1u);
   PrepareCounted(optimizer, x, &hit);

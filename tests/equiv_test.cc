@@ -7,6 +7,7 @@
 // `=` over nullable columns. The schema linter half is exercised against
 // deliberately inconsistent catalogs.
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -327,6 +328,14 @@ TEST_F(EquivTest, RandomSweepNeverRefutesAProductionRewrite) {
   ASSERT_GE(queries, 300u);
   size_t total = proven + unproven;
   ASSERT_GT(total, 0u) << "sweep fired no rewrites at all";
+  // The shares on every run, so each log carries the prover's baseline.
+  // A refutation stops the sweep at the assertion above, so a run that
+  // gets here refuted nothing.
+  std::printf(
+      "equiv sweep: queries=%zu rewrites=%zu proven=%zu unproven=%zu "
+      "refuted=0 unproven_share=%.3f\n",
+      queries, total, proven, unproven,
+      static_cast<double>(unproven) / static_cast<double>(total));
   EXPECT_LE(static_cast<double>(unproven),
             kMaxUnprovenShare * static_cast<double>(total))
       << proven << " proven vs " << unproven << " unproven";

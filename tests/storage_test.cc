@@ -1,3 +1,6 @@
+#include <type_traits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "storage/table.h"
@@ -107,6 +110,13 @@ TEST(StorageTest, FailedInsertLeavesNoTrace) {
   EXPECT_OK(t->InsertValues({Value::Integer(2), Value::Integer(20)}));
   EXPECT_EQ(t->size(), 2u);
 }
+
+// Only Database changes its catalog: Catalog::DropTable called from
+// outside would free a TableDef that a Table in the Database still
+// points at.
+static_assert(std::is_same_v<decltype(std::declval<Database&>().catalog()),
+                             const Catalog&>,
+              "Database::catalog() hands out its catalog read-only");
 
 TEST(StorageTest, DatabaseCatalogLifecycle) {
   Database db;
