@@ -22,7 +22,7 @@
 // [metrics|queries|advisor|timeline] <file>` dumps the corresponding
 // payload (`queries` when the kind is omitted);
 // `\verify <query>` prepares the query and runs the post-optimization
-// static verifier (plan lint, proof checker, null-semantics audit);
+// static verifier (plan lint and the equivalence prover);
 // `\cache` shows the plan cache's configuration and hit/miss stats
 // (`\cache clear` empties it); `\timeline [<filter>]` renders the
 // windowed time-series plane (sparkline + window table per matching

@@ -145,7 +145,6 @@ bool KeyCovered(const TableDef& table, const std::string& alias,
       outcome.table = table.name();
       outcome.alias = alias;
       outcome.key_name = key.name;
-      outcome.covered = covered;
       for (size_t col : key.columns) {
         size_t pos = shift + col;
         outcome.key_columns.push_back(proof->NameOf(pos));

@@ -66,7 +66,7 @@ std::string ProofTrace::ToText() const {
     out += "  " + k.key_name + " of " + k.table;
     if (!k.alias.empty() && k.alias != k.table) out += " (" + k.alias + ")";
     out += " " + JoinNames(k.key_columns);
-    if (k.covered) {
+    if (k.covered()) {
       out += ": covered\n";
     } else {
       out += ": NOT covered, missing " + JoinNames(k.missing_columns) + "\n";

@@ -40,9 +40,11 @@ struct ProofKeyOutcome {
   std::string alias;
   std::string key_name;
   std::vector<std::string> key_columns;
-  /// Key columns not in V; empty iff `covered`.
+  /// Key columns not in V.
   std::vector<std::string> missing_columns;
-  bool covered = false;
+
+  /// The key is covered iff none of its columns is missing from V.
+  bool covered() const { return missing_columns.empty(); }
 };
 
 /// Machine-readable record of one uniqueness proof: every normalization

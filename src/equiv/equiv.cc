@@ -289,7 +289,7 @@ Certificate CertifyDistinctRemoval(const AppliedRewrite& r) {
     if (SymbolicallyDuplicateFree(r.evidence.after)) {
       return Proven(r, method,
                     "π_All output re-derived duplicate-free from declared "
-                    "keys alone (Theorem 1)");
+                    "keys and GROUP BY columns alone (Theorem 1)");
     }
     SymbolicSpec spec;
     if (!DecomposeProjection(r.evidence.after, &spec)) {

@@ -362,6 +362,21 @@ bool SymbolicallyDuplicateFree(const PlanPtr& plan) {
     case PlanKind::kProject: {
       const auto* proj = As<ProjectNode>(plan);
       if (proj->mode() == DuplicateMode::kDist) return true;
+      // γ_G's output is keyed by G, its first |G| columns (a γ without
+      // group columns yields one row), and σ (HAVING) keeps that key.
+      PlanPtr input = proj->input();
+      while (input->kind() == PlanKind::kSelect) {
+        input = As<SelectNode>(input)->input();
+      }
+      if (const auto* agg = As<AggregateNode>(input)) {
+        const std::vector<size_t>& cols = proj->columns();
+        for (size_t g = 0; g < agg->group_columns().size(); ++g) {
+          if (std::find(cols.begin(), cols.end(), g) == cols.end()) {
+            return false;
+          }
+        }
+        return true;
+      }
       SymbolicSpec spec;
       if (!DecomposeProjection(plan, &spec)) return false;
       std::vector<char> bound(spec.width, 0);

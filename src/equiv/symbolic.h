@@ -65,7 +65,8 @@ bool AllKeysCovered(const SymbolicSpec& spec, const std::vector<char>& bound,
                     size_t* first_uncovered);
 
 /// Independent structural duplicate-freeness judgment over a plan
-/// subtree, from declared keys only (no FD engine — that is the point).
+/// subtree, from declared keys and GROUP BY columns only (no FD engine —
+/// that is the point).
 bool SymbolicallyDuplicateFree(const PlanPtr& plan);
 
 /// Input to the two-row chase refutation: construct two rows of the

@@ -95,9 +95,9 @@ struct RewriteOptions {
 /// Soundness evidence attached to every applied rewrite: the node the
 /// rule consumed and produced plus the proof (or derived facts) that
 /// discharged the gating theorem's precondition. The post-optimization
-/// verifier (src/verify/) re-checks this evidence with an independent
-/// reference implementation; a rewrite without evidence is itself a
-/// verifier violation.
+/// verifier (src/verify/) hands the before/after pair to the equivalence
+/// prover (src/equiv/), which shares no code with src/analysis/; a
+/// rewrite without evidence is itself a verifier violation.
 struct RewriteEvidence {
   /// The full subtree the rule matched (pre-image), as an owned plan —
   /// never a rendering. The equivalence prover (src/equiv/) normalizes
@@ -106,7 +106,7 @@ struct RewriteEvidence {
   /// subquery→join, not just the inner ExistsNode).
   PlanPtr before;
   /// The full subtree the rule produced. For set-op→EXISTS rules this is
-  /// the ExistsNode whose correlation the null-semantics audit inspects.
+  /// the ExistsNode whose correlation the prover checks against `=!`.
   PlanPtr after;
   /// Closure/key-coverage proof when the gating analysis recorded one
   /// (Algorithm 1 for DISTINCT removal, Theorem 2 for subquery→join).

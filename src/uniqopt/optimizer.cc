@@ -524,8 +524,6 @@ verify::VerifyReport Optimizer::Verify(const PreparedQuery& query) const {
   input.original = query.original_plan;
   input.optimized = query.optimized_plan;
   input.rewrites = &query.rewrites;
-  input.analysis = &query.analysis;
-  input.options = rewrite_options_.analysis;
   input.check_equiv = check_equiv_;
   return verify::VerifyPlan(input);
 }

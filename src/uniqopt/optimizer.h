@@ -63,8 +63,8 @@ struct PreparedQuery {
   /// per-class prepare/execute latencies under it. 0 when the SQL did
   /// not lex.
   uint64_t class_fingerprint = 0;
-  /// Post-optimization static verification (plan lint, proof checker,
-  /// null-semantics audit). `verified` tells whether the pass ran.
+  /// Post-optimization static verification (plan lint and the
+  /// equivalence prover). `verified` tells whether the pass ran.
   bool verified = false;
   verify::VerifyReport verification;
   /// Whether this prepare was served from the plan cache (parse,

@@ -205,9 +205,9 @@ bool HasEvidenceBody(const RewriteEvidence& e) {
   return e.proof.recorded || !e.facts.empty();
 }
 
-/// The rules whose soundness rests on a Theorem 2 closure proof must
-/// carry the recorded ProofTrace (the evidence the proof checker
-/// re-derives); the others must at least state the derived facts.
+/// Every fired rewrite must mark its precondition proven, record the
+/// before/after subtrees the equivalence prover certifies, and carry a
+/// recorded proof or the derived facts its gate used.
 void CheckRewriteEvidence(const std::vector<AppliedRewrite>& rewrites,
                           VerifyReport* report) {
   for (const AppliedRewrite& r : rewrites) {

@@ -15,8 +15,8 @@ namespace verify {
 ///    from the optimized plan only when a duplicate-affecting rewrite
 ///    fired with proof or derived-fact evidence attached;
 ///  - every applied rewrite carries complete evidence (before/after
-///    subtrees, condition_proven), and the Theorem 2 rules carry a
-///    recorded ProofTrace.
+///    subtrees, condition_proven, and a recorded proof or derived
+///    facts).
 /// Appends findings to `report`.
 void LintPlan(const VerifyInput& input, VerifyReport* report);
 

@@ -1,9 +1,7 @@
 #include "verify/verify.h"
 
 #include "obs/metrics.h"
-#include "verify/null_audit.h"
 #include "verify/plan_lint.h"
-#include "verify/proof_checker.h"
 
 namespace uniqopt {
 namespace verify {
@@ -12,10 +10,6 @@ const char* AnalyzerName(Analyzer a) {
   switch (a) {
     case Analyzer::kPlanLint:
       return "plan-lint";
-    case Analyzer::kProofChecker:
-      return "proof-checker";
-    case Analyzer::kNullAudit:
-      return "null-audit";
     case Analyzer::kEquivProver:
       return "equiv-prover";
   }
@@ -42,24 +36,6 @@ const char* ViolationCodeName(ViolationCode code) {
       return "rewrite-missing-evidence";
     case ViolationCode::kDistinctDroppedWithoutProof:
       return "distinct-dropped-without-proof";
-    case ViolationCode::kProofWithoutConclusion:
-      return "proof-without-conclusion";
-    case ViolationCode::kProofKeyOutcomeInconsistent:
-      return "proof-key-outcome-inconsistent";
-    case ViolationCode::kProofNotRecheckable:
-      return "proof-not-recheckable";
-    case ViolationCode::kProofDivergence:
-      return "proof-divergence";
-    case ViolationCode::kProofClaimMismatch:
-      return "proof-claim-mismatch";
-    case ViolationCode::kCorrelationWidthMismatch:
-      return "correlation-width-mismatch";
-    case ViolationCode::kPlainEqOnNullable:
-      return "plain-eq-on-nullable";
-    case ViolationCode::kMalformedCorrelationConjunct:
-      return "malformed-correlation-conjunct";
-    case ViolationCode::kMissingCorrelationColumn:
-      return "missing-correlation-column";
     case ViolationCode::kEquivRefuted:
       return "equiv-refuted";
   }
@@ -87,9 +63,7 @@ std::string VerifyReport::Summary() const {
   std::string out =
       Clean() ? "clean"
               : std::to_string(violations.size()) + " violation(s)";
-  out += " (" + std::to_string(nodes_checked) + " node(s), " +
-         std::to_string(proofs_checked) + " proof(s), " +
-         std::to_string(correlations_audited) + " correlation(s)";
+  out += " (" + std::to_string(nodes_checked) + " node(s)";
   if (!certificates.empty()) {
     out += ", equiv " + std::to_string(equiv_proven) + " proven / " +
            std::to_string(equiv_unproven) + " unproven / " +
@@ -163,8 +137,6 @@ void CertifyRewrites(const VerifyInput& input, VerifyReport* report) {
 VerifyReport VerifyPlan(const VerifyInput& input) {
   VerifyReport report;
   LintPlan(input, &report);
-  CheckProofs(input, &report);
-  AuditNullSemantics(input, &report);
   CertifyRewrites(input, &report);
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();

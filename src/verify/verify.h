@@ -14,14 +14,13 @@
 namespace uniqopt {
 namespace verify {
 
-/// The four analyzers of the post-optimization verifier. Each violation
-/// names the analyzer that raised it so dashboards and tests can slice
-/// by failure class.
+/// The two analyzers of the post-optimization verifier: plan lint checks
+/// structure, the equivalence prover (src/equiv/) checks semantics. Each
+/// violation names the analyzer that raised it so dashboards and tests
+/// can slice by failure class.
 enum class Analyzer {
-  kPlanLint,      ///< structural invariants of the optimized plan tree
-  kProofChecker,  ///< independent re-derivation of uniqueness proofs
-  kNullAudit,     ///< Theorem 3 null-safe `=!` correlation audit
-  kEquivProver,   ///< symbolic bag-semantics equivalence certificates
+  kPlanLint,     ///< structural invariants of the optimized plan tree
+  kEquivProver,  ///< symbolic bag-semantics equivalence certificates
 };
 
 const char* AnalyzerName(Analyzer a);
@@ -40,17 +39,6 @@ enum class ViolationCode {
   kRewriteMissingSubtrees,
   kRewriteMissingEvidence,
   kDistinctDroppedWithoutProof,
-  // proof-checker
-  kProofWithoutConclusion,
-  kProofKeyOutcomeInconsistent,
-  kProofNotRecheckable,
-  kProofDivergence,
-  kProofClaimMismatch,
-  // null-audit
-  kCorrelationWidthMismatch,
-  kPlainEqOnNullable,
-  kMalformedCorrelationConjunct,
-  kMissingCorrelationColumn,
   // equiv-prover
   kEquivRefuted,
 };
@@ -78,10 +66,8 @@ struct VerifyReport {
   /// One equivalence certificate per applied rewrite, in application
   /// order (empty when the prover is off or nothing was rewritten).
   std::vector<equiv::Certificate> certificates;
-  /// Work counters, for "the verifier actually looked" assertions.
+  /// Work counter, for "the verifier actually looked" assertions.
   size_t nodes_checked = 0;
-  size_t proofs_checked = 0;
-  size_t correlations_audited = 0;
   /// Equivalence-prover verdict tallies over `certificates`.
   size_t equiv_proven = 0;
   size_t equiv_unproven = 0;
@@ -89,7 +75,8 @@ struct VerifyReport {
 
   bool Clean() const { return violations.empty(); }
 
-  /// One-line rollup, e.g. "clean (17 nodes, 2 proofs, 1 correlation)".
+  /// One-line rollup, e.g.
+  /// "clean (17 node(s), equiv 1 proven / 0 unproven / 0 refuted)".
   std::string Summary() const;
   /// Multi-line report: the summary plus one block per violation.
   std::string ToString() const;
@@ -106,11 +93,10 @@ struct VerifyInput {
   PlanPtr optimized;
   /// Rewrite audit trail with attached evidence.
   const std::vector<AppliedRewrite>* rewrites = nullptr;
-  /// The optimizer's standalone DISTINCT verdict for `original`.
+  /// The optimizer's standalone DISTINCT verdict for `original`, and the
+  /// analysis switches it ran under. No analyzer reads either; they stay
+  /// for callers that still set them.
   const UniquenessVerdict* analysis = nullptr;
-  /// The production analysis switches in effect; the reference
-  /// implementation honors the same ablation settings so a disabled
-  /// ingredient is not reported as a divergence.
   Algorithm1Options options;
   /// Run the symbolic equivalence prover over `rewrites`. A refuted
   /// certificate raises a kEquivRefuted violation; unproven ones are
@@ -118,8 +104,9 @@ struct VerifyInput {
   bool check_equiv = equiv::kCheckEquivByDefault;
 };
 
-/// Runs all three analyzers and returns the combined report. Increments
-/// verify.runs / verify.clean / verify.plan.violations.
+/// Runs plan lint and, when `check_equiv` is set, the equivalence prover,
+/// and returns the combined report. Increments verify.runs /
+/// verify.clean / verify.plan.violations.
 VerifyReport VerifyPlan(const VerifyInput& input);
 
 }  // namespace verify

@@ -306,7 +306,7 @@ TEST_F(AnalysisTest, Example4And5ProofWalksClosure) {
   // FROM table (coverage short-circuits a table's remaining keys).
   EXPECT_EQ(verdict->proof.keys.size(), 2u);
   for (const ProofKeyOutcome& key : verdict->proof.keys) {
-    EXPECT_TRUE(key.covered) << key.key_name;
+    EXPECT_TRUE(key.covered()) << key.key_name;
   }
 }
 

@@ -166,15 +166,21 @@ TEST_F(GroupByTest, GroupByOnKeyCollapsesToProjection) {
 }
 
 TEST_F(GroupByTest, GroupByOnKeyWithCountNotCollapsed) {
-  // COUNT(*) over a single-row group is 1, not the column value: the
-  // projection rewrite must not fire.
+  // COUNT over a single-row group is 0 or 1, not the column value, and
+  // AVG changes the type: the projection rewrite must not fire.
   Binder binder(&db_.catalog());
-  auto bound = binder.BindSql(
-      "SELECT SNO, COUNT(*) FROM SUPPLIER GROUP BY SNO");
-  ASSERT_TRUE(bound.ok());
-  auto rewritten = RewritePlan(bound->plan);
-  ASSERT_TRUE(rewritten.ok());
-  EXPECT_FALSE(rewritten->Applied(RewriteRuleId::kEliminateGroupByOnKey));
+  for (const char* sql : {
+           "SELECT SNO, COUNT(*) FROM SUPPLIER GROUP BY SNO",
+           "SELECT SNO, COUNT(SNAME) FROM SUPPLIER GROUP BY SNO",
+           "SELECT SNO, AVG(BUDGET) FROM SUPPLIER GROUP BY SNO",
+       }) {
+    auto bound = binder.BindSql(sql);
+    ASSERT_TRUE(bound.ok()) << sql;
+    auto rewritten = RewritePlan(bound->plan);
+    ASSERT_TRUE(rewritten.ok()) << sql;
+    EXPECT_FALSE(rewritten->Applied(RewriteRuleId::kEliminateGroupByOnKey))
+        << sql;
+  }
 }
 
 TEST_F(GroupByTest, GroupByOnNonKeyNotCollapsed) {

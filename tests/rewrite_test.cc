@@ -146,10 +146,15 @@ TEST_F(RewriteTest, IntersectSwapsWhenOnlyRightUnique) {
 }
 
 TEST_F(RewriteTest, IntersectNotRewrittenWhenBothHaveDuplicates) {
-  RewriteResult r = RewriteAndCheck(
-      "SELECT SNAME FROM SUPPLIER INTERSECT ALL "
-      "SELECT PNAME FROM PARTS");
-  EXPECT_TRUE(r.applied.empty());
+  // Neither operand is duplicate-free, so no set-op rule may fire: not
+  // the lowering to [NOT] EXISTS, and not the DISTINCT → ALL relaxation.
+  for (const char* op :
+       {"INTERSECT", "INTERSECT ALL", "EXCEPT", "EXCEPT ALL"}) {
+    RewriteResult r = RewriteAndCheck(
+        std::string("SELECT SNAME FROM SUPPLIER ") + op +
+        " SELECT PNAME FROM PARTS");
+    EXPECT_TRUE(r.applied.empty()) << op;
+  }
 }
 
 TEST_F(RewriteTest, ExceptToNotExists) {

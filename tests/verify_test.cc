@@ -2,18 +2,16 @@
 // plan the optimizer produces — the paper's worked examples and a
 // several-hundred-plan random sweep — and (b) catch a seeded unsound
 // fixture per analyzer: a dangling column reference for the plan lint,
-// a forged uniqueness claim for the proof checker, and a plain `=`
-// correlation over nullable columns for the null-semantics audit.
+// and forged uniqueness claims for the equivalence prover.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "equiv/symbolic.h"
 #include "test_util.h"
 #include "uniqopt/uniqopt.h"
-#include "verify/null_audit.h"
-#include "verify/proof_checker.h"
 #include "verify/verify.h"
 #include "workload/query_corpus.h"
 #include "workload/random_query.h"
@@ -107,13 +105,13 @@ TEST_F(VerifyTest, LintCatchesRewriteWithoutEvidence) {
 }
 
 // ---------------------------------------------------------------------------
-// Proof checker: forged uniqueness claims and internal proof lint.
+// Equivalence prover: forged uniqueness claims.
 // ---------------------------------------------------------------------------
 
 TEST_F(VerifyTest, ProofCheckerRejectsForgedDistinctRemoval) {
   // Example 2 projects SNAME instead of the SUPPLIER key, so DISTINCT
   // is *not* redundant. Forge a kRemoveRedundantDistinct that claims it
-  // was proven; the independent reference must refuse to reproduce it.
+  // was proven; the prover must refute it with a two-row witness.
   PlanPtr before = Bind(
       "SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
       "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'");
@@ -135,47 +133,14 @@ TEST_F(VerifyTest, ProofCheckerRejectsForgedDistinctRemoval) {
   input.optimized = after;
   input.rewrites = &rewrites;
   VerifyReport report = verify::VerifyPlan(input);
-  EXPECT_GE(CountCode(report, "proof-divergence"), 1u) << report.ToString();
-}
-
-TEST_F(VerifyTest, ProofCheckerFlagsInconsistentKeyOutcome) {
-  // Example 1 is genuinely redundant (no divergence), but the recorded
-  // proof contradicts itself: a key marked covered with missing columns.
-  PlanPtr before = Bind(
-      "SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
-      "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'");
-  ASSERT_NE(before, nullptr);
-  const ProjectNode* proj = As<ProjectNode>(before);
-  ASSERT_NE(proj, nullptr);
-  PlanPtr after =
-      ProjectNode::Make(proj->input(), DuplicateMode::kAll, proj->columns());
-  AppliedRewrite r;
-  r.rule = RewriteRuleId::kRemoveRedundantDistinct;
-  r.description = "distinct removal with a self-contradicting proof";
-  r.evidence.before = before;
-  r.evidence.after = after;
-  r.evidence.condition_proven = true;
-  r.evidence.proof.recorded = true;
-  r.evidence.proof.conclusion = "DISTINCT unnecessary";
-  ProofKeyOutcome key;
-  key.table = "SUPPLIER";
-  key.key_name = "PRIMARY";
-  key.covered = true;
-  key.missing_columns = {"S.SNO"};  // contradicts covered
-  r.evidence.proof.keys.push_back(key);
-  std::vector<AppliedRewrite> rewrites{r};
-  VerifyInput input;
-  input.optimized = after;
-  input.rewrites = &rewrites;
-  VerifyReport report = verify::VerifyPlan(input);
-  EXPECT_EQ(CountCode(report, "proof-key-outcome-inconsistent"), 1u)
-      << report.ToString();
-  EXPECT_EQ(CountCode(report, "proof-divergence"), 0u) << report.ToString();
+  EXPECT_GE(CountCode(report, "equiv-refuted"), 1u) << report.ToString();
 }
 
 TEST_F(VerifyTest, ProofCheckerCrossChecksAnalysisVerdict) {
   // Forge the optimizer's standalone verdict itself: claim Algorithm 1
-  // proved Example 2's DISTINCT redundant.
+  // proved Example 2's DISTINCT redundant. The rewriter trusts the
+  // verdict for the root and drops the DISTINCT; the prover must refute
+  // the rewrite that comes out.
   PlanPtr plan = Bind(
       "SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
       "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'");
@@ -186,18 +151,23 @@ TEST_F(VerifyTest, ProofCheckerCrossChecksAnalysisVerdict) {
   forged.detector = DetectorKind::kAlgorithm1;
   forged.proof.recorded = true;
   forged.proof.conclusion = "forged YES";
+  auto rewritten = RewritePlan(plan, {}, &forged);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  ASSERT_TRUE(rewritten->Applied(RewriteRuleId::kRemoveRedundantDistinct));
   VerifyInput input;
   input.original = plan;
-  input.optimized = plan;
-  input.analysis = &forged;
+  input.optimized = rewritten->plan;
+  input.rewrites = &rewritten->applied;
   VerifyReport report = verify::VerifyPlan(input);
-  EXPECT_GE(CountCode(report, "proof-divergence"), 1u) << report.ToString();
+  EXPECT_GE(CountCode(report, "equiv-refuted"), 1u) << report.ToString();
 }
 
 TEST_F(VerifyTest, ReferenceClosureBindsTransitively) {
-  // c0 = 'x' and c0 = c1: the closure must reach c1 — and lose it again
-  // when the column-equivalence ingredient is ablated.
-  std::vector<ExprPtr> conjuncts = {
+  // c0 = 'x' and c0 = c1: the prover's closure must reach c1 from the
+  // Type 1 binding of c0, and leave the unconstrained c2 free.
+  equiv::SymbolicSpec spec;
+  spec.width = 3;
+  spec.conjuncts = {
       Expr::Compare(CompareOp::kEq,
                     Expr::ColumnRef(0, "A", TypeId::kString),
                     Expr::Literal(Value::String("x"))),
@@ -205,90 +175,11 @@ TEST_F(VerifyTest, ReferenceClosureBindsTransitively) {
                     Expr::ColumnRef(0, "A", TypeId::kString),
                     Expr::ColumnRef(1, "B", TypeId::kString)),
   };
-  AnalysisOptions options;
-  AttributeSet closure =
-      verify::ReferenceClosure(conjuncts, AttributeSet(), options, nullptr);
-  EXPECT_TRUE(closure.Contains(0));
-  EXPECT_TRUE(closure.Contains(1));
-
-  options.use_column_equivalence = false;
-  closure =
-      verify::ReferenceClosure(conjuncts, AttributeSet(), options, nullptr);
-  EXPECT_TRUE(closure.Contains(0));
-  EXPECT_FALSE(closure.Contains(1));
-}
-
-// ---------------------------------------------------------------------------
-// Null-semantics audit: Theorem 3's `=!` contract.
-// ---------------------------------------------------------------------------
-
-TEST_F(VerifyTest, NullAuditCatchesPlainEqOnNullableColumns) {
-  // An INTERSECT lowered to EXISTS must compare tuples null-safely;
-  // plain `=` over nullable SNAME silently drops NULL rows.
-  PlanPtr supplier = GetNode::Make(Def("SUPPLIER"), "S");
-  PlanPtr agents = GetNode::Make(Def("AGENTS"), "A");
-  PlanPtr outer = ProjectNode::Make(supplier, DuplicateMode::kAll, {1});
-  PlanPtr sub = ProjectNode::Make(agents, DuplicateMode::kAll, {2});
-  ASSERT_TRUE(outer->schema().column(0).nullable);
-  ExprPtr plain_eq = Expr::Compare(
-      CompareOp::kEq,
-      Expr::ColumnRef(0, "S.SNAME", TypeId::kString),
-      Expr::ColumnRef(1, "A.ANAME", TypeId::kString));
-  PlanPtr exists = ExistsNode::Make(outer, sub, plain_eq, false);
-
-  VerifyReport direct;
-  verify::AuditCorrelation(*As<ExistsNode>(exists), "test", &direct);
-  EXPECT_EQ(CountCode(direct, "plain-eq-on-nullable"), 1u)
-      << direct.ToString();
-
-  // And through the full pipeline, gated on the rewrite evidence.
-  AppliedRewrite r;
-  r.rule = RewriteRuleId::kIntersectToExists;
-  r.description = "forged lowering with a 3VL correlation";
-  r.evidence.before = exists;
-  r.evidence.after = exists;
-  r.evidence.condition_proven = true;
-  r.evidence.facts = {"fabricated"};
-  std::vector<AppliedRewrite> rewrites{r};
-  VerifyInput input;
-  input.optimized = exists;
-  input.rewrites = &rewrites;
-  VerifyReport report = verify::VerifyPlan(input);
-  EXPECT_GE(CountCode(report, "plain-eq-on-nullable"), 1u)
-      << report.ToString();
-}
-
-TEST_F(VerifyTest, NullAuditCatchesIncompleteTupleEquality) {
-  // A TRUE correlation covers no column: the tuple equality the set
-  // operation requires is simply missing.
-  PlanPtr supplier = GetNode::Make(Def("SUPPLIER"), "S");
-  PlanPtr agents = GetNode::Make(Def("AGENTS"), "A");
-  PlanPtr outer = ProjectNode::Make(supplier, DuplicateMode::kAll, {0});
-  PlanPtr sub = ProjectNode::Make(agents, DuplicateMode::kAll, {0});
-  PlanPtr exists = ExistsNode::Make(outer, sub, TrueLiteral(), false);
-  VerifyReport report;
-  verify::AuditCorrelation(*As<ExistsNode>(exists), "test", &report);
-  EXPECT_EQ(CountCode(report, "missing-correlation-column"), 1u)
-      << report.ToString();
-}
-
-TEST_F(VerifyTest, NullAuditAcceptsNullSafeShape) {
-  // The shape the rewriter actually emits:
-  //   (L IS NULL AND R IS NULL) OR L = R
-  PlanPtr supplier = GetNode::Make(Def("SUPPLIER"), "S");
-  PlanPtr agents = GetNode::Make(Def("AGENTS"), "A");
-  PlanPtr outer = ProjectNode::Make(supplier, DuplicateMode::kAll, {1});
-  PlanPtr sub = ProjectNode::Make(agents, DuplicateMode::kAll, {2});
-  ExprPtr l = Expr::ColumnRef(0, "S.SNAME", TypeId::kString);
-  ExprPtr r = Expr::ColumnRef(1, "A.ANAME", TypeId::kString);
-  ExprPtr null_safe = Expr::MakeOr(
-      {Expr::MakeAnd({Expr::IsNull(l), Expr::IsNull(r)}),
-       Expr::Compare(CompareOp::kEq, l, r)});
-  PlanPtr exists = ExistsNode::Make(outer, sub, null_safe, false);
-  VerifyReport report;
-  verify::AuditCorrelation(*As<ExistsNode>(exists), "test", &report);
-  EXPECT_TRUE(report.Clean()) << report.ToString();
-  EXPECT_EQ(report.correlations_audited, 1u);
+  std::vector<char> closure = equiv::CloseOverEqualities(spec, {});
+  ASSERT_EQ(closure.size(), 3u);
+  EXPECT_TRUE(closure[0]);
+  EXPECT_TRUE(closure[1]);
+  EXPECT_FALSE(closure[2]);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,8 +231,8 @@ TEST_F(VerifyTest, RegressionDistinctRemovalBeyondAlgorithm1VerifiesClean) {
   //  - over a GROUP BY output (Algorithm 1 cannot decompose the shape;
   //    the group columns key the output structurally);
   //  - proven by the FD detector where the key of AGENTS functionally
-  //    determines the join column (beyond the naive closure's reach).
-  // Both are sound; the proof checker must accept them.
+  //    determines the join column (beyond the prover's closure).
+  // Both are sound; the verifier must accept them.
   Optimizer optimizer(&db_);
   optimizer.set_verify_plans(true);
   for (const char* sql : {
@@ -407,10 +298,11 @@ TEST_P(VerifySweepTest, RandomWorkloadVerifiesClean) {
 }
 
 TEST_P(VerifySweepTest, ReferenceNeverOutProvesProductionAlgorithm1) {
-  // The reference closure skips CNF normalization, so its deductive
-  // power is a strict subset of production Algorithm 1: any query the
-  // reference proves duplicate-free that production answers NO on is a
-  // lost derivation in algorithm1.cc.
+  // The equivalence prover's duplicate-freeness judgment shares no code
+  // with src/analysis/ and skips CNF normalization, so its deductive
+  // power is a subset of production Algorithm 1's: any query the prover
+  // shows duplicate-free that production answers NO on is a lost
+  // derivation in algorithm1.cc.
   Binder binder(&db_.catalog());
   RandomQueryOptions qopts;
   qopts.seed = GetParam() + 1000;
@@ -426,12 +318,10 @@ TEST_P(VerifySweepTest, ReferenceNeverOutProvesProductionAlgorithm1) {
     const ProjectNode* proj = As<ProjectNode>(bound->plan);
     if (proj == nullptr || proj->mode() != DuplicateMode::kDist) continue;
     ++compared;
-    if (verify::ReferenceDuplicateFree(
-            ProjectNode::Make(proj->input(), DuplicateMode::kAll,
-                              proj->columns()),
-            options)) {
+    if (equiv::SymbolicallyDuplicateFree(ProjectNode::Make(
+            proj->input(), DuplicateMode::kAll, proj->columns()))) {
       EXPECT_TRUE(production->distinct_unnecessary)
-          << "reference proves but production misses:\n"
+          << "the prover proves but production misses:\n"
           << bound->plan->ToString();
     }
   }
