@@ -8,7 +8,10 @@
 # before/after subtrees every rewrite shares with the plan it keeps), of
 # the executor tests (operators_test builds the join operators by hand
 # over every kind of build input, including borrowed rows that their
-# producer frees at Close) and of the plan-cache tests (cache_test and
+# producer frees at Close; operators_test and exec_test also run the
+# sorts, whose keys point into row storage and whose string keys pack
+# bytes by shifting them, and types_test the integer/double conversions
+# of Value::Hash) and of the plan-cache tests (cache_test and
 # concurrent_prepare_test: the cache splices recency-list nodes under
 # its lock and destroys the entries it drops after the unlock). It also
 # builds the request benchmark (reqbench/, into build/reqbench-smoke) and
@@ -199,7 +202,7 @@ cmake --build build-asan -j --target obs_test analysis_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
   batch_exec_test dml_test index_exec_test dml_oracle_test \
-  operators_test cache_test concurrent_prepare_test
+  operators_test exec_test types_test cache_test concurrent_prepare_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
 ./build-asan/tests/rewrite_test
@@ -217,6 +220,8 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/index_exec_test
 ./build-asan/tests/dml_oracle_test
 ./build-asan/tests/operators_test
+./build-asan/tests/exec_test
+./build-asan/tests/types_test
 ./build-asan/tests/cache_test
 ./build-asan/tests/concurrent_prepare_test
 

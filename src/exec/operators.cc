@@ -4,6 +4,8 @@
 #include <span>
 #include <utility>
 
+#include "exec/row_sort.h"
+
 namespace uniqopt {
 
 std::string ExecStats::ToString() const {
@@ -158,20 +160,10 @@ void ProjectOp::Close() { child_->Close(); }
 Status SortDistinctOp::Open(ExecContext* ctx) {
   UNIQOPT_ASSIGN_OR_RETURN(rows_, Drain(child_.get(), ctx));
   ctx->stats.rows_sorted += rows_.size();
-  size_t* comparisons = &ctx->stats.sort_comparisons;
-  std::sort(rows_.begin(), rows_.end(), [comparisons](const Row& a,
-                                                      const Row& b) {
-    ++*comparisons;
-    return a.Compare(b) < 0;
-  });
   // Compact to one row per `=!`-equal group (Row::Compare treats NULLs
   // as equal, matching `=!`); emission is then a plain slice, shared by
   // the tuple and batch paths.
-  rows_.erase(std::unique(rows_.begin(), rows_.end(),
-                          [](const Row& a, const Row& b) {
-                            return a.Compare(b) == 0;
-                          }),
-              rows_.end());
+  SortRows(&rows_, /*distinct=*/true, &ctx->stats.sort_comparisons);
   pos_ = 0;
   return Status::OK();
 }
@@ -679,12 +671,8 @@ Status SortMergeIntersectOp::Open(ExecContext* ctx) {
   UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> right, Drain(right_.get(), ctx));
   ctx->stats.rows_sorted += left.size() + right.size();
   size_t* comparisons = &ctx->stats.sort_comparisons;
-  auto by_compare = [comparisons](const Row& a, const Row& b) {
-    ++*comparisons;
-    return a.Compare(b) < 0;
-  };
-  std::sort(left.begin(), left.end(), by_compare);
-  std::sort(right.begin(), right.end(), by_compare);
+  SortRows(&left, /*distinct=*/false, comparisons);
+  SortRows(&right, /*distinct=*/false, comparisons);
   out_.clear();
   size_t i = 0;
   size_t j = 0;

@@ -108,7 +108,7 @@ class ProjectOp final : public Operator {
 
 /// Duplicate elimination by sort: materializes, sorts (counting
 /// comparisons — this is the cost the paper's §5.1 optimization avoids),
-/// then emits one row per `=!`-equal group.
+/// then emits one row per `=!`-equal group. The sort is SortRows.
 class SortDistinctOp final : public Operator {
  public:
   explicit SortDistinctOp(OperatorPtr child)
@@ -334,7 +334,8 @@ class HashAggregateOp final : public Operator {
 
 /// Sort-merge INTERSECT (DISTINCT): the strategy the paper describes as
 /// the typical Intersect implementation ("evaluate, sort, merge"),
-/// provided as the baseline for experiment X6.
+/// provided as the baseline for experiment X6. Each input is sorted by
+/// SortRows; the merge counts one comparison per step.
 class SortMergeIntersectOp final : public Operator {
  public:
   SortMergeIntersectOp(OperatorPtr left, OperatorPtr right)

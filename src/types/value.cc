@@ -36,6 +36,9 @@ bool IsNumeric(TypeId t) {
   return t == TypeId::kInteger || t == TypeId::kDouble;
 }
 
+/// 2^53: integers of smaller magnitude convert to double exactly.
+constexpr int64_t kExactIntegerLimit = int64_t{1} << 53;
+
 }  // namespace
 
 bool Value::Comparable(TypeId a, TypeId b) {
@@ -101,13 +104,24 @@ size_t Value::Hash() const {
   switch (type_) {
     case TypeId::kBoolean:
       return AsBoolean() ? 0x517cc1b7 : 0x27220a95;
-    case TypeId::kInteger:
-      return std::hash<int64_t>{}(AsInteger());
+    // `Compare` equates an integer with a double by converting it to
+    // double, which is exact below 2^53 in magnitude: there an integral
+    // double hashes like the equal integer. From 2^53 on the conversion
+    // rounds (2^53 + 1 becomes 2^53.0, so it equals 2^53.0 but not the
+    // integer 2^53), and both types hash the double the integer rounds
+    // to: equal values still hash alike, and integers that round alike
+    // collide.
+    case TypeId::kInteger: {
+      int64_t i = AsInteger();
+      if (i > -kExactIntegerLimit && i < kExactIntegerLimit) {
+        return std::hash<int64_t>{}(i);
+      }
+      return std::hash<double>{}(static_cast<double>(i));
+    }
     case TypeId::kDouble: {
       double d = AsDouble();
-      // Hash integral doubles like the equal integer, so mixed-type equal
-      // values collide as `Compare` demands.
-      if (d == std::floor(d) && std::abs(d) < 1e15) {
+      if (std::abs(d) < static_cast<double>(kExactIntegerLimit) &&
+          d == std::floor(d)) {
         return std::hash<int64_t>{}(static_cast<int64_t>(d));
       }
       return std::hash<double>{}(d);

@@ -251,6 +251,46 @@ TEST_F(ExecTest, DistinctTreatsNullsEqual) {
   }
 }
 
+TEST_F(ExecTest, LargeIntegersMatchEqualDoublesUnderEveryStrategy) {
+  // INTEGER 10^15 equals DOUBLE 1e15 under SQL `=` and `=!`, so hashing
+  // operators must file both in one bucket, like 3 and 3.0.
+  Database db;
+  ASSERT_OK(db.ExecuteDdl("CREATE TABLE A (X INTEGER)"));
+  ASSERT_OK(db.ExecuteDdl("CREATE TABLE B (Y DOUBLE)"));
+  ASSERT_OK_AND_ASSIGN(Table * a, db.GetTable("A"));
+  ASSERT_OK_AND_ASSIGN(Table * b, db.GetTable("B"));
+  for (int64_t x : {int64_t{3}, int64_t{1000000000000000},
+                    int64_t{4000000000000000}}) {
+    ASSERT_OK(a->InsertValues({Value::Integer(x)}));
+    ASSERT_OK(b->InsertValues({Value::Double(static_cast<double>(x))}));
+  }
+  const std::vector<std::pair<const char*, size_t>> queries = {
+      {"SELECT A.X, B.Y FROM A, B WHERE A.X = B.Y", 3},
+      {"SELECT X FROM A WHERE EXISTS (SELECT * FROM B WHERE A.X = B.Y)", 3},
+      {"SELECT X FROM A WHERE NOT EXISTS "
+       "(SELECT * FROM B WHERE A.X = B.Y)",
+       0},
+      {"SELECT X FROM A INTERSECT SELECT Y FROM B", 3},
+      {"SELECT X FROM A INTERSECT ALL SELECT Y FROM B", 3},
+      {"SELECT X FROM A EXCEPT SELECT Y FROM B", 0},
+  };
+  for (auto join : {PhysicalOptions::JoinStrategy::kHash,
+                    PhysicalOptions::JoinStrategy::kNestedLoop}) {
+    for (bool sort_merge : {false, true}) {
+      PhysicalOptions opts;
+      opts.join = join;
+      opts.sort_merge_intersect = sort_merge;
+      for (const auto& [sql, expected] : queries) {
+        ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, RunSql(db, sql, {}, opts));
+        EXPECT_EQ(rows.size(), expected)
+            << sql << " nested_loop="
+            << (join == PhysicalOptions::JoinStrategy::kNestedLoop)
+            << " sort_merge=" << sort_merge;
+      }
+    }
+  }
+}
+
 TEST_F(ExecTest, StatsAccounting) {
   ExecStats stats;
   ASSERT_OK_AND_ASSIGN(

@@ -5,8 +5,13 @@
 // input: owned batches, pinned table-scan slices, and unpinned slices
 // that their producer frees at Close.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -342,25 +347,45 @@ TEST(JoinCoreTest, CompositeKeysMatchOnEveryColumn) {
 }
 
 TEST(JoinCoreTest, IntegerKeysJoinEqualDoubles) {
-  // 1 = 1.0 under SQL `=`; 1.5 equals no integer. Either side may build.
+  // 1 = 1.0 and 10^15 = 1e15 under SQL `=`; 1.5 equals no integer.
+  // Either side may build.
+  constexpr int64_t kBig = 1000000000000000;
   auto ints = [] {
-    return Source({TypeId::kInteger}, {MakeRow({Int(1)}), MakeRow({Int(2)})});
+    return Source({TypeId::kInteger},
+                  {MakeRow({Int(1)}), MakeRow({Int(2)}), MakeRow({Int(kBig)})});
   };
   auto doubles = [] {
-    return Source({TypeId::kDouble}, {MakeRow({Dbl(1.0)}), MakeRow({Dbl(1.5)})});
+    return Source({TypeId::kDouble},
+                  {MakeRow({Dbl(1.0)}), MakeRow({Dbl(1.5)}),
+                   MakeRow({Dbl(static_cast<double>(kBig))})});
   };
+  const Value big_dbl = Dbl(static_cast<double>(kBig));
   EXPECT_TRUE(MultisetEquals(
       RunBothModes([&] { return Join(ints(), doubles(), {0}, {0}); }),
-      {MakeRow({Int(1), Dbl(1.0)})}));
+      {MakeRow({Int(1), Dbl(1.0)}), MakeRow({Int(kBig), big_dbl})}));
   EXPECT_TRUE(MultisetEquals(
       RunBothModes([&] { return Join(doubles(), ints(), {0}, {0}); }),
-      {MakeRow({Dbl(1.0), Int(1)})}));
+      {MakeRow({Dbl(1.0), Int(1)}), MakeRow({big_dbl, Int(kBig)})}));
   EXPECT_TRUE(MultisetEquals(
       RunBothModes([&] { return SemiJoin(ints(), doubles(), {0}, {0}, false); }),
-      {MakeRow({Int(1)})}));
+      {MakeRow({Int(1)}), MakeRow({Int(kBig)})}));
   EXPECT_TRUE(MultisetEquals(
       RunBothModes([&] { return SemiJoin(doubles(), ints(), {0}, {0}, true); }),
       {MakeRow({Dbl(1.5)})}));
+  // INTERSECT, hashed and sort-merged, keeps the left input's 1 and 10^15.
+  const std::vector<Row> intersection = {MakeRow({Int(1)}),
+                                         MakeRow({Int(kBig)})};
+  EXPECT_TRUE(MultisetEquals(RunBothModes([&] {
+                               return OperatorPtr(new SetOpOp(
+                                   SetOpAlgebra::kIntersect,
+                                   DuplicateMode::kDist, ints(), doubles()));
+                             }),
+                             intersection));
+  EXPECT_TRUE(MultisetEquals(RunBothModes([&] {
+                               return OperatorPtr(
+                                   new SortMergeIntersectOp(ints(), doubles()));
+                             }),
+                             intersection));
 }
 
 TEST(JoinCoreTest, DuplicateBuildKeysEachMatch) {
@@ -516,6 +541,201 @@ TEST(JoinCoreTest, PinnedScanRowsAreBorrowedThroughFilters) {
   std::vector<Row> anti = RunBothModes(
       [&] { return SemiJoin(probe(), filtered_scan(), {0}, {0}, true); });
   EXPECT_EQ(anti.size(), 10u);  // keys 10..19
+}
+
+// ------------------------------------------------------------- sorting
+
+/// The same value: NULL-ness, type and bits (1 is not 1.0, -0.0 is not
+/// 0.0, a NULL INTEGER is not a NULL DOUBLE).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type() || a.is_null() != b.is_null()) return false;
+  if (a.is_null()) return true;
+  if (a.type() == TypeId::kDouble) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
+  return a.Compare(b) == 0;
+}
+
+/// The same rows in the same order, compared with SameValue.
+::testing::AssertionResult SameRows(const std::vector<Row>& actual,
+                                    const std::vector<Row>& expected) {
+  bool same = actual.size() == expected.size();
+  for (size_t i = 0; same && i < actual.size(); ++i) {
+    same = actual[i].size() == expected[i].size();
+    for (size_t c = 0; same && c < actual[i].size(); ++c) {
+      same = SameValue(actual[i][c], expected[i][c]);
+    }
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "actual:\n" << RowsToString(actual) << "expected:\n"
+         << RowsToString(expected);
+}
+
+/// Sorts `rows` as SortDistinctOp and SortMergeIntersectOp did before
+/// they extracted keys: std::sort over a counting Row::Compare.
+void ReferenceSort(std::vector<Row>* rows, size_t* comparisons) {
+  std::sort(rows->begin(), rows->end(),
+            [comparisons](const Row& a, const Row& b) {
+              ++*comparisons;
+              return a.Compare(b) < 0;
+            });
+}
+
+Value Str(std::string s) { return Value::String(std::move(s)); }
+
+/// One value pool per kind of column the sort extracts keys for; rows
+/// draw each column from its pool.
+std::vector<std::vector<Value>> SortPools() {
+  const std::string shared = "shared-prefix-";  // 14 bytes
+  const std::string eight = shared + "ABCDEFGH";
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  return {
+      // INTEGER mixed with DOUBLE and NULLs of three types: ordered by
+      // Value::Compare alone.
+      {NullInt(), Value::Null(TypeId::kDouble), Value::Null(TypeId::kString),
+       Int(1), Dbl(1.0), Dbl(1.5), Int(0), Dbl(-0.0), Int(-2)},
+      {Dbl(-0.0), Dbl(0.0), Dbl(1.5), Dbl(-1.5), Dbl(inf), Dbl(-inf),
+       Dbl(tiny), Dbl(-tiny), Value::Null(TypeId::kDouble)},
+      {Int(std::numeric_limits<int64_t>::min()),
+       Int(std::numeric_limits<int64_t>::max()), Int(-1), Int(0), Int(1),
+       NullInt()},
+      {Value::Boolean(false), Value::Boolean(true),
+       Value::Null(TypeId::kBoolean)},
+      // Past the 14-byte shared prefix the next 8 bytes tie; the strings
+      // then differ, or differ only in length.
+      {Str(eight + "x"), Str(eight + "y"), Str(eight), Str(eight + "xx"),
+       Str(eight + std::string(1, '\0')), Str(shared + "Z"),
+       Value::Null(TypeId::kString)},
+      // Empty strings, embedded '\0' and bytes above 0x7f.
+      {Str(""), Str(std::string(1, '\0')), Str(std::string("a\0", 2)),
+       Str("a"), Str(std::string("a\0b", 3)), Str("ab"), Str("\x7f"),
+       Str("\xff"), Value::Null(TypeId::kString)},
+      // Strings of up to 8 bytes: too long for a length byte beside them.
+      {Str(""), Str(std::string("abcdefg\0", 8)), Str("abcdefg\x08"),
+       Str("abcdefg"), Str("abcdefgh"), Value::Null(TypeId::kString)},
+  };
+}
+
+/// `n` seeded rows whose columns draw from `pools`.
+std::vector<Row> PoolRows(const std::vector<std::vector<Value>>& pools,
+                          size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Value> cells;
+    for (const std::vector<Value>& pool : pools) {
+      cells.push_back(pool[rng() % pool.size()]);
+    }
+    rows.push_back(Row(std::move(cells)));
+  }
+  return rows;
+}
+
+/// Each pool alone, two short-string and integer columns, and all pools
+/// side by side.
+std::vector<std::vector<std::vector<Value>>> SortShapes() {
+  const std::vector<std::vector<Value>> pools = SortPools();
+  std::vector<std::vector<std::vector<Value>>> shapes;
+  for (const std::vector<Value>& pool : pools) shapes.push_back({pool});
+  shapes.push_back({pools[5], pools[2]});
+  shapes.push_back(pools);
+  return shapes;
+}
+
+/// A source of `rows`, `width` columns wide; the sorts read no column
+/// types.
+OperatorPtr RowSource(size_t width, std::vector<Row> rows) {
+  return Source(std::vector<TypeId>(width, TypeId::kInteger),
+                std::move(rows));
+}
+
+TEST(OperatorsTest, SortDistinctMatchesRowCompareReference) {
+  for (const auto& shape : SortShapes()) {
+    for (size_t n : {0, 1, 2, 3, 40, 400}) {
+      std::vector<Row> input = PoolRows(shape, n, 17 + n);
+      std::vector<Row> expected = input;
+      size_t expected_comparisons = 0;
+      ReferenceSort(&expected, &expected_comparisons);
+      expected.erase(std::unique(expected.begin(), expected.end(),
+                                 [](const Row& a, const Row& b) {
+                                   return a.Compare(b) == 0;
+                                 }),
+                     expected.end());
+      for (size_t batch_size : {0, 1024, 7}) {
+        SCOPED_TRACE("columns=" + std::to_string(shape.size()) +
+                     " rows=" + std::to_string(n) +
+                     " batch=" + std::to_string(batch_size));
+        SortDistinctOp distinct(RowSource(shape.size(), input));
+        ExecContext ctx;
+        ctx.batch_size = batch_size;
+        ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                             ExecuteToVector(&distinct, &ctx));
+        EXPECT_TRUE(SameRows(rows, expected));
+        EXPECT_EQ(ctx.stats.rows_sorted, n);
+        EXPECT_EQ(ctx.stats.sort_comparisons, expected_comparisons);
+      }
+    }
+  }
+}
+
+TEST(OperatorsTest, SortMergeIntersectMatchesRowCompareReference) {
+  // Seeded inputs of every shape, and an INTEGER input intersected with
+  // a DOUBLE one.
+  std::vector<std::pair<std::vector<Row>, std::vector<Row>>> cases;
+  for (const auto& shape : SortShapes()) {
+    for (size_t n : {0, 1, 2, 40, 400}) {
+      cases.push_back({PoolRows(shape, n, 5 + n), PoolRows(shape, n, 9 + n)});
+    }
+  }
+  const std::vector<Value> ints = SortPools()[2];
+  const std::vector<Value> doubles = {
+      Dbl(1.0), Dbl(-0.0), Dbl(1.5), Dbl(-1.0), Dbl(9223372036854775808.0),
+      Value::Null(TypeId::kDouble)};
+  cases.push_back({PoolRows({ints}, 60, 3), PoolRows({doubles}, 50, 4)});
+  for (const auto& [left, right] : cases) {
+    // The merge as the operator runs it, counting one comparison per
+    // step and keeping the left row of each match.
+    std::vector<Row> l = left;
+    std::vector<Row> r = right;
+    size_t expected_comparisons = 0;
+    ReferenceSort(&l, &expected_comparisons);
+    ReferenceSort(&r, &expected_comparisons);
+    std::vector<Row> expected;
+    size_t i = 0;
+    size_t j = 0;
+    while (i < l.size() && j < r.size()) {
+      ++expected_comparisons;
+      int c = l[i].Compare(r[j]);
+      if (c < 0) {
+        ++i;
+      } else if (c > 0) {
+        ++j;
+      } else {
+        expected.push_back(l[i]);
+        while (i < l.size() && l[i].Compare(expected.back()) == 0) ++i;
+        while (j < r.size() && r[j].Compare(expected.back()) == 0) ++j;
+      }
+    }
+    const size_t width = left.empty() ? 1 : left[0].size();
+    for (size_t batch_size : {0, 1024, 7}) {
+      SCOPED_TRACE("columns=" + std::to_string(width) +
+                   " rows=" + std::to_string(left.size()) + "/" +
+                   std::to_string(right.size()) +
+                   " batch=" + std::to_string(batch_size));
+      SortMergeIntersectOp intersect(RowSource(width, left),
+                                     RowSource(width, right));
+      ExecContext ctx;
+      ctx.batch_size = batch_size;
+      ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                           ExecuteToVector(&intersect, &ctx));
+      EXPECT_TRUE(SameRows(rows, expected));
+      EXPECT_EQ(ctx.stats.rows_sorted, left.size() + right.size());
+      EXPECT_EQ(ctx.stats.sort_comparisons, expected_comparisons);
+    }
+  }
 }
 
 }  // namespace

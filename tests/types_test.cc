@@ -61,6 +61,23 @@ TEST(ValueTest, MixedNumericComparison) {
   EXPECT_EQ(Value::Integer(2).Hash(), Value::Double(2.0).Hash());
 }
 
+TEST(ValueTest, EqualNumbersHashAlikeAtEveryMagnitude) {
+  const int64_t two_53 = int64_t{1} << 53;
+  for (int64_t i : {int64_t{1000000000000000}, int64_t{4000000000000000},
+                    two_53 - 1, two_53, -two_53, two_53 + 1}) {
+    Value integer = Value::Integer(i);
+    Value dbl = Value::Double(static_cast<double>(i));
+    ASSERT_EQ(integer.Compare(dbl), 0) << i;
+    EXPECT_EQ(integer.Hash(), dbl.Hash()) << i;
+  }
+  // Past 2^53 the conversion rounds: 2^53 + 1 equals 2^53.0 but not the
+  // integer 2^53. Both integers must hash like the double they equal.
+  EXPECT_NE(Value::Integer(two_53 + 1).Compare(Value::Integer(two_53)), 0);
+  EXPECT_EQ(Value::Integer(two_53 + 1).Hash(),
+            Value::Double(static_cast<double>(two_53)).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Integer(0).Hash());
+}
+
 TEST(ValueTest, NullSortsFirst) {
   EXPECT_LT(Value::Null(TypeId::kInteger).Compare(Value::Integer(-100)), 0);
   EXPECT_EQ(Value::Null(TypeId::kInteger)
