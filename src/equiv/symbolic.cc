@@ -1,8 +1,11 @@
 #include "equiv/symbolic.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -135,17 +138,24 @@ std::vector<Value> Candidates(TypeId t, const std::vector<SinglePred>& a,
       break;
     case TypeId::kInteger: {
       std::set<int64_t> points = {0, 1, (int64_t{1} << 40)};
+      // `c` and its neighbours, saturated at int64's limits.
+      auto around = [&points](int64_t c) {
+        points.insert(c == INT64_MIN ? c : c - 1);
+        points.insert(c);
+        points.insert(c == INT64_MAX ? c : c + 1);
+      };
       for (const Value& v : consts) {
         if (v.type() == TypeId::kInteger) {
-          int64_t c = v.AsInteger();
-          points.insert(c - 1);
-          points.insert(c);
-          points.insert(c + 1);
+          around(v.AsInteger());
         } else if (v.type() == TypeId::kDouble) {
-          auto c = static_cast<int64_t>(v.AsDouble());
-          points.insert(c - 1);
-          points.insert(c);
-          points.insert(c + 1);
+          // A double bounds the integers at its truncation; one beyond
+          // int64's range bounds them at the nearer limit.
+          double d = v.AsDouble();
+          if (std::optional<int64_t> c = ExactInteger(std::trunc(d))) {
+            around(*c);
+          } else if (!std::isnan(d)) {
+            around(d > 0 ? INT64_MAX : INT64_MIN);
+          }
         }
       }
       for (int64_t p : points) out.push_back(Value::Integer(p));
@@ -169,7 +179,9 @@ std::vector<Value> Candidates(TypeId t, const std::vector<SinglePred>& a,
       for (const Value& v : consts) {
         if (v.type() != TypeId::kString) continue;
         out.push_back(v);
-        if (v.AsString().size() >= fresh.size()) fresh = v.AsString() + "~";
+        if (v.AsString().size() >= fresh.size()) {
+          fresh = std::string(v.AsString()) + "~";
+        }
       }
       out.push_back(Value::String(fresh));
       out.push_back(Value::String(fresh + "~"));

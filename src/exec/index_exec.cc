@@ -13,19 +13,22 @@ namespace {
 
 /// Coerces a probe value to the indexed column's type. The index stores
 /// column-typed values, so an INTEGER literal probing a DOUBLE key (or
-/// vice versa) must be widened/narrowed before hashing. Returns nullopt
-/// when no value of the column type can equal the probe (e.g. 1.5
-/// against an INTEGER column) — the lookup then matches nothing, which
-/// is exactly what the equivalent filter would produce.
+/// vice versa) must be converted before hashing. Returns nullopt when no
+/// value of the column type can equal the probe (1.5 against an INTEGER
+/// column, or 2^53 + 1, which no double holds, against a DOUBLE one) —
+/// the lookup then matches nothing, which is exactly what the equivalent
+/// filter would produce.
 std::optional<Value> CoerceProbe(const Value& v, TypeId want) {
   if (v.is_null() || v.type() == want) return v;
   if (v.type() == TypeId::kInteger && want == TypeId::kDouble) {
-    return Value::Double(static_cast<double>(v.AsInteger()));
+    auto d = static_cast<double>(v.AsInteger());
+    if (ExactInteger(d) == v.AsInteger()) return Value::Double(d);
+    return std::nullopt;
   }
   if (v.type() == TypeId::kDouble && want == TypeId::kInteger) {
-    double d = v.AsDouble();
-    int64_t i = static_cast<int64_t>(d);
-    if (static_cast<double>(i) == d) return Value::Integer(i);
+    if (std::optional<int64_t> i = ExactInteger(v.AsDouble())) {
+      return Value::Integer(*i);
+    }
     return std::nullopt;
   }
   return std::nullopt;

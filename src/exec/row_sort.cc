@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -46,7 +46,7 @@ uint64_t KeyWord(const Value& v, size_t common, bool short_strings) {
       // it is a prefix of, so equal words may still hide a difference.
       // Short strings keep their length in the low byte instead of an
       // eighth byte, which makes equal words equal strings.
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       uint64_t word = short_strings ? s.size() - common : 0;
       size_t end = std::min(s.size(), common + 8);
       for (size_t i = common; i < end; ++i) {
@@ -81,8 +81,8 @@ struct ColumnInfo {
     if (v.type() == TypeId::kDouble && std::isnan(v.AsDouble())) {
       uniform = false;
     } else if (v.type() == TypeId::kString) {
-      const std::string& a = first->AsString();
-      const std::string& b = v.AsString();
+      std::string_view a = first->AsString();
+      std::string_view b = v.AsString();
       longest = std::max(longest, b.size());
       common = std::min(common, b.size());
       common = static_cast<size_t>(

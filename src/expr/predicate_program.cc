@@ -22,7 +22,7 @@ inline bool CompareKeeps(int c, CompareOp op) {
 }
 
 // Hot inner loop for `col <op> const`. When both sides are integers the
-// comparison inlines to a branch on the variant payload; any other type
+// comparison inlines to a branch on the value's word; any other type
 // pairing goes through Value::Compare, which is never wrong, just an
 // out-of-line call.
 inline size_t RefineCmp(const Row* data, std::vector<uint32_t>& s, size_t col,
@@ -41,7 +41,7 @@ inline size_t RefineCmp(const Row* data, std::vector<uint32_t>& s, size_t col,
     return kept;
   }
   if (constant.type() == TypeId::kString) {
-    const std::string& ks = constant.AsString();
+    const std::string_view ks = constant.AsString();
     for (uint32_t idx : s) {
       const Value& v = data[idx][col];
       if (v.is_null()) continue;

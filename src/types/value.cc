@@ -1,6 +1,7 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <ostream>
 
@@ -23,10 +24,36 @@ const char* TypeIdToString(TypeId t) {
   return "?";
 }
 
+std::optional<int64_t> ExactInteger(double d) {
+  // int64 holds [-2^63, 2^63); both bounds are exact doubles. NaN fails
+  // both comparisons.
+  if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d)) return std::nullopt;
+  return static_cast<int64_t>(d);
+}
+
+char* Value::NewHeap(std::string_view s) {
+  size_t size = s.size();
+  char* heap = new char[sizeof(size) + size];
+  std::memcpy(heap, &size, sizeof(size));
+  std::memcpy(heap + sizeof(size), s.data(), size);
+  return heap;
+}
+
+char* Value::CopyHeap(const char* heap) {
+  size_t size;
+  std::memcpy(&size, heap, sizeof(size));
+  return NewHeap({heap + sizeof(size), size});
+}
+
+void Value::WrongAccessor() {
+  UNIQOPT_DCHECK_MSG(false, "Value accessor of the wrong type, or of NULL");
+  std::abort();
+}
+
 double Value::AsNumeric() const {
   UNIQOPT_DCHECK(!is_null());
-  if (type_ == TypeId::kInteger) return static_cast<double>(AsInteger());
-  UNIQOPT_DCHECK(type_ == TypeId::kDouble);
+  if (type() == TypeId::kInteger) return static_cast<double>(AsInteger());
+  UNIQOPT_DCHECK(type() == TypeId::kDouble);
   return AsDouble();
 }
 
@@ -36,8 +63,21 @@ bool IsNumeric(TypeId t) {
   return t == TypeId::kInteger || t == TypeId::kDouble;
 }
 
-/// 2^53: integers of smaller magnitude convert to double exactly.
-constexpr int64_t kExactIntegerLimit = int64_t{1} << 53;
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// The exact order of an integer and a double. A NaN is neither below
+/// nor above any number, so it ties with every integer.
+int CompareIntegerDouble(int64_t i, double d) {
+  if (std::optional<int64_t> j = ExactInteger(d)) return ThreeWay(i, *j);
+  if (std::isnan(d)) return 0;
+  if (std::abs(d) >= 0x1p63) return d > 0 ? -1 : 1;
+  // `d` has a fraction, so |d| < 2^52: converting `i` may round it, but
+  // never to the other side of `d`.
+  return ThreeWay(static_cast<double>(i), d);
+}
 
 }  // namespace
 
@@ -72,28 +112,23 @@ int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;
   if (other.is_null()) return 1;
-  UNIQOPT_DCHECK_MSG(Comparable(type_, other.type_),
+  UNIQOPT_DCHECK_MSG(Comparable(type(), other.type()),
                      "comparing incomparable types");
-  if (IsNumeric(type_) && IsNumeric(other.type_)) {
-    if (type_ == TypeId::kInteger && other.type_ == TypeId::kInteger) {
-      int64_t a = AsInteger();
-      int64_t b = other.AsInteger();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    double a = AsNumeric();
-    double b = other.AsNumeric();
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
-  switch (type_) {
-    case TypeId::kBoolean: {
-      int a = AsBoolean() ? 1 : 0;
-      int b = other.AsBoolean() ? 1 : 0;
-      return a - b;
-    }
+  switch (type()) {
+    case TypeId::kBoolean:
+      return int{AsBoolean()} - int{other.AsBoolean()};
+    case TypeId::kInteger:
+      if (other.type() == TypeId::kDouble) {
+        return CompareIntegerDouble(AsInteger(), other.AsDouble());
+      }
+      return ThreeWay(AsInteger(), other.AsInteger());
+    case TypeId::kDouble:
+      if (other.type() == TypeId::kInteger) {
+        return -CompareIntegerDouble(other.AsInteger(), AsDouble());
+      }
+      return ThreeWay(AsDouble(), other.AsDouble());
     case TypeId::kString:
       return AsString().compare(other.AsString());
-    default:
-      break;
   }
   UNIQOPT_DCHECK_MSG(false, "unreachable type in Compare");
   return 0;
@@ -101,50 +136,44 @@ int Value::Compare(const Value& other) const {
 
 size_t Value::Hash() const {
   if (is_null()) return 0x9d2c5680;  // All NULLs hash alike (=! semantics).
-  switch (type_) {
+  switch (type()) {
     case TypeId::kBoolean:
       return AsBoolean() ? 0x517cc1b7 : 0x27220a95;
-    // `Compare` equates an integer with a double by converting it to
-    // double, which is exact below 2^53 in magnitude: there an integral
-    // double hashes like the equal integer. From 2^53 on the conversion
-    // rounds (2^53 + 1 becomes 2^53.0, so it equals 2^53.0 but not the
-    // integer 2^53), and both types hash the double the integer rounds
-    // to: equal values still hash alike, and integers that round alike
-    // collide.
-    case TypeId::kInteger: {
-      int64_t i = AsInteger();
-      if (i > -kExactIntegerLimit && i < kExactIntegerLimit) {
-        return std::hash<int64_t>{}(i);
-      }
-      return std::hash<double>{}(static_cast<double>(i));
-    }
+    // `Compare` equates a double with an integer only when the double is
+    // that integer's exact value, so such a double hashes as the integer.
+    case TypeId::kInteger:
+      return std::hash<int64_t>{}(AsInteger());
     case TypeId::kDouble: {
       double d = AsDouble();
-      if (std::abs(d) < static_cast<double>(kExactIntegerLimit) &&
-          d == std::floor(d)) {
-        return std::hash<int64_t>{}(static_cast<int64_t>(d));
+      if (std::optional<int64_t> i = ExactInteger(d)) {
+        return std::hash<int64_t>{}(*i);
       }
       return std::hash<double>{}(d);
     }
     case TypeId::kString:
-      return std::hash<std::string>{}(AsString());
+      return std::hash<std::string_view>{}(AsString());
   }
   return 0;
 }
 
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
-  switch (type_) {
+  switch (type()) {
     case TypeId::kBoolean:
       return AsBoolean() ? "TRUE" : "FALSE";
     case TypeId::kInteger:
       return std::to_string(AsInteger());
-    case TypeId::kDouble: {
-      std::string s = std::to_string(AsDouble());
-      return s;
+    case TypeId::kDouble:
+      return std::to_string(AsDouble());
+    case TypeId::kString: {
+      std::string_view s = AsString();
+      std::string out;
+      out.reserve(s.size() + 2);
+      out += '\'';
+      out += s;
+      out += '\'';
+      return out;
     }
-    case TypeId::kString:
-      return "'" + AsString() + "'";
   }
   return "?";
 }

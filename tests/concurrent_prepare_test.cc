@@ -195,7 +195,7 @@ TEST(ConcurrentPrepareTest, ConcurrentExecuteOfSharedEntries) {
   // The committed value's index: "v<k>" → k.
   auto version_of = [](const Result<std::vector<Row>>& rows) -> int {
     if (!rows.ok() || rows->size() != 1) return -1;
-    const std::string name = (*rows)[0][0].AsString();
+    const std::string name((*rows)[0][0].AsString());
     if (name.size() < 2 || name[0] != 'v') return -1;
     return std::stoi(name.substr(1));
   };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "uniqopt/uniqopt.h"
 #include "workload/supplier_schema.h"
 
 namespace uniqopt {
@@ -253,41 +254,93 @@ TEST_F(ExecTest, DistinctTreatsNullsEqual) {
 
 TEST_F(ExecTest, LargeIntegersMatchEqualDoublesUnderEveryStrategy) {
   // INTEGER 10^15 equals DOUBLE 1e15 under SQL `=` and `=!`, so hashing
-  // operators must file both in one bucket, like 3 and 3.0.
-  Database db;
-  ASSERT_OK(db.ExecuteDdl("CREATE TABLE A (X INTEGER)"));
-  ASSERT_OK(db.ExecuteDdl("CREATE TABLE B (Y DOUBLE)"));
-  ASSERT_OK_AND_ASSIGN(Table * a, db.GetTable("A"));
-  ASSERT_OK_AND_ASSIGN(Table * b, db.GetTable("B"));
-  for (int64_t x : {int64_t{3}, int64_t{1000000000000000},
-                    int64_t{4000000000000000}}) {
-    ASSERT_OK(a->InsertValues({Value::Integer(x)}));
-    ASSERT_OK(b->InsertValues({Value::Double(static_cast<double>(x))}));
-  }
-  const std::vector<std::pair<const char*, size_t>> queries = {
-      {"SELECT A.X, B.Y FROM A, B WHERE A.X = B.Y", 3},
-      {"SELECT X FROM A WHERE EXISTS (SELECT * FROM B WHERE A.X = B.Y)", 3},
-      {"SELECT X FROM A WHERE NOT EXISTS "
-       "(SELECT * FROM B WHERE A.X = B.Y)",
-       0},
-      {"SELECT X FROM A INTERSECT SELECT Y FROM B", 3},
-      {"SELECT X FROM A INTERSECT ALL SELECT Y FROM B", 3},
-      {"SELECT X FROM A EXCEPT SELECT Y FROM B", 0},
+  // operators must file both in one bucket, like 3 and 3.0. No double
+  // holds 2^53 + 1, so it equals nothing in B, although converting it to
+  // double gives 2^53.0: every strategy, and the probe of B's key index,
+  // must find the one match 2^53 = 2^53.0 and no other.
+  struct Fixture {
+    const char* b_ddl;
+    std::vector<int64_t> a;
+    std::vector<int64_t> b;  // stored as doubles
+    size_t matches;
   };
-  for (auto join : {PhysicalOptions::JoinStrategy::kHash,
-                    PhysicalOptions::JoinStrategy::kNestedLoop}) {
-    for (bool sort_merge : {false, true}) {
-      PhysicalOptions opts;
-      opts.join = join;
-      opts.sort_merge_intersect = sort_merge;
-      for (const auto& [sql, expected] : queries) {
-        ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, RunSql(db, sql, {}, opts));
-        EXPECT_EQ(rows.size(), expected)
-            << sql << " nested_loop="
-            << (join == PhysicalOptions::JoinStrategy::kNestedLoop)
-            << " sort_merge=" << sort_merge;
+  const int64_t two_53 = int64_t{1} << 53;
+  const std::vector<Fixture> fixtures = {
+      {"CREATE TABLE B (Y DOUBLE)",
+       {3, 1000000000000000, 4000000000000000},
+       {3, 1000000000000000, 4000000000000000},
+       3},
+      {"CREATE TABLE B (Y DOUBLE NOT NULL, PRIMARY KEY (Y))",
+       {two_53, two_53 + 1},
+       {two_53},
+       1},
+  };
+  for (const Fixture& f : fixtures) {
+    Database db;
+    ASSERT_OK(db.ExecuteDdl("CREATE TABLE A (X INTEGER)"));
+    ASSERT_OK(db.ExecuteDdl(f.b_ddl));
+    ASSERT_OK_AND_ASSIGN(Table * a, db.GetTable("A"));
+    ASSERT_OK_AND_ASSIGN(Table * b, db.GetTable("B"));
+    for (int64_t x : f.a) ASSERT_OK(a->InsertValues({Value::Integer(x)}));
+    for (int64_t y : f.b) {
+      ASSERT_OK(b->InsertValues({Value::Double(static_cast<double>(y))}));
+    }
+    const size_t m = f.matches;
+    const size_t rest = f.a.size() - m;
+    const std::vector<std::pair<const char*, size_t>> queries = {
+        {"SELECT A.X, B.Y FROM A, B WHERE A.X = B.Y", m},
+        {"SELECT X FROM A WHERE EXISTS (SELECT * FROM B WHERE A.X = B.Y)", m},
+        {"SELECT X FROM A WHERE NOT EXISTS "
+         "(SELECT * FROM B WHERE A.X = B.Y)",
+         rest},
+        {"SELECT X FROM A INTERSECT SELECT Y FROM B", m},
+        {"SELECT X FROM A INTERSECT ALL SELECT Y FROM B", m},
+        {"SELECT X FROM A EXCEPT SELECT Y FROM B", rest},
+    };
+    for (auto join : {PhysicalOptions::JoinStrategy::kHash,
+                      PhysicalOptions::JoinStrategy::kNestedLoop}) {
+      for (bool sort_merge : {false, true}) {
+        for (bool use_indexes : {false, true}) {
+          PhysicalOptions opts;
+          opts.join = join;
+          opts.sort_merge_intersect = sort_merge;
+          opts.use_indexes = use_indexes;
+          for (const auto& [sql, expected] : queries) {
+            ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                                 RunSql(db, sql, {}, opts));
+            EXPECT_EQ(rows.size(), expected)
+                << sql << " on " << f.b_ddl << " nested_loop="
+                << (join == PhysicalOptions::JoinStrategy::kNestedLoop)
+                << " sort_merge=" << sort_merge
+                << " use_indexes=" << use_indexes;
+          }
+        }
       }
     }
+  }
+}
+
+TEST_F(ExecTest, OutOfRangeNumbersMatchNoKey) {
+  // A literal at int64's limit, one beyond it, and host variables at and
+  // beyond the limits, compared with an INTEGER key: no row matches, and
+  // neither the prepare (the equivalence prover's test points) nor the
+  // index probe converts out of range.
+  Optimizer optimizer(&db_);
+  const std::vector<std::pair<std::string, ParamBindings>> cases = {
+      {"SELECT SNAME FROM SUPPLIER WHERE SNO = 9223372036854775807", {}},
+      {"SELECT SNAME FROM SUPPLIER WHERE SNO = 10000000000000000000.0", {}},
+      {"SELECT SNAME FROM SUPPLIER WHERE SNO = :S",
+       {{"S", Value::Double(1e19)}}},
+      {"SELECT SNAME FROM SUPPLIER WHERE SNO = :S",
+       {{"S", Value::Double(-1e19)}}},
+      {"SELECT SNAME FROM SUPPLIER WHERE SNO = :S",
+       {{"S", Value::Integer(INT64_MIN)}}},
+  };
+  for (const auto& [sql, params] : cases) {
+    ASSERT_OK_AND_ASSIGN(PreparedQuery prepared, optimizer.Prepare(sql));
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                         optimizer.Execute(prepared, params));
+    EXPECT_TRUE(rows.empty()) << sql;
   }
 }
 
