@@ -1,4 +1,4 @@
-// Experiments X12–X15: the §7 future-work extensions implemented on top
+// Experiments X12–X14: the §7 future-work extensions implemented on top
 // of the paper's machinery.
 //
 //  - X12 JoinElimination_*: inclusion-dependency join pruning (King) —
@@ -8,15 +8,14 @@
 //    empty plan without scanning.
 //  - X14 GroupByOnKey_*: single-row-group aggregation collapses into a
 //    projection.
-//  - X15 GatewayPolicy_*: the generic SQL→DL/I translator executing the
-//    same query under the relational ("always join") policy vs the
-//    uniqueness-gated join→subquery policy (§6.1 through the generic
-//    gateway rather than the hand-coded Example 10 programs).
+//
+// X15 (the SQL→DL/I translator under the always-join vs the
+// uniqueness-gated policy) is X8 itself: bench_ims_gateway runs only the
+// translator's programs.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "ims/translator.h"
 
 namespace uniqopt {
 namespace bench {
@@ -146,56 +145,6 @@ void BM_GroupByOnKey_Projection(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(rows);
 }
 BENCHMARK(BM_GroupByOnKey_Projection)->Arg(5000)->Arg(20000);
-
-// ------------------------------------------------- X15 gateway policies
-const ims::ImsDatabase& GetIms(size_t suppliers) {
-  static std::map<size_t, std::unique_ptr<ims::ImsDatabase>>* cache =
-      new std::map<size_t, std::unique_ptr<ims::ImsDatabase>>();
-  auto it = cache->find(suppliers);
-  if (it != cache->end()) return *it->second;
-  auto built = ims::BuildSupplierIms(GetSupplierDb(suppliers, 20));
-  UNIQOPT_DCHECK_MSG(built.ok(), built.status().ToString().c_str());
-  const ims::ImsDatabase& ref = **built;
-  cache->emplace(suppliers, std::move(*built));
-  return ref;
-}
-
-void RunGateway(benchmark::State& state, bool nested_policy) {
-  size_t suppliers = static_cast<size_t>(state.range(0));
-  const Database& db = GetSupplierDb(suppliers, 20);
-  const ims::ImsDatabase& ims_db = GetIms(suppliers);
-  PlanPtr plan = MustBind(
-      db, "SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S, PARTS P "
-          "WHERE S.SNO = P.SNO AND P.PNO = 7");
-  if (nested_policy) {
-    RewriteOptions opts;
-    opts.join_to_subquery = true;
-    opts.subquery_to_join = false;
-    opts.subquery_to_distinct_join = false;
-    opts.join_elimination = false;
-    plan = MustRewrite(plan, opts);
-  }
-  auto program = ims::TranslatePlan(ims_db, plan);
-  UNIQOPT_DCHECK_MSG(program.ok(), program.status().ToString().c_str());
-  ims::GatewayResult result;
-  for (auto _ : state) {
-    result = ims::RunProgram(ims_db, *program);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  state.counters["rows"] = static_cast<double>(result.rows.size());
-  state.counters["parts_calls"] =
-      static_cast<double>(result.stats.calls_by_segment.at("PARTS"));
-}
-
-void BM_GatewayPolicy_AlwaysJoin(benchmark::State& state) {
-  RunGateway(state, /*nested_policy=*/false);
-}
-BENCHMARK(BM_GatewayPolicy_AlwaysJoin)->Arg(1000)->Arg(5000);
-
-void BM_GatewayPolicy_UniquenessNested(benchmark::State& state) {
-  RunGateway(state, /*nested_policy=*/true);
-}
-BENCHMARK(BM_GatewayPolicy_UniquenessNested)->Arg(1000)->Arg(5000);
 
 }  // namespace
 }  // namespace bench

@@ -1,11 +1,19 @@
-// Experiment X8 (§6.1, Example 10): join vs nested DL/I strategies in
-// the IMS gateway.
+// Experiment X8 (§6.1, Example 10): join vs nested DL/I programs in the
+// IMS gateway, both compiled from SQL by the gateway's translator.
+//
+//   SELECT ALL S.* FROM SUPPLIER S, PARTS P
+//   WHERE S.SNO = P.SNO AND P.PNO = :PARTNO     (or P.OEM_PNO = :OEM)
+//
+// The Join_* series run the program translated from the bound plan (the
+// paper's lines 21–29); the Nested_* series run the program translated
+// after the navigational rewrite policy, whose join→subquery rewrite
+// turns the join into an EXISTS probe (lines 30–35).
 //
 // Series:
-//  - Join_KeyQualified / Nested_KeyQualified: the paper's lines 21–29 vs
-//    30–35; counters `parts_calls` reproduce the headline claim — the
-//    nested program issues HALF the DL/I calls against PARTS (the join
-//    program's second GNP always returns 'GE').
+//  - Join_KeyQualified / Nested_KeyQualified: counters `parts_calls`
+//    reproduce the headline claim — the nested program issues HALF the
+//    DL/I calls against PARTS (the join program's second GNP always
+//    returns 'GE').
 //  - Join_OemQualified / Nested_OemQualified: non-sequence-field
 //    qualification; `visited` shows the nested program halting its twin
 //    scan at the first match.
@@ -16,7 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "ims/gateway.h"
+#include "ims/translator.h"
 
 namespace uniqopt {
 namespace bench {
@@ -36,7 +44,38 @@ const ims::ImsDatabase& GetIms(size_t suppliers, size_t parts) {
   return ref;
 }
 
-void Report(benchmark::State& state, const ims::GatewayResult& result) {
+/// Compiles Example 10's query, whose PARTS predicate `part_pred`
+/// compares with one host variable, into the join program, or into the
+/// nested one after the navigational rewrite policy; runs it with the
+/// host variable set to `value` for every benchmark iteration.
+void RunExample10(benchmark::State& state, const char* part_pred,
+                  int64_t value, bool nested) {
+  size_t suppliers = static_cast<size_t>(state.range(0));
+  const Database& db = GetSupplierDb(suppliers, 20);
+  const ims::ImsDatabase& ims_db = GetIms(suppliers, 20);
+  Binder binder(&db.catalog());
+  auto bound = binder.BindSql(
+      std::string("SELECT ALL S.* FROM SUPPLIER S, PARTS P "
+                  "WHERE S.SNO = P.SNO AND ") +
+      part_pred);
+  UNIQOPT_DCHECK_MSG(bound.ok(), bound.status().ToString().c_str());
+  PlanPtr plan = bound->plan;
+  if (nested) {
+    RewriteOptions opts;
+    opts.join_to_subquery = true;
+    opts.subquery_to_join = false;
+    opts.subquery_to_distinct_join = false;
+    opts.join_elimination = false;
+    plan = MustRewrite(plan, opts);
+  }
+  auto program = ims::TranslatePlan(ims_db, plan);
+  UNIQOPT_DCHECK_MSG(program.ok(), program.status().ToString().c_str());
+  std::vector<Value> params = {Value::Integer(value)};
+  ims::GatewayResult result;
+  for (auto _ : state) {
+    result = ims::RunProgram(ims_db, *program, params);
+    benchmark::DoNotOptimize(result.rows.size());
+  }
   state.counters["rows"] = static_cast<double>(result.rows.size());
   state.counters["parts_calls"] =
       static_cast<double>(result.stats.calls_by_segment.at("PARTS"));
@@ -46,52 +85,30 @@ void Report(benchmark::State& state, const ims::GatewayResult& result) {
       static_cast<double>(result.stats.segments_visited);
 }
 
+/// An OEM value sitting mid-chain under a mid-keyspace supplier.
+int64_t MidChainOem(const benchmark::State& state) {
+  return static_cast<int64_t>((state.range(0) / 2) * 20 + 10);
+}
+
 void BM_Join_KeyQualified(benchmark::State& state) {
-  const auto& ims_db = GetIms(static_cast<size_t>(state.range(0)), 20);
-  ims::GatewayResult result;
-  for (auto _ : state) {
-    result = ims::JoinStrategySuppliersForPart(ims_db, 11);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  Report(state, result);
+  RunExample10(state, "P.PNO = :PARTNO", 11, /*nested=*/false);
 }
 BENCHMARK(BM_Join_KeyQualified)->Arg(100)->Arg(1000)->Arg(5000);
 
 void BM_Nested_KeyQualified(benchmark::State& state) {
-  const auto& ims_db = GetIms(static_cast<size_t>(state.range(0)), 20);
-  ims::GatewayResult result;
-  for (auto _ : state) {
-    result = ims::NestedStrategySuppliersForPart(ims_db, 11);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  Report(state, result);
+  RunExample10(state, "P.PNO = :PARTNO", 11, /*nested=*/true);
 }
 BENCHMARK(BM_Nested_KeyQualified)->Arg(100)->Arg(1000)->Arg(5000);
 
 void BM_Join_OemQualified(benchmark::State& state) {
-  size_t suppliers = static_cast<size_t>(state.range(0));
-  const auto& ims_db = GetIms(suppliers, 20);
-  // An OEM value sitting mid-chain under a mid-keyspace supplier.
-  int64_t oem = static_cast<int64_t>((suppliers / 2) * 20 + 10);
-  ims::GatewayResult result;
-  for (auto _ : state) {
-    result = ims::JoinStrategySuppliersForOem(ims_db, oem);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  Report(state, result);
+  RunExample10(state, "P.OEM_PNO = :OEM", MidChainOem(state),
+               /*nested=*/false);
 }
 BENCHMARK(BM_Join_OemQualified)->Arg(100)->Arg(1000)->Arg(5000);
 
 void BM_Nested_OemQualified(benchmark::State& state) {
-  size_t suppliers = static_cast<size_t>(state.range(0));
-  const auto& ims_db = GetIms(suppliers, 20);
-  int64_t oem = static_cast<int64_t>((suppliers / 2) * 20 + 10);
-  ims::GatewayResult result;
-  for (auto _ : state) {
-    result = ims::NestedStrategySuppliersForOem(ims_db, oem);
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  Report(state, result);
+  RunExample10(state, "P.OEM_PNO = :OEM", MidChainOem(state),
+               /*nested=*/true);
 }
 BENCHMARK(BM_Nested_OemQualified)->Arg(100)->Arg(1000)->Arg(5000);
 

@@ -1,6 +1,7 @@
-// IMS gateway walkthrough (§6.1, Example 10): the same SQL join runs
-// against a hierarchical DL/I database with two strategies. The
-// join→subquery rewrite (Theorem 2) licenses the nested strategy, which
+// IMS gateway walkthrough (§6.1, Example 10): the gateway compiles one
+// SQL join into a DL/I program twice — as bound, which gives the join
+// program, and after the navigational policy's join→subquery rewrite
+// (Theorem 2), which gives the nested program. The nested program
 // issues half the DL/I calls against the PARTS segment — and, when the
 // join column is the non-sequence candidate key OEM-PNO, also stops
 // scanning twins at the first match.
@@ -9,18 +10,65 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
-#include "analysis/subquery.h"
-#include "ims/gateway.h"
+#include "ims/translator.h"
 #include "plan/binder.h"
 #include "rewrite/rewriter.h"
 #include "workload/supplier_schema.h"
 
 namespace {
 
-int Run(size_t num_suppliers, size_t parts_per_supplier) {
-  using namespace uniqopt;
+using namespace uniqopt;
 
+struct Programs {
+  ims::GatewayResult join;
+  ims::GatewayResult nested;
+};
+
+/// Binds `sql` (one host variable), translates it as bound and after the
+/// navigational rewrite policy, and runs both programs with the host
+/// variable set to `value`. With `verbose`, prints the rewrite and both
+/// compiled programs.
+std::optional<Programs> CompileAndRun(const Database& db,
+                                      const ims::ImsDatabase& ims_db,
+                                      const char* sql, int64_t value,
+                                      bool verbose) {
+  Binder binder(&db.catalog());
+  auto bound = binder.BindSql(sql);
+  if (!bound.ok()) return std::nullopt;
+  RewriteOptions opts;
+  opts.join_to_subquery = true;  // the navigational-back-end policy
+  opts.subquery_to_join = false;
+  opts.subquery_to_distinct_join = false;
+  opts.join_elimination = false;
+  auto rewritten = RewritePlan(bound->plan, opts);
+  if (!rewritten.ok()) return std::nullopt;
+  auto join = ims::TranslatePlan(ims_db, bound->plan);
+  auto nested = ims::TranslatePlan(ims_db, rewritten->plan);
+  if (!join.ok() || !nested.ok()) {
+    std::fprintf(stderr, "translate: %s\n",
+                 (join.ok() ? nested : join).status().ToString().c_str());
+    return std::nullopt;
+  }
+  if (verbose) {
+    std::printf("query:\n  %s\n\n", sql);
+    for (const AppliedRewrite& r : rewritten->applied) {
+      std::printf("rewrite: %s — %s\n", RewriteRuleIdToString(r.rule),
+                  r.description.c_str());
+    }
+    std::printf("rewritten plan:\n%s\n", rewritten->plan->ToString().c_str());
+    std::printf("join program (lines 21-29):\n%s\n",
+                join->ToString().c_str());
+    std::printf("nested program (lines 30-35):\n%s\n\n",
+                nested->ToString().c_str());
+  }
+  std::vector<Value> params = {Value::Integer(value)};
+  return Programs{ims::RunProgram(ims_db, *join, params),
+                  ims::RunProgram(ims_db, *nested, params)};
+}
+
+int Run(size_t num_suppliers, size_t parts_per_supplier) {
   Database db;
   SupplierSchemaOptions schema;
   schema.max_sno = static_cast<int64_t>(num_suppliers) + 1;
@@ -39,57 +87,44 @@ int Run(size_t num_suppliers, size_t parts_per_supplier) {
   std::printf("IMS database loaded: %zu segments (Figure 2 hierarchy)\n\n",
               (*ims_db)->num_segments());
 
-  // Show the SQL-level rewrite that licenses the nested strategy.
-  const char* sql =
-      "SELECT ALL S.* FROM SUPPLIER S, PARTS P "
-      "WHERE S.SNO = P.SNO AND P.PNO = :PARTNO";
-  std::printf("query:\n  %s\n\n", sql);
-  Binder binder(&db.catalog());
-  auto bound = binder.BindSql(sql);
-  if (!bound.ok()) return 1;
-  RewriteOptions opts;
-  opts.join_to_subquery = true;  // the navigational-back-end policy
-  opts.subquery_to_join = false;
-  opts.subquery_to_distinct_join = false;
-  auto rewritten = RewritePlan(bound->plan, opts);
-  if (!rewritten.ok()) return 1;
-  for (const AppliedRewrite& r : rewritten->applied) {
-    std::printf("rewrite: %s — %s\n", RewriteRuleIdToString(r.rule),
-                r.description.c_str());
-  }
-  std::printf("rewritten plan:\n%s\n", rewritten->plan->ToString().c_str());
-
-  // Execute both DL/I programs and compare the call accounting.
   int64_t part_no = static_cast<int64_t>(parts_per_supplier / 2 + 1);
-  auto join = ims::JoinStrategySuppliersForPart(**ims_db, part_no);
-  auto nested = ims::NestedStrategySuppliersForPart(**ims_db, part_no);
+  auto key = CompileAndRun(db, **ims_db,
+                           "SELECT ALL S.* FROM SUPPLIER S, PARTS P "
+                           "WHERE S.SNO = P.SNO AND P.PNO = :PARTNO",
+                           part_no, /*verbose=*/true);
+  if (!key.has_value()) return 1;
   std::printf("— key-qualified probe (PNO = %lld) —\n",
               static_cast<long long>(part_no));
   std::printf("  join strategy   (lines 21-29): %zu rows, %s\n",
-              join.rows.size(), join.stats.ToString().c_str());
+              key->join.rows.size(), key->join.stats.ToString().c_str());
   std::printf("  nested strategy (lines 30-35): %zu rows, %s\n",
-              nested.rows.size(), nested.stats.ToString().c_str());
-  std::printf("  PARTS call reduction: %zu -> %zu (%.2fx)\n\n",
-              join.stats.calls_by_segment.at("PARTS"),
-              nested.stats.calls_by_segment.at("PARTS"),
-              static_cast<double>(join.stats.calls_by_segment.at("PARTS")) /
-                  nested.stats.calls_by_segment.at("PARTS"));
+              key->nested.rows.size(), key->nested.stats.ToString().c_str());
+  size_t join_parts = key->join.stats.calls_by_segment.at("PARTS");
+  size_t nested_parts = key->nested.stats.calls_by_segment.at("PARTS");
+  std::printf("  PARTS call reduction: %zu -> %zu (%.2fx)\n\n", join_parts,
+              nested_parts,
+              static_cast<double>(join_parts) /
+                  static_cast<double>(nested_parts));
 
   // Non-sequence-field (OEM-PNO) variant. Pick an OEM value belonging
   // to a mid-chain twin so the early halt is visible.
   int64_t oem = static_cast<int64_t>((num_suppliers / 2) * parts_per_supplier +
                                      parts_per_supplier / 2);
-  auto join_oem = ims::JoinStrategySuppliersForOem(**ims_db, oem);
-  auto nested_oem = ims::NestedStrategySuppliersForOem(**ims_db, oem);
+  auto oem_run = CompileAndRun(db, **ims_db,
+                               "SELECT ALL S.* FROM SUPPLIER S, PARTS P "
+                               "WHERE S.SNO = P.SNO AND P.OEM_PNO = :OEM",
+                               oem, /*verbose=*/false);
+  if (!oem_run.has_value()) return 1;
   std::printf("— non-key probe (OEM_PNO = %lld) —\n",
               static_cast<long long>(oem));
-  std::printf("  join strategy:   %zu rows, %s\n", join_oem.rows.size(),
-              join_oem.stats.ToString().c_str());
-  std::printf("  nested strategy: %zu rows, %s\n", nested_oem.rows.size(),
-              nested_oem.stats.ToString().c_str());
+  std::printf("  join strategy:   %zu rows, %s\n", oem_run->join.rows.size(),
+              oem_run->join.stats.ToString().c_str());
+  std::printf("  nested strategy: %zu rows, %s\n",
+              oem_run->nested.rows.size(),
+              oem_run->nested.stats.ToString().c_str());
   std::printf("  segments visited: %zu -> %zu\n",
-              join_oem.stats.segments_visited,
-              nested_oem.stats.segments_visited);
+              oem_run->join.stats.segments_visited,
+              oem_run->nested.stats.segments_visited);
   return 0;
 }
 

@@ -17,7 +17,9 @@
 # at a time and checks that the suite kills every unsound one and spares
 # the sound one (one full build and about 20 incremental ones, 8 to 12
 # minutes on a 4-CPU machine). Run it after changing a rewrite gate, the
-# analysis or the verifier.
+# analysis or the verifier. Its --dry-run, which builds nothing, does run
+# here: an edit that moves a mutant's anchor fails the check instead of
+# leaving the mutant silently stale.
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -119,6 +121,12 @@ if [[ "$EQUIV_SWEEP_ONLY" == 1 ]]; then
   echo "== equiv sweep done =="
   exit 0
 fi
+
+echo "== kill matrix anchors: every mutant's patch applies =="
+python3 scripts/kill_matrix.py --dry-run >/dev/null || {
+  python3 scripts/kill_matrix.py --dry-run | grep -v ' applies ' >&2
+  exit 1
+}
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null

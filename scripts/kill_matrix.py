@@ -19,14 +19,18 @@ original text is not found exactly once, build-failed), the number of
 failing tests and the first three names, and whether a verifier test
 (VerifyTest.*, VerifySweepTest.*, EquivTest.*) is among them. The exit
 status is non-zero when an unsound mutant survives, the sound one is
-killed, a mutant fails to build, or the unmutated baseline fails.
+killed, a mutant is stale or fails to build, or the unmutated baseline
+fails. A stale mutant checks nothing, so its anchor must follow the code
+it mutates; --dry-run, which scripts/check.sh runs, catches one without
+building.
 
 It does one full build and about 20 incremental ones (8 to 12 minutes on a
 4-CPU machine), so scripts/check.sh does not run it. Usage:
 
     scripts/kill_matrix.py                 # every mutant
     scripts/kill_matrix.py --only M05,M13  # a subset
-    scripts/kill_matrix.py --dry-run       # only check that patches apply
+    scripts/kill_matrix.py --dry-run       # only check that patches apply;
+                                           # exits 1 if one is stale
 """
 
 import argparse
@@ -140,8 +144,10 @@ MUTANTS = [
         "item.func != AggFunc::kCount) {\n"),
     Mutant(
         "M14", "proof record marks every key covered", ALGORITHM1,
-        "      outcome.covered = covered;\n",
-        "      outcome.covered = true;\n"),
+        "        if (!bound.Contains(pos)) {\n"
+        "          outcome.missing_columns.push_back(proof->NameOf(pos));\n",
+        "        if (false) {\n"
+        "          outcome.missing_columns.push_back(proof->NameOf(pos));\n"),
     Mutant(
         "M15", "Corollary 1 without a duplicate-free outer", REWRITER,
         "      if (outer.IsDuplicateFree()) {\n"
@@ -230,7 +236,7 @@ def run_mutant(tree, m):
 
 
 def is_bad(m, verdict):
-    if verdict == "build-failed":
+    if verdict in ("stale", "build-failed"):
         return True
     if m.sound:
         return verdict == "killed"
@@ -253,10 +259,17 @@ def main():
             parser.error("unknown mutant id(s): " + ", ".join(sorted(unknown)))
 
     if args.dry_run:
+        stale = []
         for m in mutants:
             hits = (REPO / m.path).read_text().count(m.original)
             state = "applies" if hits == 1 else f"stale ({hits} hit(s))"
             print(f"{m.id}  {state:<16} {m.path}: {m.description}")
+            if hits != 1:
+                stale.append(m.id)
+        if stale:
+            print("FAIL: stale mutant(s) " + ", ".join(stale) +
+                  ": re-anchor each on the code it should mutate")
+            return 1
         return 0
 
     tree = Path(tempfile.mkdtemp(prefix="kill_matrix."))
@@ -292,7 +305,8 @@ def main():
                 bad.append(m.id)
         if bad:
             print("FAIL: " + ", ".join(bad) + " (an unsound mutant survived, "
-                  "the sound one was killed, or a mutant did not build)")
+                  "the sound one was killed, or a mutant was stale or did "
+                  "not build)")
             return 1
         print("OK: every unsound mutant is killed and the sound one survives")
         return 0

@@ -60,25 +60,6 @@ bool InsideInterval(const ValueDomain& domain, const Value& v) {
   return true;
 }
 
-bool EvalAtom(const Value& x, CompareOp op, const Value& constant) {
-  int c = x.Compare(constant);
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 }  // namespace
 
 ColumnDomains ColumnDomains::FromTable(const TableDef& table) {
@@ -140,7 +121,7 @@ AtomVerdict TestAtomAgainstDomain(const ValueDomain& domain, CompareOp op,
     bool any_true = false;
     bool any_false = false;
     for (const Value& v : *domain.values) {
-      (EvalAtom(v, op, constant) ? any_true : any_false) = true;
+      (CompareOpHolds(v.Compare(constant), op) ? any_true : any_false) = true;
     }
     if (!any_false) {
       // Vacuously implied for an empty domain too (no non-NULL value

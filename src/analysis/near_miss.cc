@@ -3,20 +3,12 @@
 #include <limits>
 
 #include "analysis/algorithm1.h"
+#include "common/string_util.h"
 #include "expr/normalize.h"
 
 namespace uniqopt {
 
 namespace {
-
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += names[i];
-  }
-  return out;
-}
 
 std::vector<std::string> LocalColumnNames(const TableDef& table,
                                           const AttributeSet& local) {
@@ -64,7 +56,7 @@ void ComputeTableNearMiss(const std::string& goal, const TableDef& table,
     miss.table = table.name();
     miss.alias = alias;
     miss.kind = obs::MissingFactKind::kUniqueKey;
-    miss.fact = "UNIQUE (" + JoinNames(names) + ")";
+    miss.fact = "UNIQUE (" + Join(names, ", ") + ")";
     miss.replay_key_columns = std::move(names);
     best = std::move(miss);
     best_cost = unique_cols.Count();
@@ -87,8 +79,8 @@ void ComputeTableNearMiss(const std::string& goal, const TableDef& table,
       miss.table = table.name();
       miss.alias = alias;
       miss.kind = obs::MissingFactKind::kFunctionalDependency;
-      miss.fact = "FD (" + JoinNames(determinant) + ") -> (" +
-                  JoinNames(LocalColumnNames(table, missing)) + ")";
+      miss.fact = "FD (" + Join(determinant, ", ") + ") -> (" +
+                  Join(LocalColumnNames(table, missing), ", ") + ")";
       miss.replay_key_columns = std::move(determinant);
       best = std::move(miss);
       best_cost = missing.Count();
@@ -96,7 +88,7 @@ void ComputeTableNearMiss(const std::string& goal, const TableDef& table,
   }
 
   best.bound_columns =
-      "(" + JoinNames(LocalColumnNames(table, b_local)) + ")";
+      "(" + Join(LocalColumnNames(table, b_local), ", ") + ")";
   out->push_back(std::move(best));
 }
 

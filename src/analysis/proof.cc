@@ -1,5 +1,7 @@
 #include "analysis/proof.h"
 
+#include "common/string_util.h"
+
 namespace uniqopt {
 
 const char* ConjunctDispositionName(ConjunctDisposition d) {
@@ -27,12 +29,9 @@ std::string ProofTrace::NameOf(size_t position) const {
 
 namespace {
 
-std::string JoinNames(const std::vector<std::string>& names) {
+std::string NameSet(const std::vector<std::string>& names) {
   std::string out = "{";
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += names[i];
-  }
+  out += Join(names, ", ");
   out += "}";
   return out;
 }
@@ -50,7 +49,7 @@ std::string ProofTrace::ToText() const {
     out += "  " + std::string(ConjunctDispositionName(c.disposition)) + ": " +
            c.text + "\n";
   }
-  out += "initially bound: " + JoinNames(initially_bound) + "\n";
+  out += "initially bound: " + NameSet(initially_bound) + "\n";
   out += "closure steps:\n";
   if (closure_steps.empty()) out += "  (none)\n";
   for (const ProofClosureStep& s : closure_steps) {
@@ -59,17 +58,17 @@ std::string ProofTrace::ToText() const {
                          : " (closure round " + std::to_string(s.round) + ")") +
            "\n";
   }
-  out += "V = " + JoinNames(closure) + "\n";
+  out += "V = " + NameSet(closure) + "\n";
   out += "candidate keys:\n";
   if (keys.empty()) out += "  (none checked)\n";
   for (const ProofKeyOutcome& k : keys) {
     out += "  " + k.key_name + " of " + k.table;
     if (!k.alias.empty() && k.alias != k.table) out += " (" + k.alias + ")";
-    out += " " + JoinNames(k.key_columns);
+    out += " " + NameSet(k.key_columns);
     if (k.covered()) {
       out += ": covered\n";
     } else {
-      out += ": NOT covered, missing " + JoinNames(k.missing_columns) + "\n";
+      out += ": NOT covered, missing " + NameSet(k.missing_columns) + "\n";
     }
   }
   out += "conclusion: " + conclusion + "\n";

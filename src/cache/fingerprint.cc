@@ -62,24 +62,6 @@ Result<CanonicalSql> CanonicalizeSql(std::string_view sql) {
   return out;
 }
 
-uint64_t Fnv1a(std::string_view s, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= UINT64_C(0x100000001b3);
-  }
-  return h;
-}
-
-uint64_t Fnv1aMix(uint64_t seed, uint64_t value) {
-  uint64_t h = seed;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xff;
-    h *= UINT64_C(0x100000001b3);
-  }
-  return h;
-}
-
 uint64_t FingerprintSql(const CanonicalSql& canonical,
                         uint64_t catalog_version,
                         const FingerprintOptions& options) {

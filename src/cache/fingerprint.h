@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/hash.h"
 #include "common/result.h"
 
 namespace uniqopt {
@@ -32,13 +33,9 @@ struct CanonicalSql {
 /// the exact bytes instead (Optimizer::CacheKey) and never lexes a hit.
 Result<CanonicalSql> CanonicalizeSql(std::string_view sql);
 
-/// 64-bit FNV-1a over `s`, continuing from `seed` (chainable).
-uint64_t Fnv1a(std::string_view s,
-               uint64_t seed = UINT64_C(0xcbf29ce484222325));
-
-/// Folds a 64-bit value (catalog version, option salt) into `seed` by
-/// hashing its little-endian bytes with the same FNV-1a stream.
-uint64_t Fnv1aMix(uint64_t seed, uint64_t value);
+// The FNV-1a stream every fingerprint hashes with (common/hash.h).
+using ::uniqopt::Fnv1a;
+using ::uniqopt::Fnv1aMix;
 
 struct FingerprintOptions {
   /// When set, the fingerprint hashes the parameterized `shape` instead

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <utility>
 #include <vector>
@@ -505,7 +506,16 @@ Certificate CertifyJoinToSubquery(const AppliedRewrite& r) {
 Certificate CertifySetOpToExists(const AppliedRewrite& r) {
   const char* method = "Theorem 3";
   const auto* setop = As<SetOpNode>(r.evidence.before);
-  const auto* ex = As<ExistsNode>(r.evidence.after);
+  // A swapped INTERSECT keeps the first operand's column names through
+  // an identity projection over the EXISTS; it changes no row.
+  PlanPtr after = r.evidence.after;
+  if (const auto* p = As<ProjectNode>(after);
+      p != nullptr && p->mode() == DuplicateMode::kAll) {
+    auto identity =
+        std::views::iota(size_t{0}, p->input()->schema().num_columns());
+    if (std::ranges::equal(p->columns(), identity)) after = p->input();
+  }
+  const auto* ex = As<ExistsNode>(after);
   if (setop == nullptr || ex == nullptr) {
     return Unproven(r, method, "expected SetOp → Exists evidence");
   }

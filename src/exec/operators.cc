@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -461,13 +462,14 @@ class GroupedAggregator {
 
   /// Materializes the output rows (group key columns ⊕ aggregate
   /// results). A scalar aggregate over empty input yields one row
-  /// (COUNT = 0, other aggregates NULL).
-  std::vector<Row> Finalize() const;
+  /// (COUNT = 0, other aggregates NULL). Fails with kLimitExceeded when
+  /// an INTEGER SUM falls outside int64.
+  Result<std::vector<Row>> Finalize() const;
 
  private:
   struct AggState {
     int64_t count = 0;        // non-NULL inputs (or rows for COUNT(*))
-    int64_t sum_int = 0;
+    __int128 sum_int = 0;     // exact: no run of int64 inputs overflows it
     double sum_double = 0;
     Value min;
     Value max;
@@ -571,7 +573,7 @@ void GroupedAggregator::Accumulate(const Row& row, ExecStats* stats) {
   Fold(&states_[GroupSlot(row)], row);
 }
 
-std::vector<Row> GroupedAggregator::Finalize() const {
+Result<std::vector<Row>> GroupedAggregator::Finalize() const {
   std::vector<Row> out_rows;
   // A scalar aggregate always yields one group, even over empty input.
   const bool scalar_empty = group_columns_.empty() && group_keys_.empty();
@@ -594,7 +596,12 @@ std::vector<Row> GroupedAggregator::Finalize() const {
           if (!st.any) {
             out.Append(Value::Null(arg_type));
           } else if (arg_type == TypeId::kInteger) {
-            out.Append(Value::Integer(st.sum_int));
+            if (st.sum_int > std::numeric_limits<int64_t>::max() ||
+                st.sum_int < std::numeric_limits<int64_t>::min()) {
+              return Status::LimitExceeded(agg.name +
+                                           " is outside the INTEGER range");
+            }
+            out.Append(Value::Integer(static_cast<int64_t>(st.sum_int)));
           } else {
             out.Append(Value::Double(st.sum_double));
           }
@@ -644,7 +651,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
     }
   }
   child_->Close();
-  output_ = agg.Finalize();
+  UNIQOPT_ASSIGN_OR_RETURN(output_, agg.Finalize());
   return Status::OK();
 }
 

@@ -1,17 +1,10 @@
 #include "exec/profile.h"
 
-#include <chrono>
+#include "obs/metrics.h"
 
 namespace uniqopt {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string FormatNs(uint64_t ns) {
   if (ns >= 1000000) {
@@ -79,36 +72,36 @@ ProfileOp::ProfileOp(OperatorPtr child, ExecProfile* profile, size_t slot)
       slot_(slot) {}
 
 Status ProfileOp::Open(ExecContext* ctx) {
-  uint64_t start = NowNs();
+  uint64_t start = obs::SteadyNowNs();
   Status status = child_->Open(ctx);
-  profile_->op(slot_).time_ns += NowNs() - start;
+  profile_->op(slot_).time_ns += obs::SteadyNowNs() - start;
   return status;
 }
 
 Result<bool> ProfileOp::Next(ExecContext* ctx, Row* row) {
-  uint64_t start = NowNs();
+  uint64_t start = obs::SteadyNowNs();
   Result<bool> produced = child_->Next(ctx, row);
   OpProfile& op = profile_->op(slot_);
-  op.time_ns += NowNs() - start;
+  op.time_ns += obs::SteadyNowNs() - start;
   ++op.next_calls;
   if (produced.ok() && *produced) ++op.rows_out;
   return produced;
 }
 
 Result<bool> ProfileOp::NextBatch(ExecContext* ctx, RowBatch* out) {
-  uint64_t start = NowNs();
+  uint64_t start = obs::SteadyNowNs();
   Result<bool> produced = child_->NextBatch(ctx, out);
   OpProfile& op = profile_->op(slot_);
-  op.time_ns += NowNs() - start;
+  op.time_ns += obs::SteadyNowNs() - start;
   ++op.next_calls;
   if (produced.ok() && *produced) op.rows_out += out->size();
   return produced;
 }
 
 void ProfileOp::Close() {
-  uint64_t start = NowNs();
+  uint64_t start = obs::SteadyNowNs();
   child_->Close();
-  profile_->op(slot_).time_ns += NowNs() - start;
+  profile_->op(slot_).time_ns += obs::SteadyNowNs() - start;
 }
 
 }  // namespace uniqopt

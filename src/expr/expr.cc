@@ -221,22 +221,7 @@ Tribool Expr::EvaluatePredicate(const Row& row,
       Value l = children_[0]->Evaluate(row, params);
       Value r = children_[1]->Evaluate(row, params);
       if (l.is_null() || r.is_null()) return Tribool::kUnknown;
-      int c = l.Compare(r);
-      switch (op_) {
-        case CompareOp::kEq:
-          return FromBool(c == 0);
-        case CompareOp::kNe:
-          return FromBool(c != 0);
-        case CompareOp::kLt:
-          return FromBool(c < 0);
-        case CompareOp::kLe:
-          return FromBool(c <= 0);
-        case CompareOp::kGt:
-          return FromBool(c > 0);
-        case CompareOp::kGe:
-          return FromBool(c >= 0);
-      }
-      return Tribool::kUnknown;
+      return FromBool(CompareOpHolds(l.Compare(r), op_));
     }
     case ExprKind::kAnd: {
       Tribool acc = Tribool::kTrue;

@@ -37,6 +37,26 @@ CompareOp NegateCompareOp(CompareOp op);
 /// Mirror: a < b  ⇔  b > a.
 CompareOp FlipCompareOp(CompareOp op);
 
+/// Does an ordering `c` (negative, zero or positive, as from
+/// Value::Compare) satisfy `op`? Inline: filter loops call it per row.
+inline bool CompareOpHolds(int c, CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 

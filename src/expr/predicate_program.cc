@@ -3,24 +3,6 @@
 namespace uniqopt {
 namespace {
 
-inline bool CompareKeeps(int c, CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 // Hot inner loop for `col <op> const`. When both sides are integers the
 // comparison inlines to a branch on the value's word; any other type
 // pairing goes through Value::Compare, which is never wrong, just an
@@ -36,7 +18,7 @@ inline size_t RefineCmp(const Row* data, std::vector<uint32_t>& s, size_t col,
       int c = v.type() == TypeId::kInteger
                   ? (v.AsInteger() < k ? -1 : (v.AsInteger() > k ? 1 : 0))
                   : v.Compare(constant);
-      if (CompareKeeps(c, op)) s[kept++] = idx;
+      if (CompareOpHolds(c, op)) s[kept++] = idx;
     }
     return kept;
   }
@@ -47,13 +29,13 @@ inline size_t RefineCmp(const Row* data, std::vector<uint32_t>& s, size_t col,
       if (v.is_null()) continue;
       int c = v.type() == TypeId::kString ? v.AsString().compare(ks)
                                           : v.Compare(constant);
-      if (CompareKeeps(c, op)) s[kept++] = idx;
+      if (CompareOpHolds(c, op)) s[kept++] = idx;
     }
     return kept;
   }
   for (uint32_t idx : s) {
     const Value& v = data[idx][col];
-    if (!v.is_null() && CompareKeeps(v.Compare(constant), op)) {
+    if (!v.is_null() && CompareOpHolds(v.Compare(constant), op)) {
       s[kept++] = idx;
     }
   }

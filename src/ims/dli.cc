@@ -34,22 +34,7 @@ bool DliSession::Matches(const Segment& seg, const Ssa& ssa) const {
   if (!field.ok()) return false;
   const Value& actual = seg.fields[*field];
   if (actual.is_null() || ssa.qual->value.is_null()) return false;
-  int c = actual.Compare(ssa.qual->value);
-  switch (ssa.qual->op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
+  return CompareOpHolds(actual.Compare(ssa.qual->value), ssa.qual->op);
 }
 
 DliStatus DliSession::GU(const Ssa& root_ssa) {

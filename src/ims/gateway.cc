@@ -1,7 +1,5 @@
 #include "ims/gateway.h"
 
-#include "obs/metrics.h"
-
 namespace uniqopt {
 namespace ims {
 
@@ -77,72 +75,6 @@ Result<std::unique_ptr<ImsDatabase>> BuildSupplierIms(
             .status());
   }
   return ims;
-}
-
-namespace {
-
-/// Shared skeleton for the four Example 10 programs. `stop_at_first`
-/// distinguishes the nested strategy (line 33's single probe) from the
-/// join strategy's emit-per-match loop.
-GatewayResult RunSupplierProbe(const ImsDatabase& db, const Ssa& part_ssa,
-                               bool stop_at_first) {
-  static obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("ims.gateway.run.ns");
-  obs::ScopedLatencyTimer timer(&latency);
-  GatewayResult result;
-  DliSession dli(&db);
-  Ssa supplier = Ssa::Unqualified("SUPPLIER");
-
-  DliStatus status = dli.GU(supplier);  // line 21 / 30: GU SUPPLIER
-  while (status == DliStatus::kOk) {    // while status = '  '
-    if (stop_at_first) {
-      // Lines 32–33: GNP PARTS (...); if found, output SUPPLIER tuple.
-      if (dli.GNP(part_ssa) == DliStatus::kOk) {
-        result.rows.push_back(dli.parent_position()->fields);
-      }
-    } else {
-      // Lines 23–27: emit once per qualifying PARTS twin; the final
-      // GNP always returns 'GE'.
-      DliStatus part_status = dli.GNP(part_ssa);
-      while (part_status == DliStatus::kOk) {
-        result.rows.push_back(dli.parent_position()->fields);
-        part_status = dli.GNP(part_ssa);
-      }
-    }
-    status = dli.GN(supplier);  // line 28 / 34: GN SUPPLIER
-  }
-  result.stats = dli.stats();
-  return result;
-}
-
-}  // namespace
-
-GatewayResult JoinStrategySuppliersForPart(const ImsDatabase& db,
-                                           int64_t part_no) {
-  return RunSupplierProbe(
-      db, Ssa::Equal("PARTS", "PNO", Value::Integer(part_no)),
-      /*stop_at_first=*/false);
-}
-
-GatewayResult NestedStrategySuppliersForPart(const ImsDatabase& db,
-                                             int64_t part_no) {
-  return RunSupplierProbe(
-      db, Ssa::Equal("PARTS", "PNO", Value::Integer(part_no)),
-      /*stop_at_first=*/true);
-}
-
-GatewayResult JoinStrategySuppliersForOem(const ImsDatabase& db,
-                                          int64_t oem_pno) {
-  return RunSupplierProbe(
-      db, Ssa::Equal("PARTS", "OEM_PNO", Value::Integer(oem_pno)),
-      /*stop_at_first=*/false);
-}
-
-GatewayResult NestedStrategySuppliersForOem(const ImsDatabase& db,
-                                            int64_t oem_pno) {
-  return RunSupplierProbe(
-      db, Ssa::Equal("PARTS", "OEM_PNO", Value::Integer(oem_pno)),
-      /*stop_at_first=*/true);
 }
 
 }  // namespace ims

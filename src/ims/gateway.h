@@ -18,33 +18,9 @@ Result<std::unique_ptr<ImsDatabase>> BuildSupplierIms(
 /// Result of one gateway program: the rows output plus the DL/I work it
 /// took to produce them.
 struct GatewayResult {
-  std::vector<Row> rows;  ///< SUPPLIER segment fields per output row
+  std::vector<Row> rows;  ///< the program's output rows
   DliCallStats stats;
 };
-
-/// Example 10's *join* strategy (lines 21–29): for the query
-///   SELECT ALL S.* FROM SUPPLIER S, PARTS P
-///   WHERE S.SNO = P.SNO AND P.PNO = :PARTNO
-/// iterate all suppliers and, per supplier, GNP PARTS (PNO = :PARTNO)
-/// until 'GE', emitting the supplier once per qualifying part. Because
-/// PNO is the PARTS key, the second GNP per supplier always fails — the
-/// wasted call the nested strategy avoids.
-GatewayResult JoinStrategySuppliersForPart(const ImsDatabase& db,
-                                           int64_t part_no);
-
-/// Example 10's *nested* (EXISTS) strategy (lines 30–35), enabled by the
-/// join→subquery rewrite: one GNP per supplier, stop at the first match.
-GatewayResult NestedStrategySuppliersForPart(const ImsDatabase& db,
-                                             int64_t part_no);
-
-/// The non-key variant the paper sketches (line 35 discussion): the join
-/// predicate qualifies the candidate key OEM-PNO, which is not the
-/// sequence field, so the join strategy's second GNP scans all remaining
-/// twins while the nested strategy halts at the first match.
-GatewayResult JoinStrategySuppliersForOem(const ImsDatabase& db,
-                                          int64_t oem_pno);
-GatewayResult NestedStrategySuppliersForOem(const ImsDatabase& db,
-                                            int64_t oem_pno);
 
 }  // namespace ims
 }  // namespace uniqopt

@@ -1,11 +1,11 @@
 #include "ims/translator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <set>
 
 #include "analysis/shape.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "expr/normalize.h"
 #include "obs/metrics.h"
@@ -315,43 +315,71 @@ GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram("ims.gateway.run.ns");
   obs::ScopedLatencyTimer timer(&latency);
-  auto run_start = std::chrono::steady_clock::now();
   GatewayResult result;
   DliSession dli(&db);
   const SegmentTypeDef& root_type = db.def().root();
 
-  Ssa root_ssa = Ssa::Unqualified(root_type.name);
-  if (program.root_qual.has_value()) {
-    root_ssa.qual = program.root_qual->Resolve(params);
-  }
-
-  // Which layout slot (if any) is a child view, and which step emits.
-  const ChildStep* emit_step = nullptr;
+  // Everything that does not depend on the current root is decided once
+  // per run: the SSAs with host variables resolved, and where each view
+  // column comes from.
+  auto resolve = [&](const std::string& segment,
+                     const std::optional<QualTemplate>& qual) {
+    Ssa ssa = Ssa::Unqualified(segment);
+    if (qual.has_value()) ssa.qual = qual->Resolve(params);
+    return ssa;
+  };
+  const Ssa root_ssa = resolve(root_type.name, program.root_qual);
+  std::vector<Ssa> exists_ssas;
+  std::optional<Ssa> emit_ssa;  // the emitting (join) step, if any
   for (const ChildStep& step : program.steps) {
-    if (!step.exists_only) emit_step = &step;
+    if (step.exists_only) {
+      exists_ssas.push_back(resolve(step.segment, step.qual));
+    } else {
+      emit_ssa = resolve(step.segment, step.qual);
+    }
   }
+  // A view column is a field of the root or of the matched child; a
+  // child view's first column is the inherited root key.
+  struct Source {
+    bool from_root;
+    size_t field;
+  };
+  std::vector<Source> view;
+  for (const std::string& seg : program.layout) {
+    if (EqualsIgnoreCase(seg, root_type.name)) {
+      for (size_t i = 0; i < root_type.fields.size(); ++i) {
+        view.push_back({true, i});
+      }
+      continue;
+    }
+    view.push_back({true, static_cast<size_t>(root_type.key_field)});
+    auto child_type = db.def().GetType(seg);
+    UNIQOPT_DCHECK(child_type.ok());
+    for (size_t i = 0; i < (*child_type)->fields.size(); ++i) {
+      view.push_back({false, i});
+    }
+  }
+  std::vector<Source> output;
+  for (size_t c : program.output_columns) output.push_back(view[c]);
 
-  auto assemble_and_emit = [&](const Segment* root,
-                               const Segment* child_match) {
-    Row view;
-    for (const std::string& seg : program.layout) {
-      if (EqualsIgnoreCase(seg, root_type.name)) {
-        for (size_t i = 0; i < root->fields.size(); ++i) {
-          view.Append(root->fields[i]);
-        }
-      } else {
-        view.Append(root->KeyValue());  // inherited root key
-        for (size_t i = 0; i < child_match->fields.size(); ++i) {
-          view.Append(child_match->fields[i]);
-        }
+  // Output rows come straight from the matched segments; the full view
+  // row is assembled, into one reused row, only for the post filter.
+  Row view_row(std::vector<Value>(view.size()));
+  auto emit = [&](const Segment* root, const Segment* child) {
+    auto value = [&](const Source& s) -> const Value& {
+      return (s.from_root ? root : child)->fields[s.field];
+    };
+    if (program.post_filter != nullptr) {
+      for (size_t i = 0; i < view.size(); ++i) view_row[i] = value(view[i]);
+      if (program.post_filter->EvaluatePredicate(view_row, params) !=
+          Tribool::kTrue) {
+        return;
       }
     }
-    if (program.post_filter != nullptr &&
-        program.post_filter->EvaluatePredicate(view, params) !=
-            Tribool::kTrue) {
-      return;
-    }
-    result.rows.push_back(view.Project(program.output_columns));
+    std::vector<Value> out;
+    out.reserve(output.size());
+    for (const Source& s : output) out.push_back(value(s));
+    result.rows.emplace_back(std::move(out));
   };
 
   DliStatus status = dli.GU(root_ssa);
@@ -359,27 +387,18 @@ GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
     const Segment* root = dli.parent_position();
     // Existence probes first (cheap rejection).
     bool all_exist = true;
-    for (const ChildStep& step : program.steps) {
-      if (!step.exists_only) continue;
-      Ssa ssa = Ssa::Unqualified(step.segment);
-      if (step.qual.has_value()) ssa.qual = step.qual->Resolve(params);
+    for (const Ssa& ssa : exists_ssas) {
       if (dli.GNP(ssa) != DliStatus::kOk) {
         all_exist = false;
         break;
       }
     }
     if (all_exist) {
-      if (emit_step == nullptr) {
-        assemble_and_emit(root, nullptr);
+      if (!emit_ssa.has_value()) {
+        emit(root, nullptr);
       } else {
-        Ssa ssa = Ssa::Unqualified(emit_step->segment);
-        if (emit_step->qual.has_value()) {
-          ssa.qual = emit_step->qual->Resolve(params);
-        }
-        DliStatus child_status = dli.GNP(ssa);
-        while (child_status == DliStatus::kOk) {
-          assemble_and_emit(root, dli.current());
-          child_status = dli.GNP(ssa);
+        while (dli.GNP(*emit_ssa) == DliStatus::kOk) {
+          emit(root, dli.current());
         }
       }
     }
@@ -402,10 +421,7 @@ GatewayResult RunProgram(const ImsDatabase& db, const DliProgram& program,
   rec.rows_out = result.rows.size();
   rec.rows_scanned =
       static_cast<uint64_t>(result.stats.segments_visited);
-  rec.total_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - run_start)
-          .count());
+  rec.total_ns = timer.ElapsedNs();
   auto part = std::make_shared<obs::PreparedRecord>();
   part->source = "ims.gateway";
   part->query = ProgramSummary(program);

@@ -19,6 +19,13 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
+std::string HexFingerprint(uint64_t fp) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -86,6 +86,10 @@ Status ValidateJson(const std::string& text);
 /// JSON string-body escaping ('"', '\\', control characters).
 std::string JsonEscape(const std::string& s);
 
+/// A 64-bit fingerprint (plan hash, query class) as 16 lowercase hex
+/// digits.
+std::string HexFingerprint(uint64_t fp);
+
 }  // namespace obs
 }  // namespace uniqopt
 

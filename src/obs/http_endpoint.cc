@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -88,12 +87,7 @@ Status HttpEndpoint::Start(uint16_t port) {
   } else {
     port_ = port;
   }
-  start_steady_ns_.store(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count()),
-      std::memory_order_relaxed);
+  start_steady_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   serving_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { Serve(); });
   UNIQOPT_LOG(kInfo) << "observability endpoint on 127.0.0.1:" << port_;
@@ -142,11 +136,8 @@ std::string HttpEndpoint::RenderPath(const std::string& path) const {
   }
   if (path == "/healthz") {
     uint64_t start = start_steady_ns_.load(std::memory_order_relaxed);
-    uint64_t now = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    uint64_t uptime_ms = start == 0 ? 0 : (now - start) / 1000000;
+    uint64_t uptime_ms =
+        start == 0 ? 0 : (SteadyNowNs() - start) / 1000000;
     TimeSeriesPlane& plane = TimeSeriesPlane::Global();
     return "{\"status\": \"ok\", \"uptime_ms\": " +
            std::to_string(uptime_ms) + ", \"ticker_running\": " +

@@ -285,26 +285,15 @@ std::string MetricsRegistry::ToText() const {
   return out;
 }
 
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 ScopedLatencyTimer::ScopedLatencyTimer(Histogram* histogram)
-    : histogram_(histogram), start_ns_(NowNs()) {}
+    : histogram_(histogram), start_ns_(SteadyNowNs()) {}
 
 ScopedLatencyTimer::~ScopedLatencyTimer() {
   if (histogram_ != nullptr) histogram_->Record(ElapsedNs());
 }
 
 uint64_t ScopedLatencyTimer::ElapsedNs() const {
-  return NowNs() - start_ns_;
+  return SteadyNowNs() - start_ns_;
 }
 
 }  // namespace obs

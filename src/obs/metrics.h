@@ -2,6 +2,7 @@
 #define UNIQOPT_OBS_METRICS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +12,14 @@
 
 namespace uniqopt {
 namespace obs {
+
+/// Nanoseconds on the steady clock: for intervals, not wall time.
+inline uint64_t SteadyNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotonic counter. Lock-free; safe to increment from any thread.
 class Counter {

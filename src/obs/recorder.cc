@@ -5,6 +5,7 @@
 
 #include <ctime>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -39,13 +40,6 @@ uint64_t NowWallTimeUs() {
           .count());
 }
 
-uint64_t NowSteadyNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// A record's prepared part; an empty one when it has none.
 const PreparedRecord& PartOf(
     const std::shared_ptr<const PreparedRecord>& part) {
@@ -56,21 +50,12 @@ const PreparedRecord& PartOf(
 }  // namespace
 
 uint64_t FingerprintPlanText(const std::string& canonical_plan_text) {
-  // FNV-1a, 64-bit: stable across runs (unlike std::hash), cheap, and
-  // good enough to treat equal hashes as equal plans in practice.
-  uint64_t h = UINT64_C(0xcbf29ce484222325);
-  for (char c : canonical_plan_text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= UINT64_C(0x100000001b3);
-  }
-  return h;
+  // Good enough to treat equal hashes as equal plans in practice.
+  return Fnv1a(canonical_plan_text);
 }
 
 std::string QueryRecord::ToString() const {
   const PreparedRecord& part = PartOf(prepared);
-  char hash_buf[32];
-  std::snprintf(hash_buf, sizeof(hash_buf), "%016llx",
-                static_cast<unsigned long long>(part.plan_hash));
   std::string when = FormatWallTimeUs(wall_time_us);
   std::string out = "#" + std::to_string(id) + " [" + part.source + "] " +
                     (ok ? "ok" : "ERROR") + " " +
@@ -82,7 +67,7 @@ std::string QueryRecord::ToString() const {
     out += "    error: " + error + "\n";
     return out;
   }
-  out += "    plan_hash=" + std::string(hash_buf) +
+  out += "    plan_hash=" + HexFingerprint(part.plan_hash) +
          " rows_out=" + std::to_string(rows_out);
   if (rows_scanned > 0) {
     out += " rows_scanned=" + std::to_string(rows_scanned);
@@ -145,7 +130,7 @@ uint64_t QueryRecorder::Record(QueryRecord record) {
     std::lock_guard<std::mutex> lock(mu_);
     record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     if (record.wall_time_us == 0) record.wall_time_us = NowWallTimeUs();
-    if (record.steady_ns == 0) record.steady_ns = NowSteadyNs();
+    if (record.steady_ns == 0) record.steady_ns = SteadyNowNs();
     slow_id = record.id;
     total_.fetch_add(1, std::memory_order_relaxed);
     if (ring_.size() < capacity_) {
@@ -231,15 +216,12 @@ std::string QueryRecorder::ToJson() const {
     const PreparedRecord& part = PartOf(r.prepared);
     out += first ? "\n" : ",\n";
     first = false;
-    char hash_buf[32];
-    std::snprintf(hash_buf, sizeof(hash_buf), "%016llx",
-                  static_cast<unsigned long long>(part.plan_hash));
     out += "  {\"id\": " + std::to_string(r.id) + ", ";
     out += "\"source\": \"" + JsonEscape(part.source) + "\", ";
     out += "\"query\": \"" + JsonEscape(part.query) + "\", ";
     out += "\"ok\": " + std::string(r.ok ? "true" : "false") + ", ";
     if (!r.ok) out += "\"error\": \"" + JsonEscape(r.error) + "\", ";
-    out += "\"plan_hash\": \"" + std::string(hash_buf) + "\", ";
+    out += "\"plan_hash\": \"" + HexFingerprint(part.plan_hash) + "\", ";
     out += "\"cache_hit\": " + std::string(r.cache_hit ? "true" : "false") +
            ", ";
     out += "\"total_ns\": " + std::to_string(r.total_ns) + ", ";

@@ -13,13 +13,6 @@ namespace obs {
 
 namespace {
 
-std::string HexFingerprint(uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 std::string FormatStatValue(double v) {
   char buf[48];
   if (std::fabs(v) >= 100.0 || v == std::floor(v)) {

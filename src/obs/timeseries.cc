@@ -18,11 +18,22 @@ namespace {
 constexpr char kSparkRamp[] = " .:-=+*#%@";
 constexpr size_t kSparkLevels = sizeof(kSparkRamp) - 2;  // highest index
 
-std::string HexFingerprint(uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
+/// Sets `w->p50` and `w->p99` to the midpoint of the bucket holding
+/// each rank. `buckets` lists (bucket index, samples) in ascending index
+/// order, `count` samples in all (at least one).
+void SetWindowPercentiles(
+    const std::vector<std::pair<size_t, uint64_t>>& buckets, uint64_t count,
+    WindowStats* w) {
+  uint64_t rank50 = (count + 1) / 2;
+  uint64_t rank99 = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(0.99 * static_cast<double>(count))));
+  uint64_t seen = 0;
+  for (const auto& [index, n] : buckets) {
+    uint64_t mid = Histogram::BucketMidpoint(index);
+    if (seen < rank50 && seen + n >= rank50) w->p50 = mid;
+    if (seen < rank99 && seen + n >= rank99) w->p99 = mid;
+    seen += n;
+  }
 }
 
 /// The representative per-window value a sparkline plots, by kind.
@@ -70,12 +81,7 @@ const char* SeriesKindName(SeriesKind kind) {
   return "unknown";
 }
 
-uint64_t SteadyWindowClock::NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+uint64_t SteadyWindowClock::NowNs() { return SteadyNowNs(); }
 
 void TimeSeriesPlane::Series::Push(WindowStats w, size_t cap) {
   if (slots.size() < cap) {
@@ -312,15 +318,15 @@ void TimeSeriesPlane::Tick() {
         w.valid = false;
       } else {
         uint64_t delta_count = 0;
-        uint64_t rank_seen = 0;
-        std::map<uint64_t, uint64_t> delta_buckets;
+        std::vector<std::pair<size_t, uint64_t>> delta_buckets;
         for (const auto& [bound, n] : bucket_counts) {
           auto prev = shadow.bucket_counts.find(bound);
           uint64_t before = prev == shadow.bucket_counts.end()
                                 ? 0
                                 : prev->second;
           if (n > before) {
-            delta_buckets[bound] = n - before;
+            delta_buckets.emplace_back(Histogram::BucketIndex(bound),
+                                       n - before);
             delta_count += n - before;
           }
         }
@@ -328,23 +334,9 @@ void TimeSeriesPlane::Tick() {
         w.sum = sum >= shadow.sum ? sum - shadow.sum : 0;
         w.rate = static_cast<double>(delta_count) / window_secs;
         if (delta_count > 0) {
-          uint64_t rank50 = (delta_count + 1) / 2;
-          uint64_t rank99 = static_cast<uint64_t>(
-              std::ceil(0.99 * static_cast<double>(delta_count)));
-          if (rank99 < 1) rank99 = 1;
-          bool have_min = false;
-          for (const auto& [bound, n] : delta_buckets) {
-            uint64_t mid =
-                Histogram::BucketMidpoint(Histogram::BucketIndex(bound));
-            if (!have_min) {
-              w.min = mid;
-              have_min = true;
-            }
-            w.max = mid;
-            if (rank_seen < rank50 && rank_seen + n >= rank50) w.p50 = mid;
-            if (rank_seen < rank99 && rank_seen + n >= rank99) w.p99 = mid;
-            rank_seen += n;
-          }
+          w.min = Histogram::BucketMidpoint(delta_buckets.front().first);
+          w.max = Histogram::BucketMidpoint(delta_buckets.back().first);
+          SetWindowPercentiles(delta_buckets, delta_count, &w);
         }
       }
       shadow.generation = gen_after;
@@ -369,24 +361,14 @@ void TimeSeriesPlane::Tick() {
       w.rate = static_cast<double>(acc.count) / window_secs;
       w.exemplar = acc.worst;
       if (acc.count > 0) {
-        uint64_t rank50 = (acc.count + 1) / 2;
-        uint64_t rank99 = static_cast<uint64_t>(
-            std::ceil(0.99 * static_cast<double>(acc.count)));
-        if (rank99 < 1) rank99 = 1;
-        uint64_t seen = 0;
+        std::vector<std::pair<size_t, uint64_t>> buckets;
         for (size_t i = 0; i < acc.buckets.size(); ++i) {
-          uint64_t n = acc.buckets[i];
-          if (n == 0) continue;
-          uint64_t mid = Histogram::BucketMidpoint(i);
-          if (seen < rank50 && seen + n >= rank50) w.p50 = mid;
-          if (seen < rank99 && seen + n >= rank99) w.p99 = mid;
-          seen += n;
+          if (acc.buckets[i] != 0) buckets.emplace_back(i, acc.buckets[i]);
         }
+        SetWindowPercentiles(buckets, acc.count, &w);
         // Clamp midpoint estimates into the observed range.
-        if (w.p50 < w.min) w.p50 = w.min;
-        if (w.p50 > w.max) w.p50 = w.max;
-        if (w.p99 < w.min) w.p99 = w.min;
-        if (w.p99 > w.max) w.p99 = w.max;
+        w.p50 = std::clamp(w.p50, w.min, w.max);
+        w.p99 = std::clamp(w.p99, w.min, w.max);
       }
       acc.count = 0;
       acc.sum = 0;

@@ -1,8 +1,8 @@
 #include "oodb/navigator.h"
 
-#include <chrono>
 #include <memory>
 
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 
 namespace uniqopt {
@@ -13,15 +13,12 @@ namespace {
 /// Flight-recorder entry for one navigation strategy run: the OODB
 /// sessions log through the same plane as the relational optimizer.
 void RecordStrategy(const char* strategy, const StrategyResult& result,
-                    std::chrono::steady_clock::time_point start) {
+                    uint64_t start_ns) {
   obs::QueryRecord rec;
   rec.rows_out = result.rows.size();
   rec.rows_scanned =
       static_cast<uint64_t>(result.stats.objects_retrieved);
-  rec.total_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  rec.total_ns = obs::SteadyNowNs() - start_ns;
   auto part = std::make_shared<obs::PreparedRecord>();
   part->source = "oodb.nav";
   part->query = strategy;
@@ -108,7 +105,7 @@ Result<std::unique_ptr<ObjectStore>> BuildSupplierObjectStore(
 StrategyResult ChildDrivenSuppliersForPart(const ObjectStore& store,
                                            int64_t part_no, int64_t sno_lo,
                                            int64_t sno_hi) {
-  auto start = std::chrono::steady_clock::now();
+  uint64_t start = obs::SteadyNowNs();
   StrategyResult result;
   NavigationSession nav(&store);
   size_t parts_id = *store.ClassId("Parts");
@@ -133,7 +130,7 @@ StrategyResult ChildDrivenSuppliersForPart(const ObjectStore& store,
 StrategyResult ParentDrivenSuppliersForPart(const ObjectStore& store,
                                             int64_t part_no, int64_t sno_lo,
                                             int64_t sno_hi) {
-  auto start = std::chrono::steady_clock::now();
+  uint64_t start = obs::SteadyNowNs();
   StrategyResult result;
   NavigationSession nav(&store);
   size_t supplier_id = *store.ClassId("Supplier");

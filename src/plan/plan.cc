@@ -47,9 +47,18 @@ void SelectNode::AppendTo(std::string* out, int indent) const {
 }
 
 PlanPtr ProjectNode::Make(PlanPtr input, DuplicateMode mode,
-                          std::vector<size_t> columns) {
+                          std::vector<size_t> columns, const Schema* names) {
   UNIQOPT_DCHECK(input != nullptr);
   Schema schema = input->schema().Project(columns);
+  if (names != nullptr) {
+    UNIQOPT_DCHECK(names->num_columns() == columns.size());
+    std::vector<Column> named = schema.columns();
+    for (size_t i = 0; i < named.size(); ++i) {
+      named[i].qualifier = names->column(i).qualifier;
+      named[i].name = names->column(i).name;
+    }
+    schema = Schema(std::move(named));
+  }
   return PlanPtr(new ProjectNode(std::move(input), mode, std::move(columns),
                                  std::move(schema)));
 }

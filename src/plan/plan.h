@@ -108,8 +108,16 @@ class SelectNode final : public PlanNode {
 /// duplicates under the null-equality operator `=!`.
 class ProjectNode final : public PlanNode {
  public:
+  /// `names`, when given, names the output: column i takes the
+  /// qualifier and name of `names->column(i)` and keeps its input
+  /// column's type. A rewrite passes the schema of the operator it
+  /// replaces, so a result's column names never depend on whether the
+  /// rewrite fired. Rebuilding a projection passes its own schema: its
+  /// names may differ from its input's (an aggregate's, the first
+  /// INTERSECT operand's) and must survive a later rewrite below it.
   static PlanPtr Make(PlanPtr input, DuplicateMode mode,
-                      std::vector<size_t> columns);
+                      std::vector<size_t> columns,
+                      const Schema* names = nullptr);
 
   const PlanPtr& input() const { return input_; }
   DuplicateMode mode() const { return mode_; }

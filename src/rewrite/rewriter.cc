@@ -1,6 +1,7 @@
 #include "rewrite/rewriter.h"
 
 #include <map>
+#include <numeric>
 
 #include "analysis/implication.h"
 #include "analysis/near_miss.h"
@@ -115,7 +116,8 @@ class Rewriter {
         const ProjectNode& n = *As<ProjectNode>(node);
         UNIQOPT_ASSIGN_OR_RETURN(PlanPtr input, Transform(n.input()));
         if (input == n.input()) return node;
-        return ProjectNode::Make(std::move(input), n.mode(), n.columns());
+        return ProjectNode::Make(std::move(input), n.mode(), n.columns(),
+                                 &n.schema());
       }
       case PlanKind::kProduct: {
         const ProductNode& n = *As<ProductNode>(node);
@@ -227,8 +229,8 @@ class Rewriter {
         verdict = &fresh;
       }
       if (verdict->distinct_unnecessary) {
-        PlanPtr after =
-            ProjectNode::Make(p->input(), DuplicateMode::kAll, p->columns());
+        PlanPtr after = ProjectNode::Make(p->input(), DuplicateMode::kAll,
+                                          p->columns(), &p->schema());
         RewriteEvidence evidence;
         evidence.before = node;
         evidence.after = after;
@@ -288,7 +290,8 @@ class Rewriter {
     auto rebuild_as_join = [&](DuplicateMode mode) -> PlanPtr {
       PlanPtr product = ProductNode::Make(exists->outer(), exists->sub());
       PlanPtr select = SelectNode::Make(product, exists->correlation());
-      return ProjectNode::Make(std::move(select), mode, project->columns());
+      return ProjectNode::Make(std::move(select), mode, project->columns(),
+                               &project->schema());
     };
 
     // Theorem 2: at most one inner match ⇒ plain join, mode preserved.
@@ -397,8 +400,14 @@ class Rewriter {
       if (right.IsDuplicateFree()) {
         ExprPtr corr = MakeNullSafeCorrelation(setop->right()->schema(),
                                                setop->left()->schema());
-        PlanPtr after = ExistsNode::Make(setop->right(), setop->left(),
-                                         std::move(corr), /*negated=*/false);
+        // The EXISTS emits the right operand's rows; an identity
+        // projection gives them the first operand's column names.
+        std::vector<size_t> identity(setop->schema().num_columns());
+        std::iota(identity.begin(), identity.end(), 0);
+        PlanPtr after = ProjectNode::Make(
+            ExistsNode::Make(setop->right(), setop->left(), std::move(corr),
+                             /*negated=*/false),
+            DuplicateMode::kAll, std::move(identity), &setop->schema());
         RewriteEvidence evidence;
         evidence.before = node;
         evidence.after = after;
@@ -515,7 +524,7 @@ class Rewriter {
       columns.push_back(item.arg_column);
     }
     PlanPtr after = ProjectNode::Make(agg->input(), DuplicateMode::kAll,
-                                      std::move(columns));
+                                      std::move(columns), &agg->schema());
     RewriteEvidence evidence;
     evidence.before = node;
     evidence.after = after;
@@ -880,7 +889,8 @@ class Rewriter {
     std::vector<size_t> new_columns;
     for (size_t col : project.columns()) new_columns.push_back(mapping[col]);
     PlanPtr after = ProjectNode::Make(std::move(plan), project.mode(),
-                                      std::move(new_columns));
+                                      std::move(new_columns),
+                                      &project.schema());
     RewriteEvidence evidence;
     evidence.before = node;
     evidence.after = after;
@@ -938,7 +948,8 @@ class Rewriter {
         return node;
       }
       PlanPtr after = ProjectNode::Make(exists, project->mode(),
-                                        project->columns());
+                                        project->columns(),
+                                        &project->schema());
       RewriteEvidence evidence;
       evidence.before = node;
       evidence.after = after;  // full π(EXISTS) subtree, matching `before`
@@ -949,7 +960,7 @@ class Rewriter {
       return after;
     }
     PlanPtr after = ProjectNode::Make(exists, project->mode(),
-                                      project->columns());
+                                      project->columns(), &project->schema());
     RewriteEvidence evidence;
     evidence.before = node;
     evidence.after = after;

@@ -10,15 +10,6 @@ namespace uniqopt {
 
 namespace {
 
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += names[i];
-  }
-  return out;
-}
-
 /// Clones every table definition of `db`'s catalog (registration order,
 /// so foreign-key references resolve) into a fresh empty Database,
 /// applying `suggestion`'s constraint to its table.
@@ -41,7 +32,7 @@ Result<std::unique_ptr<Database>> BuildShadowDatabase(
           UNIQOPT_RETURN_NOT_OK(
               clone.AddUniqueKey(suggestion.replay_key_columns));
           *description = "UNIQUE (" +
-                         JoinNames(suggestion.replay_key_columns) + ") on " +
+                         Join(suggestion.replay_key_columns, ", ") + ") on " +
                          clone.name();
           break;
         case obs::MissingFactKind::kNotNull: {
@@ -53,7 +44,7 @@ Result<std::unique_ptr<Database>> BuildShadowDatabase(
           }
           clone.mutable_schema() = Schema(std::move(columns));
           *description = "NOT NULL (" +
-                         JoinNames(suggestion.replay_key_columns) + ") on " +
+                         Join(suggestion.replay_key_columns, ", ") + ") on " +
                          clone.name();
           break;
         }

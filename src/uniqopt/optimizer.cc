@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <thread>
 
@@ -46,10 +45,7 @@ class Phase {
       : Phase(def, nullptr, ns_sink) {}
 
   ~Phase() {
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
+    uint64_t ns = obs::SteadyNowNs() - start_ns_;
     def_.histogram->Record(ns);
     if (phase_sink_ != nullptr) phase_sink_->emplace_back(def_.name, ns);
     if (ns_sink_ != nullptr) *ns_sink_ = ns;
@@ -60,12 +56,12 @@ class Phase {
       : def_(def),
         phase_sink_(phase_sink),
         ns_sink_(ns_sink),
-        start_(std::chrono::steady_clock::now()) {}
+        start_ns_(obs::SteadyNowNs()) {}
 
   const PhaseDef& def_;
   Sink* phase_sink_;
   uint64_t* ns_sink_;
-  std::chrono::steady_clock::time_point start_;
+  uint64_t start_ns_;
 };
 
 /// The registry counters that accumulate ExecStats across executions,
@@ -423,15 +419,10 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
   // off (the default) `feed` is one relaxed load and no clock is read.
   obs::TimeSeriesPlane& plane = obs::TimeSeriesPlane::Global();
   const bool feed = plane.enabled();
-  const auto feed_start =
-      feed ? std::chrono::steady_clock::now()
-           : std::chrono::steady_clock::time_point{};
+  const uint64_t feed_start = feed ? obs::SteadyNowNs() : 0;
   auto feed_sample = [&](const PreparedQuery& q) {
     if (!feed) return;
-    uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - feed_start)
-            .count());
+    uint64_t ns = obs::SteadyNowNs() - feed_start;
     plane.RecordClassSample(q.class_fingerprint, "prepare.ns", ns,
                             /*record_id=*/0, q.plan_hash);
   };
@@ -628,14 +619,11 @@ Result<std::string> Optimizer::ExplainAnalyze(
   obs::CounterSnapshot before = reg.Counters();
   ExecProfile profile;
   ExecStats stats;
-  auto start = std::chrono::steady_clock::now();
+  uint64_t start = obs::SteadyNowNs();
   UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows,
                            Execute(query, params, physical, &stats,
                                    &profile));
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  uint64_t total_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-          .count());
+  uint64_t total_us = (obs::SteadyNowNs() - start) / 1000;
   obs::CounterSnapshot after = reg.Counters();
 
   std::string out = query.Explain();

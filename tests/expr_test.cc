@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+
 #include "expr/equality.h"
 #include "expr/expr.h"
 #include "expr/normalize.h"
+#include "expr/predicate_program.h"
 
 namespace uniqopt {
 namespace {
@@ -230,6 +234,95 @@ TEST(ExprTest, ToStringReadable) {
        Eq(Expr::ColumnRef(9, "P.COLOR", TypeId::kString),
           Expr::Literal(Value::String("RED")))});
   EXPECT_EQ(pred->ToString(), "(S.SNO = P.SNO AND P.COLOR = 'RED')");
+}
+
+TEST(PredicateProgramTest, FilterSelKeepsExactlyTheInterpretersTrueRows) {
+  // Columns: INTEGER, DOUBLE, STRING, BOOLEAN. The pools hold NULLs of
+  // each type, integers around 2^53 (where a double stops being exact)
+  // and strings of 12-14 bytes (around the inline capacity).
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<TypeId> types = {TypeId::kInteger, TypeId::kDouble,
+                                     TypeId::kString, TypeId::kBoolean};
+  const std::vector<std::vector<Value>> pools = {
+      {Value::Null(TypeId::kInteger), Value::Integer(-3), Value::Integer(0),
+       Value::Integer(7), Value::Integer(k53), Value::Integer(k53 + 1)},
+      {Value::Null(TypeId::kDouble), Value::Double(-2.5), Value::Double(0.0),
+       Value::Double(7.0), Value::Double(9007199254740992.0)},
+      {Value::Null(TypeId::kString), Value::String(""),
+       Value::String("abcdefghijkl"), Value::String("abcdefghijklm"),
+       Value::String("abcdefghijklmn"), Value::String("abcdefghijklmo")},
+      {Value::Null(TypeId::kBoolean), Value::Boolean(false),
+       Value::Boolean(true)},
+  };
+  std::mt19937 rng(20261020);
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Value> values;
+    for (const std::vector<Value>& pool : pools) {
+      values.push_back(pool[rng() % pool.size()]);
+    }
+    rows.emplace_back(std::move(values));
+  }
+  // One host variable per column, plus a NULL one.
+  std::vector<Value> params = {Value::Integer(k53), Value::Double(7.0),
+                               Value::String("abcdefghijklm"),
+                               Value::Boolean(true),
+                               Value::Null(TypeId::kInteger)};
+
+  std::vector<ExprPtr> atoms;
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  for (size_t c = 0; c < types.size(); ++c) {
+    ExprPtr col = Col(c, types[c]);
+    for (CompareOp op : ops) {
+      for (const Value& v : pools[c]) {
+        atoms.push_back(Expr::Compare(op, col, Expr::Literal(v)));
+      }
+      atoms.push_back(Expr::Compare(op, col, Expr::HostVar(c, "H", types[c])));
+      // Literal on the left: the program flips the operator.
+      atoms.push_back(Expr::Compare(op, Expr::Literal(pools[c].back()), col));
+    }
+    atoms.push_back(Expr::IsNull(col));
+    atoms.push_back(Expr::IsNotNull(col));
+  }
+  for (CompareOp op : ops) {
+    // 2^53 + 1 against 2^53.0 across the two numeric types.
+    atoms.push_back(Expr::Compare(
+        op, Col(0), Expr::Literal(Value::Double(9007199254740992.0))));
+    atoms.push_back(
+        Expr::Compare(op, Col(1), Expr::Literal(Value::Integer(k53 + 1))));
+    atoms.push_back(Expr::Compare(
+        op, Col(0), Expr::HostVar(4, "NULLVAR", TypeId::kInteger)));
+  }
+
+  std::vector<ExprPtr> predicates = atoms;
+  for (size_t i = 0; i + 2 < atoms.size(); i += 3) {
+    predicates.push_back(
+        Expr::MakeAnd({atoms[i], atoms[atoms.size() - 1 - i]}));
+    predicates.push_back(Expr::MakeAnd(
+        {atoms[i], atoms[(i * 7) % atoms.size()], Expr::IsNotNull(Col(2))}));
+  }
+  // A column-to-column comparison is left to the interpreter.
+  ExprPtr interpreted = Expr::Compare(CompareOp::kLt, Col(0), Col(1));
+  ASSERT_FALSE(PredicateProgram::Compile(interpreted).fully_compiled());
+  predicates.push_back(interpreted);
+  ExprPtr double_ge_host = Expr::Compare(
+      CompareOp::kGe, Col(1), Expr::HostVar(1, "H", TypeId::kDouble));
+  predicates.push_back(Expr::MakeAnd(
+      {Expr::IsNotNull(Col(3)), interpreted, double_ge_host}));
+
+  for (const ExprPtr& p : predicates) {
+    std::vector<uint32_t> expected;
+    std::vector<uint32_t> sel;
+    for (uint32_t i = 0; i < rows.size(); ++i) {
+      sel.push_back(i);
+      if (p->EvaluatePredicate(rows[i], params) == Tribool::kTrue) {
+        expected.push_back(i);
+      }
+    }
+    PredicateProgram::Compile(p).FilterSel(rows.data(), &sel, params);
+    EXPECT_EQ(sel, expected) << p->ToString();
+  }
 }
 
 }  // namespace

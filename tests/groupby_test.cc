@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 #include "analysis/uniqueness.h"
 #include "exec/cost_model.h"
 #include "parser/parser.h"
@@ -102,6 +106,66 @@ TEST_F(GroupByTest, AggregatesIgnoreNulls) {
   EXPECT_TRUE(rows[1][4].is_null());
 }
 
+/// The tuple-at-a-time path and two batch sizes.
+std::array<PhysicalOptions, 3> ExecutionModes() {
+  std::array<PhysicalOptions, 3> modes;
+  modes[0].batch_size = 0;
+  modes[1].batch_size = 1024;
+  modes[2].batch_size = 7;
+  return modes;
+}
+
+TEST_F(GroupByTest, IntegerSumOutsideInt64IsAnError) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Database db;
+  ASSERT_OK(db.ExecuteDdl(
+      "CREATE TABLE T (K INTEGER NOT NULL, X INTEGER, PRIMARY KEY (K))"));
+  ASSERT_OK_AND_ASSIGN(Table * t, db.GetTable("T"));
+  ASSERT_OK(t->InsertValues({Value::Integer(1), Value::Integer(kMax)}));
+  ASSERT_OK(t->InsertValues({Value::Integer(2), Value::Integer(kMax)}));
+  for (const PhysicalOptions& physical : ExecutionModes()) {
+    SCOPED_TRACE(physical.batch_size);
+    for (const char* sql : {"SELECT SUM(X) FROM T",
+                            "SELECT X, SUM(X) FROM T GROUP BY X"}) {
+      Result<std::vector<Row>> rows = RunSql(db, sql, {}, physical);
+      ASSERT_FALSE(rows.ok()) << sql;
+      EXPECT_EQ(rows.status().code(), StatusCode::kLimitExceeded) << sql;
+    }
+    // AVG sums in double, as before: 2^63 for two copies of INT64_MAX.
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> avg,
+                         RunSql(db, "SELECT AVG(X) FROM T", {}, physical));
+    ASSERT_EQ(avg.size(), 1u);
+    EXPECT_DOUBLE_EQ(avg[0][0].AsDouble(), 9223372036854775808.0);
+  }
+}
+
+TEST_F(GroupByTest, IntegerSumIsExactInEveryRowOrder) {
+  // INT64_MAX + 1 overflows an int64 running sum, yet the finished sum
+  // of {INT64_MAX, 1, -1} is INT64_MAX whatever the order.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::array<int64_t, 3> values = {-1, 1, kMax};
+  do {
+    Database db;
+    ASSERT_OK(db.ExecuteDdl(
+        "CREATE TABLE T (K INTEGER NOT NULL, X INTEGER, PRIMARY KEY (K))"));
+    ASSERT_OK_AND_ASSIGN(Table * t, db.GetTable("T"));
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_OK(t->InsertValues({Value::Integer(static_cast<int64_t>(i)),
+                                 Value::Integer(values[i])}));
+    }
+    for (const PhysicalOptions& physical : ExecutionModes()) {
+      SCOPED_TRACE(std::to_string(values[0]) + "," +
+                   std::to_string(values[1]) + "," +
+                   std::to_string(values[2]) + " batch " +
+                   std::to_string(physical.batch_size));
+      ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                           RunSql(db, "SELECT SUM(X) FROM T", {}, physical));
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows[0][0].AsInteger(), kMax);
+    }
+  } while (std::next_permutation(values.begin(), values.end()));
+}
+
 TEST_F(GroupByTest, NullGroupKeysCollapse) {
   Database db;
   ASSERT_OK(db.ExecuteDdl("CREATE TABLE T (G INTEGER, X INTEGER)"));
@@ -154,6 +218,9 @@ TEST_F(GroupByTest, GroupByOnKeyCollapsesToProjection) {
   ASSERT_TRUE(rewritten.ok());
   EXPECT_TRUE(rewritten->Applied(RewriteRuleId::kEliminateGroupByOnKey))
       << rewritten->plan->ToString();
+  // The projection keeps the aggregate's header: SUM(BUDGET), not BUDGET.
+  EXPECT_TRUE(SameColumnNamesAndTypes(bound->plan->schema(),
+                                      rewritten->plan->schema()));
   // Results agree.
   ExecContext c1;
   ExecContext c2;

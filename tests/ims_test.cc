@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "ims/gateway.h"
+#include "ims/translator.h"
+#include "rewrite/rewriter.h"
 #include "test_util.h"
 #include "workload/supplier_schema.h"
 
@@ -10,11 +11,8 @@ namespace {
 using ims::BuildSupplierIms;
 using ims::DliSession;
 using ims::DliStatus;
+using ims::GatewayResult;
 using ims::ImsDatabase;
-using ims::JoinStrategySuppliersForOem;
-using ims::JoinStrategySuppliersForPart;
-using ims::NestedStrategySuppliersForOem;
-using ims::NestedStrategySuppliersForPart;
 using ims::Ssa;
 
 class ImsTest : public ::testing::Test {
@@ -24,6 +22,45 @@ class ImsTest : public ::testing::Test {
     auto ims = BuildSupplierIms(db_);
     ASSERT_TRUE(ims.ok()) << ims.status().ToString();
     ims_ = std::move(*ims);
+  }
+
+  /// Example 10's query with PARTS predicate `part_pred`, whose one host
+  /// variable is set to `value`, compiled by the gateway as bound (the
+  /// join program, lines 21–29) or after the navigational rewrite
+  /// policy (the nested program, lines 30–35), and run.
+  GatewayResult RunExample10(const std::string& part_pred, int64_t value,
+                             bool nested) {
+    Binder binder(&db_.catalog());
+    auto bound = binder.BindSql(
+        "SELECT ALL S.* FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND " +
+        part_pred);
+    if (!bound.ok()) {
+      ADD_FAILURE() << bound.status().ToString();
+      return {};
+    }
+    PlanPtr plan = bound->plan;
+    if (nested) {
+      RewriteOptions opts;
+      opts.join_to_subquery = true;
+      opts.subquery_to_join = false;
+      opts.subquery_to_distinct_join = false;
+      opts.join_elimination = false;
+      auto rewritten = RewritePlan(plan, opts);
+      if (!rewritten.ok()) {
+        ADD_FAILURE() << rewritten.status().ToString();
+        return {};
+      }
+      EXPECT_TRUE(rewritten->Applied(RewriteRuleId::kJoinToSubquery));
+      plan = rewritten->plan;
+    }
+    auto program = ims::TranslatePlan(*ims_, plan);
+    if (!program.ok()) {
+      ADD_FAILURE() << program.status().ToString();
+      return {};
+    }
+    EXPECT_EQ(program->steps.size(), 1u);
+    EXPECT_EQ(program->steps.at(0).exists_only, nested);
+    return ims::RunProgram(*ims_, *program, {Value::Integer(value)});
   }
 
   Database db_;
@@ -93,8 +130,8 @@ TEST_F(ImsTest, GnpKeyQualificationHaltsEarly) {
 }
 
 TEST_F(ImsTest, Example10BothStrategiesProduceSameSuppliers) {
-  auto join = JoinStrategySuppliersForPart(*ims_, 4);
-  auto nested = NestedStrategySuppliersForPart(*ims_, 4);
+  GatewayResult join = RunExample10("P.PNO = :PARTNO", 4, /*nested=*/false);
+  GatewayResult nested = RunExample10("P.PNO = :PARTNO", 4, /*nested=*/true);
   EXPECT_EQ(join.rows.size(), 100u);  // every supplier has part 4
   EXPECT_TRUE(MultisetEquals(join.rows, nested.rows));
 }
@@ -103,8 +140,8 @@ TEST_F(ImsTest, Example10NestedHalvesPartsCalls) {
   // The paper's claim: the nested strategy halves the number of DL/I
   // calls against the PARTS segment, because the join strategy's second
   // GNP per supplier always returns 'GE'.
-  auto join = JoinStrategySuppliersForPart(*ims_, 4);
-  auto nested = NestedStrategySuppliersForPart(*ims_, 4);
+  GatewayResult join = RunExample10("P.PNO = :PARTNO", 4, /*nested=*/false);
+  GatewayResult nested = RunExample10("P.PNO = :PARTNO", 4, /*nested=*/true);
   size_t join_parts_calls = join.stats.calls_by_segment.at("PARTS");
   size_t nested_parts_calls = nested.stats.calls_by_segment.at("PARTS");
   EXPECT_EQ(join_parts_calls, 200u);    // 2 per supplier
@@ -115,8 +152,10 @@ TEST_F(ImsTest, OemVariantNestedHaltsEarly) {
   // OEM_PNO is not the sequence field: the join strategy's second GNP
   // scans all remaining twins; the nested strategy stops at the match.
   // Pick an OEM that exists (generator assigns 1..1000 sequentially).
-  auto join = JoinStrategySuppliersForOem(*ims_, 37);
-  auto nested = NestedStrategySuppliersForOem(*ims_, 37);
+  GatewayResult join = RunExample10("P.OEM_PNO = :OEM", 37,
+                                    /*nested=*/false);
+  GatewayResult nested = RunExample10("P.OEM_PNO = :OEM", 37,
+                                      /*nested=*/true);
   ASSERT_EQ(join.rows.size(), 1u);  // OEM_PNO is a candidate key
   EXPECT_TRUE(MultisetEquals(join.rows, nested.rows));
   EXPECT_GT(join.stats.segments_visited, nested.stats.segments_visited);

@@ -139,10 +139,15 @@ TEST_F(RewriteTest, IntersectAllToExistsCorollary2) {
 TEST_F(RewriteTest, IntersectSwapsWhenOnlyRightUnique) {
   // Left operand (PARTS.SNO) has duplicates; right (SUPPLIER.SNO) is
   // unique — the rewrite swaps operands.
-  RewriteResult r = RewriteAndCheck(
-      "SELECT SNO FROM PARTS INTERSECT SELECT SNO FROM SUPPLIER");
+  const std::string sql =
+      "SELECT SNO FROM PARTS INTERSECT SELECT SNO FROM SUPPLIER";
+  RewriteResult r = RewriteAndCheck(sql);
   EXPECT_TRUE(r.Applied(RewriteRuleId::kIntersectToExists) ||
               r.Applied(RewriteRuleId::kRemoveRedundantDistinct));
+  // The result keeps the first operand's header (PARTS.SNO).
+  PlanPtr bound = Bind(sql);
+  ASSERT_NE(bound, nullptr);
+  EXPECT_TRUE(SameColumnNamesAndTypes(bound->schema(), r.plan->schema()));
 }
 
 TEST_F(RewriteTest, IntersectNotRewrittenWhenBothHaveDuplicates) {

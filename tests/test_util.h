@@ -79,6 +79,27 @@ inline bool HasDuplicates(std::vector<Row> rows) {
   return false;
 }
 
+/// Do two schemas name and type their columns alike? A rewrite must not
+/// change what a result's header says.
+inline ::testing::AssertionResult SameColumnNamesAndTypes(const Schema& a,
+                                                          const Schema& b) {
+  if (a.num_columns() != b.num_columns()) {
+    return ::testing::AssertionFailure()
+           << a.num_columns() << " vs " << b.num_columns() << " columns";
+  }
+  for (size_t i = 0; i < a.num_columns(); ++i) {
+    const Column& x = a.column(i);
+    const Column& y = b.column(i);
+    if (x.QualifiedName() != y.QualifiedName() || x.type != y.type) {
+      return ::testing::AssertionFailure()
+             << "column " << i << ": " << x.QualifiedName() << " "
+             << TypeIdToString(x.type) << " vs " << y.QualifiedName() << " "
+             << TypeIdToString(y.type);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 inline std::string RowsToString(const std::vector<Row>& rows) {
   std::string out;
   for (const Row& r : rows) {

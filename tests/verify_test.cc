@@ -291,6 +291,9 @@ TEST_P(VerifySweepTest, RandomWorkloadVerifiesClean) {
     ASSERT_TRUE(prepared->verified) << sql;
     EXPECT_TRUE(prepared->verification.Clean())
         << sql << "\n" << prepared->verification.ToString();
+    EXPECT_TRUE(SameColumnNamesAndTypes(prepared->original_plan->schema(),
+                                        prepared->optimized_plan->schema()))
+        << sql;
     ++verified;
   }
   // Three seeds x >=70 plans comfortably clears the 200-plan floor.
